@@ -111,7 +111,7 @@ class CrossReport:
         }
 
 
-# -- shared analysis, cached per space ------------------------------------
+# -- shared analysis, memoized per space ----------------------------------
 
 
 def _rng(config: RunConfig, *parts) -> random.Random:
@@ -127,9 +127,10 @@ def _profile(X: FiniteSpace) -> dict | None:
     """
     if X.n > _PROFILE_MAX:
         return None
-    cached = X._cache.get("profile")
-    if cached is not None:
-        return cached
+    return X.memo("profile", lambda: _build_profile(X))
+
+
+def _build_profile(X: FiniteSpace) -> dict:
     n, full = X.n, X.full
     comp = [X.up[i] | X.down[i] for i in range(n)]
     size = full + 1
@@ -176,7 +177,7 @@ def _profile(X: FiniteSpace) -> dict | None:
                 t = least.bit_length() - 1
                 if u & ~X.up[t] == 0:
                     sup[m] = t
-    prof = {
+    return {
         "cl": cl,
         "ubs": ubs,
         "chain": chain,
@@ -186,8 +187,6 @@ def _profile(X: FiniteSpace) -> dict | None:
         "sup": sup,
         "directed_mode": "pairwise" if pairwise else "greatest-element",
     }
-    X._cache["profile"] = prof
-    return prof
 
 
 def _pair_scan(P: FiniteSpace) -> dict:
@@ -198,9 +197,10 @@ def _pair_scan(P: FiniteSpace) -> dict:
     in its closure: no common upper bound is u or v itself, and the closed
     set down{u, v} splits into the proper closed parts down(u), down(v).
     """
-    cached = P._cache.get("pair_scan")
-    if cached is not None:
-        return cached
+    return P.memo("pair_scan", lambda: _scan_pairs(P))
+
+
+def _scan_pairs(P: FiniteSpace) -> dict:
     n = P.n
     pairs = 0
     ok = True
@@ -217,9 +217,7 @@ def _pair_scan(P: FiniteSpace) -> dict:
             dj = P.down[j]
             if (dj >> i) & 1 or (di >> j) & 1 or (di | dj) != P.closure_mask(both):
                 ok = False
-    out = {"incomparable_pairs": pairs, "ok": ok}
-    P._cache["pair_scan"] = out
-    return out
+    return {"incomparable_pairs": pairs, "ok": ok}
 
 
 def _split_samples(P: FiniteSpace, rng: random.Random, count: int) -> dict:
@@ -259,7 +257,7 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     (chains by upward walks; directed/irreducible sets as subsets of a
     principal down-set containing its point).  Membership is re-verified
     through the honest predicate, so a generation bug cannot slip by."""
-    core = "R" if H.derived is not None else H.base_core
+    core = _core(H)
     out = []
     for _ in range(count):
         x = rng.randrange(P.n)
@@ -285,6 +283,20 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     return out
 
 
+def _core(H: systems.SubsetSystemId) -> str:
+    """The S/C/D/R core that decides membership in H on a finite carrier."""
+    return "R" if H.derived is not None else H.base_core
+
+
+def _h_members(X: FiniteSpace, H: systems.SubsetSystemId) -> list[int]:
+    """Every member of H(X), by the membership predicate on all 2^n masks;
+    callers keep X.n within ``caps.subset_enum``."""
+    return X.memo(
+        ("h_members", _core(H)),
+        lambda: [m for m in range(1, X.full + 1) if systems.h_member(H, X, m)],
+    )
+
+
 def _compacts(X: FiniteSpace) -> list[int]:
     if X.n > _PROFILE_MAX:
         raise CapExceeded("compact-family analysis needs a small base carrier")
@@ -297,9 +309,10 @@ def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[
     families (every superset-closed filtered family is principal: its
     minimal members form an antichain forced to a single point), and a
     deterministic chain through each member."""
-    cached = X._cache.get("generator_instances")
-    if cached is not None:
-        return cached
+    return X.memo(("generator_instances", config.caps), lambda: _build_generator_instances(X, config))
+
+
+def _build_generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[int, ...], str]]:
     S = powers.smyth(X, config)
     sp = S.space
     out = []
@@ -315,7 +328,6 @@ def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[
                 cur = j
         if len(chain) > 1:
             out.append((tuple(S.carrier[j] for j in chain), "chain"))
-    X._cache["generator_instances"] = out
     return out
 
 
@@ -323,15 +335,9 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
     """H-families of compacts to quantify over: the raw powerset of K(X)
     filtered by membership when it fits the cap, else the generator
     instances filtered by shape."""
-    ks = _compacts(X)
-    core = "R" if H.derived is not None else H.base_core
-    if len(ks) <= config.caps.compact_family_enum:
-        fams = []
-        for m in range(1, 1 << len(ks)):
-            fam = tuple(ks[i] for i in bits(m))
-            if systems.family_base_ok(core, fam):
-                fams.append(fam)
-        return "raw", fams
+    core = _core(H)
+    if len(_compacts(X)) <= config.caps.compact_family_enum:
+        return "raw", _raw_families(X, core)
     fams = []
     for fam, shape in _generator_instances(X, config):
         if core == "S" and shape != "singleton":
@@ -340,6 +346,74 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
             continue
         fams.append(fam)
     return "generators", fams
+
+
+def _raw_families(X: FiniteSpace, core: str) -> list[tuple[int, ...]]:
+    """Every subfamily of K(X) in the S/C/D/R family system, from the raw
+    powerset; callers keep |K(X)| within ``caps.compact_family_enum``."""
+
+    def build():
+        ks = _compacts(X)
+        fams = (tuple(ks[i] for i in bits(m)) for m in range(1, 1 << len(ks)))
+        return [fam for fam in fams if systems.family_base_ok(core, fam)]
+
+    return X.memo(("families", core), build)
+
+
+# -- the quantifiers every characterization reduces to ---------------------
+
+
+def _meet(X: FiniteSpace, masks: Iterable[int]) -> int:
+    """The intersection of the masks (the whole carrier when there are none)."""
+    inter = X.full
+    for m in masks:
+        inter &= m
+    return inter
+
+
+def _filtered(inter: int, fam: Sequence[int], opens: Iterable[int]) -> bool:
+    """Filtration: every open containing ``inter``, the meet of ``fam``,
+    contains some member of ``fam``."""
+    return all(inter & ~U or any(k & ~U == 0 for k in fam) for U in opens)
+
+
+def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int]) -> bool:
+    """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
+    over K in fam, for every C in ``closed_sets``."""
+    inter = _meet(X, fam)
+    return all(
+        X.sat_mask(C & inter) == _meet(X, (X.sat_mask(C & k) for k in fam)) for C in closed_sets
+    )
+
+
+def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
+    """The Psi conditions at the base: for each irreducible closed set A,
+    the compacts meeting A form a down-set of the Smyth order that holds
+    up(top A) and whose members all contain top A (an ideal, directed
+    through that member); max A is nonempty; and cutting any compact
+    against A leaves a closed set."""
+
+    def build():
+        S = powers.smyth(X, config)
+        carrier, sp = S.carrier, S.space
+        for d in X.irr_downsets():
+            psi = 0
+            for i, k in enumerate(carrier):
+                if k & d:
+                    psi |= 1 << i
+            t = X.top_of(d)
+            if psi == 0 or t is None or X.max_mask(d) == 0:
+                return False
+            up_t = S.index.get(X.up[t])
+            if up_t is None or not (psi >> up_t) & 1:
+                return False
+            if any(sp.down[i] & ~psi or not (carrier[i] >> t) & 1 for i in bits(psi)):
+                return False
+            if not all(X.is_down(X.closure_mask(k & d)) for k in carrier):
+                return False
+        return True
+
+    return X.memo(("psi", config.caps), build)
 
 
 # -- verdict assembly -----------------------------------------------------
@@ -395,9 +469,10 @@ def _p_t0(X: FiniteSpace, H, config: RunConfig):
     return paths, {"points": X.n}
 
 
-def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config: RunConfig):
+def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config: RunConfig, name: str | None = None):
     """Shared engine for sober/h_sober: every ``members``-closed set is a
-    point closure with a unique generic point."""
+    point closure with a unique generic point.  ``name`` renames the
+    exhaustive path when it runs."""
     paths = []
     evidence = {}
     # 1: definitional family equality over enumerated closed sets
@@ -414,7 +489,7 @@ def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config
                 table["{" + ",".join(X.labels_of(d)) + "}"] = X.labels[t]
         # uniqueness comes with T0: distinct points have distinct closures
         value = value and len({X.down[i] for i in range(X.n)}) == X.n
-        paths.append((f"closed {tag}-members are point closures (exhaustive)", value, ""))
+        paths.append((name or f"closed {tag}-members are point closures (exhaustive)", value, ""))
         evidence["generic_points"] = _truncate(table)
         evidence["closed_members"] = len(hc)
     else:
@@ -433,17 +508,12 @@ def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config
 
 
 def _p_sober(X: FiniteSpace, H, config: RunConfig):
-    paths, evidence = _sober_like(X, lambda d: X.top_of(d) is not None, "irreducible", config)
-    # replace path-1 membership by honest irreducibility where enumerable
+    paths, evidence = _sober_like(
+        X, lambda d: X.top_of(d) is not None, "irreducible", config,
+        "irreducible closed sets have unique generic points",
+    )
     if X.n <= _PROFILE_MAX:
-        irr = X.irr_downsets()
-        val = True
-        for d in irr:
-            t = X.top_of(d)
-            if t is None or X.down[t] != d:
-                val = False
-        paths[0] = ("irreducible closed sets have unique generic points", val and len({X.down[i] for i in range(X.n)}) == X.n, "")
-        evidence["irreducible_closed"] = len(irr)
+        evidence["irreducible_closed"] = evidence["closed_members"]
     # Hofmann-Mislove corroboration on small carriers
     if X.n <= _PROFILE_MAX and len(X.upsets()) <= 65:
         rep = powers.hofmann_mislove_report(X, config)
@@ -506,17 +576,6 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     return paths, evidence
 
 
-def _wf_condition(X: FiniteSpace, fam: Sequence[int], opens: Sequence[int], sample_opens: Iterable[int]) -> bool:
-    inter = X.full
-    for k in fam:
-        inter &= k
-    universe = opens if opens is not None else sample_opens
-    for U in universe:
-        if inter & ~U == 0 and not any(k & ~U == 0 for k in fam):
-            return False
-    return True
-
-
 def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
@@ -524,26 +583,16 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     opens = X.upsets()
     # 1: definitional filtered-family condition
     if len(ks) <= config.caps.compact_family_enum:
-        value = True
-        count = 0
-        for m in range(1, 1 << len(ks)):
-            fam = tuple(ks[i] for i in bits(m))
-            if not systems.family_base_ok("D", fam):
-                continue
-            count += 1
-            if not _wf_condition(X, fam, opens, None):
-                value = False
+        fams = _raw_families(X, "D")
+        value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
         paths.append(("filtered families (raw powerset)", value, ""))
-        evidence["filtered_families"] = count
+        evidence["filtered_families"] = len(fams)
     elif len(ks) <= 64:
         # superset-closed filtered families are principal, so enumerate
         # one per compact; the condition is invariant under superset
         # closure (witnesses pass down to smaller members)
-        value = True
-        for k0 in ks:
-            fam = tuple(k for k in ks if k0 & ~k == 0)
-            if not _wf_condition(X, fam, opens, None):
-                value = False
+        fams = [tuple(k for k in ks if k0 & ~k == 0) for k0 in ks]
+        value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
         paths.append(("filtered families (superset-closed generators)", value, ""))
         evidence["generators"] = len(ks)
     else:
@@ -554,7 +603,7 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
             fam = [k0] + [k0 | X.sat_mask(rngw.getrandbits(X.n)) for _ in range(3)]
             fam = sorted({k for k in fam if k})
             sample_u = [X.sat_mask(rngw.getrandbits(X.n)) | k0 for _ in range(4)] + [k0]
-            if not _wf_condition(X, fam, None, sample_u):
+            if not _filtered(_meet(X, fam), fam, sample_u):
                 value = False
         paths.append(("filtered families (sampled generators)", value, ""))
     # 2: the Smyth power space is a d-space
@@ -574,17 +623,10 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     ks = _compacts(X)
     opens = X.upsets()
     if len(ks) <= config.caps.compact_family_enum:
-        value = True
-        count = 0
-        for m in range(1, 1 << len(ks)):
-            fam = tuple(ks[i] for i in bits(m))
-            if not systems.family_base_ok("C", fam):
-                continue
-            count += 1
-            if not _wf_condition(X, fam, opens, None):
-                value = False
+        fams = _raw_families(X, "C")
+        value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
         paths.append(("descending chains (raw powerset)", value, ""))
-        evidence["chains"] = count
+        evidence["chains"] = len(fams)
     else:
         rngo = _rng(config, "owf", X.n, X.up[0])
         value = True
@@ -598,7 +640,7 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
                 chain.append(cur)
             chain = sorted(set(chain))
             sample_u = [k0] + [k0 | X.sat_mask(rngo.getrandbits(X.n)) for _ in range(3)]
-            if not _wf_condition(X, chain, None, sample_u):
+            if not _filtered(_meet(X, chain), chain, sample_u):
                 value = False
             checked += 1
         paths.append(("descending chains (sampled)", value, ""))
@@ -625,11 +667,9 @@ def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
         ub = X.ubs_mask(m)
         if cl & ub == 0:
             value = False
-        u0 = ub  # the smallest open containing the saturation of the bounds
-        if not any(X.up[a] & ~u0 == 0 for a in bits(m)):
-            value = False
-        u1 = u0 | X.sat_mask(rngh.getrandbits(X.n))
-        if not any(X.up[a] & ~u1 == 0 for a in bits(m)):
+        # ub is the smallest open containing the saturation of the bounds
+        u1 = ub | X.sat_mask(rngh.getrandbits(X.n))
+        if not _filtered(ub, [X.up[a] for a in bits(m)], (ub, u1)):
             value = False
     paths.append(("neighborhood filtration on sampled members", value, ""))
     evidence["sampled_members"] = len(samples)
@@ -648,71 +688,23 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     opens = X.upsets()
     value = True
     for fam in fams:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        if inter == 0 or inter not in set(fam):
+        inter = _meet(X, fam)
+        if inter == 0 or inter not in fam or not _filtered(inter, fam, opens):
             value = False
-            continue
-        for U in opens:
-            if inter & ~U == 0 and not any(k & ~U == 0 for k in fam):
-                value = False
     paths.append((f"compact filtration ({mode})", value, ""))
     evidence["families"] = len(fams)
-    # psi conditions at the base: for each irreducible closed set A, the
-    # compacts meeting A form an ideal, max A is nonempty, and cutting a
-    # compact against A leaves a closed set
-    value = True
-    carrier = S.carrier
-    sp = S.space
-    for d in X.irr_downsets():
-        psi = 0
-        for i, k in enumerate(carrier):
-            if k & d:
-                psi |= 1 << i
-        if psi == 0:
-            value = False
-            continue
-        # down-set in the Smyth order
-        for i in bits(psi):
-            if sp.down[i] & ~psi:
-                value = False
-        t = X.top_of(d)
-        if t is None:
-            value = False
-        else:
-            up_t = S.index.get(X.up[t])
-            if up_t is None or not (psi >> up_t) & 1:
-                value = False
-            else:
-                # directedness witness: every member of psi contains t
-                for i in bits(psi):
-                    if not (carrier[i] >> t) & 1:
-                        value = False
-        if X.max_mask(d) == 0:
-            value = False
-        for k in carrier:
-            if not X.is_down(X.closure_mask(k & d)):
-                value = False
-    paths.append(("meeting-families are principal ideals at the base", value, ""))
+    paths.append(("meeting-families are principal ideals at the base", _psi_ok(X, config), ""))
     # equational form on generator/raw families with closed cuts
     value = True
     rngs = _rng(config, "supereq", str(H), X.n, X.up[0])
     closed = X.downsets()
     for fam in fams[: 4 * config.caps.sample_count]:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        if inter == 0:
+        if _meet(X, fam) == 0:
             value = False
             continue
-        for C in (closed if len(fams) * len(closed) <= 4096 else [closed[rngs.randrange(len(closed))] for _ in range(4)]):
-            lhs = X.sat_mask(C & inter)
-            rhs = X.full
-            for k in fam:
-                rhs &= X.sat_mask(C & k)
-            if lhs != rhs:
-                value = False
+        cuts = closed if len(fams) * len(closed) <= 4096 else [closed[rngs.randrange(len(closed))] for _ in range(4)]
+        if not _cut_identity(X, fam, cuts):
+            value = False
     paths.append(("equational cut identity over closed sets", value, ""))
     return paths, evidence
 
@@ -722,16 +714,10 @@ def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     evidence = {}
     prof = _profile(X)
     if prof is not None and X.n <= config.caps.subset_enum:
-        value = True
-        count = 0
-        for m in range(1, X.full + 1):
-            if not systems.h_member(H, X, m):
-                continue
-            count += 1
-            if prof["sup"][m] < 0:
-                value = False
+        members = _h_members(X, H)
+        value = all(prof["sup"][m] >= 0 for m in members)
         paths.append(("every member has a least upper bound (exhaustive)", value, ""))
-        evidence["members"] = count
+        evidence["members"] = len(members)
     else:
         rngc = _rng(config, "hcomplete", str(H), X.n, X.up[0])
         samples = _sampled_h_sets(X, H, rngc, config.caps.sample_count)
@@ -748,16 +734,10 @@ def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     evidence = {}
     prof = _profile(X)
     if prof is not None and X.n <= config.caps.subset_enum:
-        value = True
-        count = 0
-        for m in range(1, X.full + 1):
-            if not systems.h_member(H, X, m):
-                continue
-            count += 1
-            if prof["ubs"][m] == 0:
-                value = False
+        members = _h_members(X, H)
+        value = all(prof["ubs"][m] != 0 for m in members)
         paths.append(("every member has an upper bound (exhaustive)", value, ""))
-        evidence["members"] = count
+        evidence["members"] = len(members)
     else:
         rngb = _rng(config, "hbounded", str(H), X.n, X.up[0])
         samples = _sampled_h_sets(X, H, rngb, config.caps.sample_count)
@@ -779,13 +759,7 @@ def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
     mode, fams = _families_for(X, H, config)
-    value = True
-    for fam in fams:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        if inter == 0:
-            value = False
+    value = all(_meet(X, fam) != 0 for fam in fams)
     paths.append((f"families have nonempty intersection ({mode})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_bounded", H, config)
@@ -799,9 +773,7 @@ def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConf
     mode, fams = _families_for(X, H, config)
     value = True
     for fam in fams:
-        inter = X.full
-        for k in fam:
-            inter &= k
+        inter = _meet(X, fam)
         if inter == 0 or not X.is_up(inter):
             value = False
     paths.append((f"family intersections are compact saturated ({mode})", value, ""))
@@ -917,10 +889,10 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
         system = systems.as_system(system)
     elif system is not None:
         raise UsageError(f"property {property!r} does not take a subset system")
-    key = ("verdict", property, str(system), config)
-    cached = X._cache.get(key)
-    if cached is not None:
-        return cached
+    return X.memo(("verdict", property, str(system), config), lambda: _verdict(X, property, system, config))
+
+
+def _verdict(X: FiniteSpace, property: str, system, config: RunConfig) -> Verdict:
     paths, evidence = _IMPLS[property](X, system, config)
     if config.fast:
         kept = []
@@ -931,9 +903,7 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
         paths = kept
     # under fast the caller opted out of corroboration, so one computed
     # path counts as agreement
-    v = _mk_verdict(property, system, paths, evidence, 1 if config.fast else 2)
-    X._cache[key] = v
-    return v
+    return _mk_verdict(property, system, paths, evidence, 1 if config.fast else 2)
 
 
 def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:
@@ -954,7 +924,7 @@ def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:
 def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     """(mode, list of member masks) for quantifying over H(X)."""
     if X.n <= config.caps.subset_enum:
-        return "raw", [m for m in range(1, X.full + 1) if systems.h_member(H, X, m)]
+        return "raw", _h_members(X, H)
     rngs = _rng(config, "hsets", str(H), X.n, X.up[0])
     return "sampled", _sampled_h_sets(X, H, rngs, 4 * config.caps.sample_count)
 
@@ -973,46 +943,27 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     opens = X.upsets() if X.n <= _PROFILE_MAX else None
 
     def cond_meets(ran):
-        v = True
-        for m in ran:
-            if X.closure_mask(m) & X.ubs_mask(m) == 0:
-                v = False
-        return v
+        return all(X.closure_mask(m) & X.ubs_mask(m) for m in ran)
 
     def cond_filtration(ran):
-        v = True
         for m in ran:
             ub = X.ubs_mask(m)
-            universe = opens if opens is not None else [ub]
-            for U in universe:
-                if ub & ~U == 0 and not any(X.up[a] & ~U == 0 for a in bits(m)):
-                    v = False
-        return v
+            if not _filtered(ub, [X.up[a] for a in bits(m)], opens if opens is not None else [ub]):
+                return False
+        return True
 
-    def cond_bounded_eq(a_range, c_range, limit=4096):
-        v = True
-        for m in a_range:
-            if X.ubs_mask(m) == 0:
-                v = False
-        pairs = 0
+    def cond_bounded_eq(a_range, c_range):
+        v = all(X.ubs_mask(m) != 0 for m in a_range)
         rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
         for m in a_range:
-            ub = X.ubs_mask(m)
             cs = c_range
-            if cs is None or len(a_range) * len(cs) > limit:
-                pool = c_range if c_range is not None else []
-                if pool:
-                    cs = [pool[rngq.randrange(len(pool))] for _ in range(4)]
+            if cs is None or len(a_range) * len(cs) > 4096:
+                if c_range:
+                    cs = [c_range[rngq.randrange(len(c_range))] for _ in range(4)]
                 else:
                     cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-            for C in cs:
-                pairs += 1
-                lhs = X.sat_mask(C & ub)
-                rhs = X.full
-                for a in bits(m):
-                    rhs &= X.sat_mask(C & X.up[a])
-                if lhs != rhs:
-                    v = False
+            if not _cut_identity(X, [X.up[a] for a in bits(m)], cs):
+                v = False
         return v
 
     conds = [
@@ -1049,130 +1000,61 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     opens = X.upsets()
     rngx = _rng(config, "super", str(H), X.n, X.up[0])
 
-    inters = []
     ok_cl = True  # (2): Smyth-closure of the family meets its bound set
-    ok_open = True  # (3): open form, smallest open first, then samples
-    ok_box = True  # (4): box form
-    ok_member = True  # (5): compact-member form
+    ok_open = True  # (3): open form, on sampled opens
+    ok_filtration = True  # (4) box and (5) compact-member form: one quantifier
     ok_compact = True  # (6): intersections are compact saturated
-    famsets = []
     for fam in fams:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        inters.append(inter)
-        famsets.append(set(fam))
+        inter = _meet(X, fam)
         # (2) reduces to: the intersection is itself a member (any common
         # point of the closure and the bound set both contains and is
         # contained in the intersection)
-        if inter == 0 or inter not in famsets[-1]:
+        if inter == 0 or inter not in fam:
             ok_cl = False
             ok_compact = inter != 0 and X.is_up(inter) and ok_compact
             continue
         if not X.is_up(inter):
             ok_compact = False
-        # (3): the bound set {K' : K' inside inter} is itself open; a
-        # member must lie in every open containing it
-        if inter not in famsets[-1]:
-            ok_open = False
-        # sampled larger opens of the Smyth space: up-closures of the
-        # bound set plus random members
+        # (3): the bound set {K' : K' inside inter} is open and holds the
+        # member inter; sampled larger opens of the Smyth space are its
+        # union with the up-closures of random members
         extra = 0
         for _ in range(2):
-            j = rngx.randrange(len(S.carrier))
-            extra |= 1 << j
-        bound = 0
-        for j, k in enumerate(S.carrier):
-            if k & ~inter == 0:
-                bound |= 1 << j
-        u_sample = bound
+            extra |= 1 << rngx.randrange(len(S.carrier))
+        u_sample = S.box_mask(inter)
         for j in bits(extra):
             u_sample |= sp.up[j]
         if not any((u_sample >> S.index[k]) & 1 for k in fam):
             ok_open = False
-        # (4)+(5): for every open U of the base with inter inside U some
-        # member lies inside U
-        for U in opens:
-            if inter & ~U == 0 and not any(k & ~U == 0 for k in fam):
-                ok_box = False
-                ok_member = False
+        if not _filtered(inter, fam, opens):
+            ok_filtration = False
     conds = [
         ("super_h_sober", base.holds),
         ("families meet their bound sets", ok_cl),
         ("open filtration", ok_open),
-        ("box filtration", ok_box),
-        ("member filtration", ok_member),
-        ("compact intersections + filtration", ok_compact and ok_member),
+        ("box filtration", ok_filtration),
+        ("member filtration", ok_filtration),
+        ("compact intersections + filtration", ok_compact and ok_filtration),
     ]
 
     # equational forms: family-level over principal closed families and
     # sampled Smyth-closed sets, plus base-level over closed sets
     ok_eq_family = True
-    for fi, fam in enumerate(fams):
+    for fam in fams:
         idxs = [S.index[k] for k in fam]
-        bound = None
-        for j in idxs:
-            bound = sp.up[j] if bound is None else bound & sp.up[j]
         cls = [sp.down[rngx.randrange(sp.n)] for _ in range(2)]
-        cls.append(sp.closure_mask((1 << idxs[0])))
-        for Cfam in cls:
-            lhs = sp.sat_mask(Cfam & bound)
-            rhs = None
-            for j in idxs:
-                term = sp.sat_mask(Cfam & sp.up[j])
-                rhs = term if rhs is None else rhs & term
-            if lhs != rhs:
-                ok_eq_family = False
+        cls.append(sp.closure_mask(1 << idxs[0]))
+        if not _cut_identity(sp, [sp.up[j] for j in idxs], cls):
+            ok_eq_family = False
     conds.append(("equational form over Smyth-closed families", ok_eq_family))
 
-    ok_eq_base = True
     closed = X.downsets()
-    pool = fams if len(fams) * len(closed) <= 8192 else fams[: max(1, 8192 // len(closed))]
-    for fam in pool:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        for C in closed:
-            lhs = X.sat_mask(C & inter)
-            rhs = X.full
-            for k in fam:
-                rhs &= X.sat_mask(C & k)
-            if lhs != rhs:
-                ok_eq_base = False
-    conds.append(("equational form at the base", ok_eq_base))
-
-    ok_eq_irr = True
-    for fam in fams:
-        inter = X.full
-        for k in fam:
-            inter &= k
-        for C in X.irr_downsets():
-            lhs = X.sat_mask(C & inter)
-            rhs = X.full
-            for k in fam:
-                rhs &= X.sat_mask(C & k)
-            if lhs != rhs:
-                ok_eq_irr = False
-    conds.append(("equational form at irreducible closed sets", ok_eq_irr))
-
-    # Psi form (same computation as the checker path, restated here)
-    psi_ok = True
-    for d in X.irr_downsets():
-        psi = 0
-        for i, k in enumerate(S.carrier):
-            if k & d:
-                psi |= 1 << i
-        t = X.top_of(d)
-        if psi == 0 or t is None or X.max_mask(d) == 0:
-            psi_ok = False
-            continue
-        for i in bits(psi):
-            if sp.down[i] & ~psi or not (S.carrier[i] >> t) & 1:
-                psi_ok = False
-        for k in S.carrier:
-            if not X.is_down(X.closure_mask(k & d)):
-                psi_ok = False
-    conds.append(("Psi ideals, maxima and closed cuts", psi_ok))
+    pool = fams[: max(1, 8192 // len(closed))]
+    conds.append(("equational form at the base", all(_cut_identity(X, fam, closed) for fam in pool)))
+    irr = X.irr_downsets()
+    conds.append(("equational form at irreducible closed sets", all(_cut_identity(X, fam, irr) for fam in fams)))
+    # the same quantifier as the checker's Psi path
+    conds.append(("Psi ideals, maxima and closed cuts", _psi_ok(X, config)))
 
     if H.base_core == "R":
         v = check(sp, "sober", None, config)
@@ -1188,7 +1070,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
                 cur = cur | X.sat_mask(rngx.getrandbits(X.n))
                 chain.append(cur)
             chain = sorted(set(chain))
-            if not _wf_condition(X, chain, opens, None):
+            if not _filtered(_meet(X, chain), chain, opens):
                 ok_chain = False
         conds.append(("descending countable chains", ok_chain))
 

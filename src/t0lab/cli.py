@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 a property violation, characterization
 disagreement, or sweep failure; 2 malformed input or usage error;
-3 an enumeration cap was exceeded.
+3 an enumeration cap was exceeded; 4 an internal invariant broke (a bug).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import random
 import sys
 
 from .config import Caps, DEFAULT, RunConfig
-from .errors import CapExceeded, SpaceParseError, T0LabError, UsageError
+from .errors import CapExceeded, InternalError, SpaceParseError, T0LabError, UsageError
 from .spaces import FiniteSpace, parse_space, random_space, to_dot
 from . import checkers, construct, powers, systems, zoo
 
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except (SpaceParseError, UsageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

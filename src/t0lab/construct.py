@@ -167,19 +167,8 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
         if inter != F.up[fi]:
             raise UsageError("principal filter is not a finite meet of subbasics")
     if len(maps) <= config.caps.topology_compare:
-        gen = {0, F.full}
         basics = [subbasic(x, U) for x in range(X.n) for U in Y.upsets()]
-        meets = set(basics) | {F.full}
-        for a in basics:
-            meets |= {a & b for b in meets}
-        # close the finite meets under unions
-        family = {0}
-        while True:
-            more = {a | b for a in family for b in meets} - family
-            if not more:
-                break
-            family |= more
-        if family != set(F.upsets()):
+        if powers.generated_topology(basics, F.full) != set(F.upsets()):
             raise UsageError("generated topology differs from the pointwise order")
     return F
 

@@ -2,8 +2,9 @@
 
 Every failure mode gets its own class so callers (and the CLI) can map
 errors to exit codes without string matching.  Parse-time problems derive
-from ``SpaceParseError``; resource guards raise ``CapExceeded``; everything
-else derives from ``UsageError``.
+from ``SpaceParseError``; resource guards raise ``CapExceeded``; a failed
+self-certification (a broken internal invariant, never caused by input)
+raises ``InternalError``; everything else derives from ``UsageError``.
 """
 
 
@@ -39,6 +40,11 @@ class NotAlexandroffConsistent(SpaceParseError):
 
 class CapExceeded(T0LabError):
     """An enumeration would exceed a configured resource cap."""
+
+
+class InternalError(T0LabError):
+    """A certification that holds on every valid input failed: an internal
+    invariant is broken."""
 
 
 class UsageError(T0LabError):

@@ -35,6 +35,7 @@ from .errors import (
     CapExceeded,
     EmptyFamily,
     EmptyIntersection,
+    InternalError,
     NotAFilter,
     NotDirected,
     SpaceMismatch,
@@ -81,6 +82,15 @@ def _all_unions(parts: Sequence[int]) -> set[int]:
     return out
 
 
+def generated_topology(basics: Iterable[int], full: int) -> set[int]:
+    """The topology on the carrier ``full`` generated by the basic opens:
+    their finite meets (the empty meet is ``full``), closed under unions."""
+    meets = {full}
+    for b in basics:
+        meets |= {s & b for s in meets}
+    return _all_unions(sorted(meets))
+
+
 @dataclass(frozen=True)
 class SmythSpace:
     """The Smyth power space of a finite space, as a finite space itself."""
@@ -119,11 +129,11 @@ class SmythSpace:
 
 
 def smyth(X: FiniteSpace, config: RunConfig = DEFAULT) -> SmythSpace:
-    """Build (and cache) the Smyth power space of X."""
-    cached = X._cache.get("smyth")
-    if cached is not None:
-        return cached
-    caps = config.caps
+    """Build (and cache, per caps) the Smyth power space of X."""
+    return X.memo(("smyth", config.caps), lambda: _smyth(X, config.caps))
+
+
+def _smyth(X: FiniteSpace, caps) -> SmythSpace:
     if X.n > 20:
         raise CapExceeded("Smyth power space: base carrier too large to enumerate")
     carrier = tuple(X.nonempty_upsets())
@@ -149,16 +159,15 @@ def smyth(X: FiniteSpace, config: RunConfig = DEFAULT) -> SmythSpace:
     for U in opens:
         bm = S.box_mask(U)
         if not space.is_up(bm):
-            raise UsageError("box of an open failed to be an up-set")  # unreachable
+            raise InternalError("box of an open failed to be an up-set")  # unreachable
     for i in range(m):
         if space.up[i] != S.box_mask(carrier[i]):
-            raise UsageError("principal filter differs from its box")  # unreachable
+            raise InternalError("principal filter differs from its box")  # unreachable
     if m <= caps.topology_compare:
         # raw comparison: unions of boxes vs all up-sets
         fam = _all_unions([S.box_mask(U) for U in opens])
         if fam != set(space.upsets()):
-            raise UsageError("box topology mismatch")  # unreachable
-    X._cache["smyth"] = S
+            raise InternalError("box topology mismatch")  # unreachable
     return S
 
 
@@ -169,12 +178,12 @@ def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
     table = tuple(S.index[X.up[i]] for i in range(X.n))
     f = SpaceMap(X, S.space, table)
     if not f.is_injective() or not f.is_order_embedding():
-        raise UsageError("unit into the Smyth power space failed to embed")  # unreachable
+        raise InternalError("unit into the Smyth power space failed to embed")  # unreachable
     for U in X.upsets():
         img_U = f.image_mask(U)
         img_X = f.image_mask(X.full)
         if img_U != img_X & S.box_mask(U):
-            raise UsageError("unit image of an open is not a trace of a box")  # unreachable
+            raise InternalError("unit image of an open is not a trace of a box")  # unreachable
     return f
 
 
@@ -196,10 +205,10 @@ def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
     uX = xi_embed(f.source, config)
     uY = xi_embed(f.target, config)
     if uX.then(Pf).table != tuple(uY.table[f.table[i]] for i in range(f.source.n)):
-        raise UsageError("Smyth action is not natural in the units")  # unreachable
+        raise InternalError("Smyth action is not natural in the units")  # unreachable
     for V in Y.upsets():
         if Pf.preimage_mask(SY.box_mask(V)) != SX.box_mask(f.preimage_mask(V)):
-            raise UsageError("box preimage identity failed")  # unreachable
+            raise InternalError("box preimage identity failed")  # unreachable
     return Pf
 
 
@@ -227,7 +236,7 @@ def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
     for U in X.upsets():
         b1 = S1.box_mask(U)  # an open of S1.space (certified up-set)
         if un.preimage_mask(b1) != S2.box_mask(b1):
-            raise UsageError("union preimage identity failed")  # unreachable
+            raise InternalError("union preimage identity failed")  # unreachable
     return un
 
 
@@ -257,23 +266,21 @@ class HoareSpace:
 def hoare(X: FiniteSpace, which="irr_closed", config: RunConfig = DEFAULT) -> HoareSpace:
     """Build a Hoare power space on ``which``: ``irr_closed`` (default),
     ``closed`` (all nonempty closed sets), or an explicit list of closed
-    sets."""
-    if which in ("irr_closed", "closed"):
-        cached = X._cache.get(("hoare", which))
-        if cached is not None:
-            return cached
+    sets.  The two named carriers are cached per caps."""
     if which == "irr_closed":
-        carrier = [d for d in X.irr_downsets()]
-    elif which == "closed":
-        carrier = [d for d in X.downsets() if d]
-    else:
-        carrier = []
-        for A in which:
-            m = _as_mask(X, A)
-            if m == 0 or not X.is_down(m):
-                raise UsageError("Hoare carrier members must be nonempty closed sets")
-            carrier.append(m)
-        carrier = sorted(set(carrier), key=lambda m: (m.bit_count(), m))
+        return X.memo(("hoare", which, config.caps), lambda: _hoare(X, X.irr_downsets(), config.caps))
+    if which == "closed":
+        return X.memo(("hoare", which, config.caps), lambda: _hoare(X, [d for d in X.downsets() if d], config.caps))
+    carrier = []
+    for A in which:
+        m = _as_mask(X, A)
+        if m == 0 or not X.is_down(m):
+            raise UsageError("Hoare carrier members must be nonempty closed sets")
+        carrier.append(m)
+    return _hoare(X, sorted(set(carrier), key=lambda m: (m.bit_count(), m)), config.caps)
+
+
+def _hoare(X: FiniteSpace, carrier: list[int], caps) -> HoareSpace:
     if not carrier:
         raise EmptyFamily("the Hoare carrier is empty")
     m = len(carrier)
@@ -294,29 +301,22 @@ def hoare(X: FiniteSpace, which="irr_closed", config: RunConfig = DEFAULT) -> Ho
     # the up-set check; small instances rerun the whole topology raw below
     for x in range(X.n):
         if not space.is_up(H.diamond_mask(X.up[x])):
-            raise UsageError("diamond of an open failed to be an up-set")  # unreachable
+            raise InternalError("diamond of an open failed to be an up-set")  # unreachable
     full = (1 << m) - 1
     for i in range(m):
         acc = full
         for x in bits(carrier[i]):
             acc &= H.diamond_mask(X.up[x])
         if acc != space.up[i]:
-            raise UsageError("principal filter is not the meet of its diamonds")  # unreachable
+            raise InternalError("principal filter is not the meet of its diamonds")  # unreachable
     # raw re-derivation of the whole diamond topology; the cost driver is
     # |opens| * |up-sets of the carrier order|, so both are counted first
-    if m <= config.caps.topology_compare and X.n <= config.caps.subset_enum:
+    if m <= caps.topology_compare and X.n <= caps.subset_enum:
         opens = X.upsets()
         tops = space.upsets() if len(opens) <= 1024 else None
         if tops is not None and len(opens) * len(tops) <= 1 << 18:
-            boxes = [H.diamond_mask(U) for U in opens]
-            meets = {full}
-            for b in boxes:
-                meets |= {s & b for s in meets}
-            fam = _all_unions(sorted(meets))
-            if fam != set(tops):
-                raise UsageError("diamond topology mismatch")  # unreachable
-    if which in ("irr_closed", "closed"):
-        X._cache[("hoare", which)] = H
+            if generated_topology([H.diamond_mask(U) for U in opens], full) != set(tops):
+                raise InternalError("diamond topology mismatch")  # unreachable
     return H
 
 
@@ -340,10 +340,10 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     uX = hoare_eta(HX, config)
     uY = hoare_eta(HY, config)
     if uX.then(Pf).table != tuple(uY.table[f.table[i]] for i in range(f.source.n)):
-        raise UsageError("Hoare action is not natural in the units")  # unreachable
+        raise InternalError("Hoare action is not natural in the units")  # unreachable
     for V in Y.upsets():
         if Pf.preimage_mask(HY.diamond_mask(V)) != HX.diamond_mask(f.preimage_mask(V)):
-            raise UsageError("diamond preimage identity failed")  # unreachable
+            raise InternalError("diamond preimage identity failed")  # unreachable
     return Pf
 
 
@@ -357,7 +357,7 @@ def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
         raise UsageError("the carrier must contain every point closure") from None
     f = SpaceMap(X, H.space, table)
     if not f.is_injective() or not f.is_order_embedding():
-        raise UsageError("unit into the Hoare power space failed to embed")  # unreachable
+        raise InternalError("unit into the Hoare power space failed to embed")  # unreachable
     img = f.image_mask(X.full)
     # image and diamond both commute with unions of opens, so the principal
     # opens decide the trace identity; small bases recheck every open
@@ -367,7 +367,7 @@ def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
         opens = [X.up[i] for i in range(X.n)]
     for U in opens:
         if f.image_mask(U) != img & H.diamond_mask(U):
-            raise UsageError("unit image of an open is not a trace of a diamond")  # unreachable
+            raise InternalError("unit image of an open is not a trace of a diamond")  # unreachable
     return f
 
 
@@ -456,7 +456,7 @@ def filter_of_family(X: FiniteSpace, family) -> OpenFilter:
         filt = OpenFilter(X, members)
     except NotAFilter:
         if irr:
-            raise UsageError("irreducible family induced a non-filter")  # unreachable
+            raise InternalError("irreducible family induced a non-filter")  # unreachable
         raise
     if not irr:
         # a filter from a non-irreducible family would break the
@@ -468,7 +468,7 @@ def filter_of_family(X: FiniteSpace, family) -> OpenFilter:
                         f"family is not directed under reverse inclusion: no member "
                         f"inside {list(X.labels_of(a))} meet {list(X.labels_of(b))}"
                     )
-        raise UsageError("non-irreducible family produced a filter")  # unreachable
+        raise InternalError("non-irreducible family produced a filter")  # unreachable
     return filt
 
 
@@ -535,7 +535,7 @@ def family_calculus(X: FiniteSpace, family, which: str, config: RunConfig = DEFA
         # member; all of those sit inside the intersection
         for k in X.nonempty_upsets():
             if all(k & ~m == 0 for m in masks) and k & ~inter != 0:
-                raise UsageError("sup is not least")  # unreachable
+                raise InternalError("sup is not least")  # unreachable
         return sup
     if which == "closure_intersection":
         # the closure of the family in the Smyth order consists of the
@@ -549,6 +549,6 @@ def family_calculus(X: FiniteSpace, family, which: str, config: RunConfig = DEFA
         if not systems.family_base_ok("D", masks):
             raise NotDirected("the family is not filtered")
         if inter not in set(masks):
-            raise NotDirected("filtered family without least member")  # unreachable
+            raise InternalError("filtered family without least member")  # unreachable
         return CompactSat(X, inter)
     raise UsageError(f"unknown family operation {which!r}")

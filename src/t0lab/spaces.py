@@ -27,6 +27,7 @@ from .errors import (
     EmptyMember,
     EmptySet,
     EndpointMismatch,
+    InternalError,
     MalformedDocument,
     NotAlexandroffConsistent,
     NotATopology,
@@ -342,17 +343,16 @@ class FiniteSpace:
         """
         if cap is not None and self.n > cap:
             raise CapExceeded(f"downset listing needs carrier <= {cap}, got {self.n}")
-        cached = self._cache.get("downsets")
-        if cached is None:
-            order = sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
-            ideals = [0]
-            for i in order:
-                need = self.down[i] & ~(1 << i)
-                bit = 1 << i
-                ideals += [I | bit for I in ideals if need & ~I == 0]
-            cached = sorted(ideals, key=lambda m: (m.bit_count(), m))
-            self._cache["downsets"] = cached
-        return cached
+        return self.memo("downsets", self._downsets)
+
+    def _downsets(self) -> list[int]:
+        order = sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
+        ideals = [0]
+        for i in order:
+            need = self.down[i] & ~(1 << i)
+            bit = 1 << i
+            ideals += [I | bit for I in ideals if need & ~I == 0]
+        return sorted(ideals, key=lambda m: (m.bit_count(), m))
 
     def upsets(self, cap: int | None = None) -> list[int]:
         full = self.full
@@ -364,8 +364,21 @@ class FiniteSpace:
     def irr_downsets(self, cap: int | None = None) -> list[int]:
         """Irreducible closed sets; on a finite space these are exactly the
         point closures, but they are computed honestly from the criterion."""
-        out = [d for d in self.downsets(cap) if d and self.top_of(d) is not None]
-        return out
+        downs = self.downsets(cap)
+        return self.memo("irr_downsets", lambda: [d for d in downs if d and self.top_of(d) is not None])
+
+    # -- memo ------------------------------------------------------------
+
+    def memo(self, key, build):
+        """The space's one cache: the value stored under ``key``, made by
+        ``build()`` on first use.  The key names everything the value
+        depends on besides the space itself; a value whose build reads the
+        caps has the caps in its key, so no cap is bypassed by a value
+        built under other caps."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     # -- presentation ----------------------------------------------------
 
@@ -580,7 +593,7 @@ def chain_core(X: FiniteSpace, D) -> PointSet:
         raise NotDirected(f"{list(X.labels_of(m))} is not directed")
     t = X.top_of(m)
     if t is None:  # unreachable for finite directed sets; guards the claim
-        raise NotDirected("finite directed set without greatest element")
+        raise InternalError("finite directed set without greatest element")
     core = 1 << t
     if X.closure_mask(core) != X.closure_mask(m):
         raise NotDirected("chain core failed to have the same closure")
@@ -648,7 +661,7 @@ def minimal_points(X: FiniteSpace, K) -> PointSet:
         CompactSat(X, m)  # validates nonempty saturated
     mins = X.min_mask(m)
     if X.sat_mask(mins) != m:
-        raise UsageError("minimal points failed to regenerate the set")  # unreachable on valid input
+        raise InternalError("minimal points failed to regenerate the set")  # unreachable
     return PointSet(X, mins)
 
 
@@ -665,7 +678,7 @@ def down_meet_closed(X: FiniteSpace, K, A) -> ClosedSet:
     for k in bits(X.min_mask(km)):
         alt |= X.closure_mask(X.up[k] & am)
     if alt != out:
-        raise UsageError("cutting identity failed")  # unreachable on valid input
+        raise InternalError("cutting identity failed")  # unreachable
     return ClosedSet(X, out)
 
 

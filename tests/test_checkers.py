@@ -3,7 +3,7 @@ import json
 import pytest
 
 import oracles
-from t0lab import check, check_all, crosscheck_h_sober, crosscheck_super
+from t0lab import check, check_all, checkers, crosscheck_h_sober, crosscheck_super, parse_space
 from t0lab.checkers import (
     PROPERTY_IDS,
     Verdict,
@@ -11,8 +11,8 @@ from t0lab.checkers import (
     upper_topology_report,
     validate_evidence,
 )
-from t0lab.config import RunConfig
-from t0lab.errors import MissingSystem, UsageError
+from t0lab.config import Caps, RunConfig
+from t0lab.errors import CapExceeded, MissingSystem, UsageError
 from t0lab.systems import BASE_IDS
 
 CORES = ("S", "C", "D", "R")
@@ -245,3 +245,10 @@ def test_h_consonance_is_the_checker_property(diamond):
     v = h_consonance(diamond, "D")
     assert v.property == "h_consonant" and v.holds
     assert v is check(diamond, "h_consonant", "D")
+
+
+def test_generator_instances_respect_the_callers_caps():
+    X = parse_space({"points": list("abcdef"), "covers": []})
+    assert checkers._generator_instances(X, RunConfig())
+    with pytest.raises(CapExceeded):
+        checkers._generator_instances(X, RunConfig(caps=Caps(smyth_carrier=10)))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from t0lab import parse_space, powers
 from t0lab.cli import main
+from t0lab.errors import InternalError
 
 DIAMOND = {
     "points": ["bot", "l", "r", "top"],
@@ -231,3 +233,11 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "inspect", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_broken_certification_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    monkeypatch.setattr(powers.SmythSpace, "box_mask", lambda self, U: 0)
+    with pytest.raises(InternalError):
+        powers.smyth(parse_space(DIAMOND))
+    assert main(["construct", "smyth", diamond_doc]) == 4
+    assert "internal error" in capsys.readouterr().err

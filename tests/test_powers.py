@@ -4,12 +4,13 @@ from itertools import combinations
 import pytest
 
 import oracles
-from t0lab import hofmann_mislove_report, hoare, parse_space, random_space, smyth
-from t0lab.config import DEFAULT, RunConfig
+from t0lab import hofmann_mislove_report, hoare, parse_space, powers, random_space, smyth
+from t0lab.config import DEFAULT, Caps, RunConfig
 from t0lab.errors import (
     CapExceeded,
     EmptyFamily,
     EmptyIntersection,
+    InternalError,
     NotAFilter,
     NotDirected,
     UsageError,
@@ -124,7 +125,22 @@ def test_smyth_union_cap():
         smyth_union(X)
 
 
+def test_smyth_cap_holds_after_a_build_under_larger_caps():
+    X = parse_space({"points": list("abcdef"), "covers": []})
+    assert len(smyth(X).carrier) == 63
+    with pytest.raises(CapExceeded):
+        smyth(X, RunConfig(caps=Caps(smyth_carrier=10)))
+
+
 # -- Hoare power space -----------------------------------------------------
+
+
+def test_hoare_raw_certification_runs_under_each_callers_caps(diamond, monkeypatch):
+    hoare(diamond, "closed", RunConfig(caps=Caps(topology_compare=0)))
+    # a broken raw comparison must surface once the caps let it run
+    monkeypatch.setattr(powers, "generated_topology", lambda basics, full: set())
+    with pytest.raises(InternalError):
+        hoare(diamond, "closed")
 
 
 def test_hoare_on_point_closures_recovers_the_space(all_posets):
