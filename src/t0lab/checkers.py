@@ -134,26 +134,15 @@ def _build_profile(X: FiniteSpace) -> dict:
     n, full = X.n, X.full
     comp = [X.up[i] | X.down[i] for i in range(n)]
     size = full + 1
-    cl = [0] * size
-    ubs = [full] * size
     chain = [False] * size
-    top = [-1] * size
-    mx = [0] * size
     pairwise = n <= _PAIRWISE_MAX
     directed = [False] * size
+    sup = [-1] * size
     for m in range(1, size):
         low = m & -m
         i = low.bit_length() - 1
         rest = m ^ low
-        cl[m] = cl[rest] | X.down[i]
-        ubs[m] = ubs[rest] & X.up[i]
         chain[m] = rest == 0 or (chain[rest] and rest & ~comp[i] == 0)
-        mx[m] = (mx[rest] & ~(X.down[i] & ~low)) | (0 if X.up[i] & rest else low)
-        t = mx[m]
-        if t and t & (t - 1) == 0:
-            ti = t.bit_length() - 1
-            if m & ~X.down[ti] == 0:
-                top[m] = ti
         if pairwise:
             idxs = list(bits(m))
             ok = True
@@ -167,10 +156,8 @@ def _build_profile(X: FiniteSpace) -> dict:
                     break
             directed[m] = ok
         else:
-            directed[m] = top[m] >= 0
-    sup = [-1] * size
-    for m in range(1, size):
-        u = ubs[m]
+            directed[m] = X.top_of(m) is not None
+        u = X.ubs_mask(m)
         if u:
             least = X.min_mask(u)
             if least and least & (least - 1) == 0:
@@ -178,11 +165,7 @@ def _build_profile(X: FiniteSpace) -> dict:
                 if u & ~X.up[t] == 0:
                     sup[m] = t
     return {
-        "cl": cl,
-        "ubs": ubs,
         "chain": chain,
-        "top": top,
-        "max": mx,
         "directed": directed,
         "sup": sup,
         "directed_mode": "pairwise" if pairwise else "greatest-element",
@@ -257,7 +240,7 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     (chains by upward walks; directed/irreducible sets as subsets of a
     principal down-set containing its point).  Membership is re-verified
     through the honest predicate, so a generation bug cannot slip by."""
-    core = _core(H)
+    core = systems._core_of(H)
     out = []
     for _ in range(count):
         x = rng.randrange(P.n)
@@ -278,23 +261,16 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
             m = 1 << x
             for _ in range(min(4, len(below))):
                 m |= 1 << below[rng.randrange(len(below))]
-        if systems.h_member(H, P, m):
+        if systems._member(core, P, m):
             out.append(m)
     return out
-
-
-def _core(H: systems.SubsetSystemId) -> str:
-    """The S/C/D/R core that decides membership in H on a finite carrier."""
-    return "R" if H.derived is not None else H.base_core
 
 
 def _h_members(X: FiniteSpace, H: systems.SubsetSystemId) -> list[int]:
     """Every member of H(X), by the membership predicate on all 2^n masks;
     callers keep X.n within ``caps.subset_enum``."""
-    return X.memo(
-        ("h_members", _core(H)),
-        lambda: [m for m in range(1, X.full + 1) if systems.h_member(H, X, m)],
-    )
+    core = systems._core_of(H)
+    return X.memo(("h_members", core), lambda: [m for m in range(1, X.full + 1) if systems._member(core, X, m)])
 
 
 def _compacts(X: FiniteSpace) -> list[int]:
@@ -335,7 +311,7 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
     """H-families of compacts to quantify over: the raw powerset of K(X)
     filtered by membership when it fits the cap, else the generator
     instances filtered by shape."""
-    core = _core(H)
+    core = systems._core_of(H)
     if len(_compacts(X)) <= config.caps.compact_family_enum:
         return "raw", _raw_families(X, core)
     fams = []
@@ -374,16 +350,30 @@ def _meet(X: FiniteSpace, masks: Iterable[int]) -> int:
 def _filtered(inter: int, fam: Sequence[int], opens: Iterable[int]) -> bool:
     """Filtration: every open containing ``inter``, the meet of ``fam``,
     contains some member of ``fam``."""
-    return all(inter & ~U or any(k & ~U == 0 for k in fam) for U in opens)
+    for U in opens:
+        if inter & ~U == 0:
+            for k in fam:
+                if k & ~U == 0:
+                    break
+            else:
+                return False
+    return True
 
 
 def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int]) -> bool:
     """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
     over K in fam, for every C in ``closed_sets``."""
-    inter = _meet(X, fam)
-    return all(
-        X.sat_mask(C & inter) == _meet(X, (X.sat_mask(C & k) for k in fam)) for C in closed_sets
-    )
+    sat, full = X.sat_mask, X.full
+    inter = full
+    for k in fam:
+        inter &= k
+    for C in closed_sets:
+        rhs = full
+        for k in fam:
+            rhs &= sat(C & k)
+        if sat(C & inter) != rhs:
+            return False
+    return True
 
 
 def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
@@ -537,7 +527,7 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
                 continue
             count += 1
             s = prof["sup"][m]
-            c = prof["cl"][m]
+            c = X.closure_mask(m)
             t = X.top_of(c)
             if s < 0 or t is None or X.down[t] != c or s != t:
                 value = False
@@ -565,8 +555,7 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
         value = True
         for m in range(1, X.full + 1):
             if prof["chain"][m]:
-                c = prof["cl"][m]
-                if X.top_of(c) is None:
+                if X.top_of(X.closure_mask(m)) is None:
                     value = False
         paths.append(("chain closures are principal", value, ""))
     else:
@@ -656,8 +645,8 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
 
 
 def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    member = lambda d: systems.h_member(H, X, d)
-    paths, evidence = _sober_like(X, member, str(H), config)
+    core = systems._core_of(H)
+    paths, evidence = _sober_like(X, lambda d: systems._member(core, X, d), str(H), config)
     # sampled neighborhood filtration: up-bounds inside opens find members
     rngh = _rng(config, "hsober", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngh, config.caps.sample_count)
@@ -735,7 +724,7 @@ def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     prof = _profile(X)
     if prof is not None and X.n <= config.caps.subset_enum:
         members = _h_members(X, H)
-        value = all(prof["ubs"][m] != 0 for m in members)
+        value = all(X.ubs_mask(m) != 0 for m in members)
         paths.append(("every member has an upper bound (exhaustive)", value, ""))
         evidence["members"] = len(members)
     else:

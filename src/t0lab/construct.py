@@ -12,6 +12,7 @@ from .config import DEFAULT, RunConfig
 from .errors import (
     CapExceeded,
     EndpointMismatch,
+    InternalError,
     NoHomeomorphism,
     UsageError,
 )
@@ -122,7 +123,9 @@ def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT)
 
     place(0)
     out.sort()
-    return [SpaceMap(X, Y, t) for t in out]
+    # monotone by construction: each value was checked against the values
+    # already placed below it
+    return [SpaceMap._trusted(X, Y, t) for t in out]
 
 
 def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> FiniteSpace:
@@ -159,17 +162,17 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
     for x in range(X.n):
         for U in Y.upsets():
             if not F.is_up(subbasic(x, U)):
-                raise UsageError("subbasic evaluation set is not an up-set")
+                raise InternalError("subbasic evaluation set is not an up-set")  # unreachable
     for fi, f in enumerate(maps):
         inter = F.full
         for x in range(X.n):
             inter &= subbasic(x, Y.up[f.table[x]])
         if inter != F.up[fi]:
-            raise UsageError("principal filter is not a finite meet of subbasics")
+            raise InternalError("principal filter is not a finite meet of subbasics")  # unreachable
     if len(maps) <= config.caps.topology_compare:
         basics = [subbasic(x, U) for x in range(X.n) for U in Y.upsets()]
         if powers.generated_topology(basics, F.full) != set(F.upsets()):
-            raise UsageError("generated topology differs from the pointwise order")
+            raise InternalError("generated topology differs from the pointwise order")  # unreachable
     return F
 
 
@@ -432,14 +435,12 @@ def _determined_closed(X: FiniteSpace, H: systems.SubsetSystemId, config: RunCon
     Verified honestly per candidate; exhaustively complete when the closed
     sets are enumerable, else principal closures (irreducible closed sets
     of a finite space all have a greatest element)."""
-    tag = systems.SubsetSystemId(H.base, "R" if H.derived is None else H.derived)
+    core = systems._core_of(systems.SubsetSystemId(H.base, "R" if H.derived is None else H.derived))
     if X.n <= config.caps.family_listing:
-        return [
-            d for d in X.downsets() if d and systems.h_member(tag, X, d)
-        ]
+        return [d for d in X.downsets() if d and systems._member(core, X, d)]
     out = sorted({X.down[i] for i in range(X.n)}, key=lambda m: (m.bit_count(), m))
     for d in out:
-        if not systems.h_member(tag, X, d):
+        if not systems._member(core, X, d):
             raise UsageError("principal closure failed determinacy")
     return out
 

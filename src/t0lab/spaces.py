@@ -7,6 +7,13 @@ space is stored as precomputed bitmask rows (``up[i]`` = points above ``i``,
 ``down[i]`` = points below ``i``) and subsets of the carrier travel as plain
 int bitmasks wrapped in :class:`PointSet` at the API boundary.
 
+The order calculus (closure, saturation, common bounds, maximal and minimal
+points) is one kernel: an OR over the rows at the set bits of a mask,
+answered by lookup tables over 4-bit chunks of the mask (the "four
+Russians" method of Arlazarov, Dinic, Kronrod and Faradzev).  Each row
+family's table is built on first use, so a space that never asks pays
+nothing.
+
 Useful finite facts (each pinned to definitional code by the test suite):
 
 * compact saturated sets are exactly the nonempty up-sets;
@@ -72,6 +79,37 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_CHUNK = 4  # bits of a mask answered by one table lookup
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _join_table(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """``t[c][b]`` = OR of ``rows[_CHUNK * c + j]`` over the set bits ``j``
+    of ``b``: one table of 2^_CHUNK joins per chunk of the rows."""
+    size = 1 << _CHUNK
+    out = []
+    for c in range(0, len(rows), _CHUNK):
+        part = rows[c:c + _CHUNK]
+        t = [0] * size
+        for b in range(1, size):
+            low = b & -b
+            j = low.bit_length() - 1
+            t[b] = t[b ^ low] | (part[j] if j < len(part) else 0)
+        out.append(tuple(t))
+    return tuple(out)
+
+
+def _join(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
+    """OR of the table's rows at the set bits of ``mask``."""
+    m = 0
+    for t in tables:
+        m |= t[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
+        if not mask:
+            break
+    return m
+
+
 def mask_of_indices(idxs: Iterable[int]) -> int:
     m = 0
     for i in idxs:
@@ -86,7 +124,11 @@ class FiniteSpace:
     subsets, so build a space once and pass it around.
     """
 
-    __slots__ = ("labels", "up", "down", "_index", "_cache")
+    # the ``_t_*`` slots hold the kernel's join tables, each set on first use
+    __slots__ = (
+        "labels", "up", "down", "n", "full", "_index", "_cache",
+        "_t_down", "_t_up", "_t_not_up", "_t_not_down", "_t_below", "_t_above",
+    )
 
     def __init__(self, labels: Sequence[str], up: Sequence[int]):
         labels = tuple(labels)
@@ -128,6 +170,8 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full", full)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
         object.__setattr__(self, "_cache", {})
 
@@ -135,14 +179,6 @@ class FiniteSpace:
         raise AttributeError("FiniteSpace is immutable")
 
     # -- basic structure -------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.labels)) - 1
 
     def index(self, label: str) -> int:
         try:
@@ -279,44 +315,55 @@ class FiniteSpace:
 
     # -- order calculus on masks ----------------------------------------
 
+    def _keep(self, slot: str, rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Build the join table of ``rows`` and keep it in ``slot``."""
+        t = _join_table(rows)
+        object.__setattr__(self, slot, t)
+        return t
+
     def closure_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            m |= self.down[i]
-        return m
+        try:
+            t = self._t_down
+        except AttributeError:
+            t = self._keep("_t_down", self.down)
+        return _join(t, mask)
 
     def sat_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            m |= self.up[i]
-        return m
+        try:
+            t = self._t_up
+        except AttributeError:
+            t = self._keep("_t_up", self.up)
+        return _join(t, mask)
 
     def ubs_mask(self, mask: int) -> int:
         """Common upper bounds; the whole carrier when ``mask`` is empty."""
-        m = self.full
-        for i in bits(mask):
-            m &= self.up[i]
-        return m
+        try:
+            t = self._t_not_up
+        except AttributeError:
+            t = self._keep("_t_not_up", [self.full ^ r for r in self.up])
+        return self.full & ~_join(t, mask)
 
     def lbs_mask(self, mask: int) -> int:
-        m = self.full
-        for i in bits(mask):
-            m &= self.down[i]
-        return m
+        try:
+            t = self._t_not_down
+        except AttributeError:
+            t = self._keep("_t_not_down", [self.full ^ r for r in self.down])
+        return self.full & ~_join(t, mask)
 
     def max_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            if self.up[i] & mask == 1 << i:
-                m |= 1 << i
-        return m
+        # a point of mask is maximal iff it lies strictly below no point of it
+        try:
+            t = self._t_below
+        except AttributeError:
+            t = self._keep("_t_below", [r ^ (1 << i) for i, r in enumerate(self.down)])
+        return mask & ~_join(t, mask)
 
     def min_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            if self.down[i] & mask == 1 << i:
-                m |= 1 << i
-        return m
+        try:
+            t = self._t_above
+        except AttributeError:
+            t = self._keep("_t_above", [r ^ (1 << i) for i, r in enumerate(self.up)])
+        return mask & ~_join(t, mask)
 
     def is_down(self, mask: int) -> bool:
         return self.closure_mask(mask) == mask
@@ -355,8 +402,10 @@ class FiniteSpace:
         return sorted(ideals, key=lambda m: (m.bit_count(), m))
 
     def upsets(self, cap: int | None = None) -> list[int]:
+        """All up-sets (opens), sorted by (size, mask); one shared list."""
+        downs = self.downsets(cap)
         full = self.full
-        return sorted((full ^ d for d in self.downsets(cap)), key=lambda m: (m.bit_count(), m))
+        return self.memo("upsets", lambda: sorted((full ^ d for d in downs), key=lambda m: (m.bit_count(), m)))
 
     def nonempty_upsets(self, cap: int | None = None) -> list[int]:
         return [u for u in self.upsets(cap) if u]
@@ -596,7 +645,7 @@ def chain_core(X: FiniteSpace, D) -> PointSet:
         raise InternalError("finite directed set without greatest element")
     core = 1 << t
     if X.closure_mask(core) != X.closure_mask(m):
-        raise NotDirected("chain core failed to have the same closure")
+        raise InternalError("chain core failed to have the same closure")  # unreachable
     return PointSet(X, core)
 
 
@@ -726,6 +775,16 @@ class SpaceMap:
                     )
 
     @classmethod
+    def _trusted(cls, source: FiniteSpace, target: FiniteSpace, table: tuple[int, ...]) -> "SpaceMap":
+        """A map whose table is monotone by construction, built without
+        re-running the check of ``__post_init__``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "table", table)
+        return f
+
+    @classmethod
     def identity(cls, X: FiniteSpace) -> "SpaceMap":
         return cls(X, X, tuple(range(X.n)))
 
@@ -758,7 +817,8 @@ class SpaceMap:
         """Composition: first self, then other."""
         if other.source is not self.target:
             raise EndpointMismatch("composition endpoints do not match")
-        return SpaceMap(self.source, other.target, tuple(other.table[v] for v in self.table))
+        # a composite of monotone maps is monotone
+        return SpaceMap._trusted(self.source, other.target, tuple(other.table[v] for v in self.table))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)

@@ -35,6 +35,7 @@ from .errors import (
     EmptyFamily,
     EmptyMember,
     EmptySet,
+    InternalError,
     MissingSystem,
     NotInM,
     PreconditionViolated,
@@ -188,6 +189,24 @@ def _chain_mask(X: FiniteSpace, m: int) -> bool:
     return True
 
 
+def _core_of(H: SubsetSystemId) -> str:
+    """The S/C/D/R core that decides membership in H on a finite carrier:
+    every derived system collapses to the irreducible sets."""
+    return "R" if H.derived is not None else H.base_core
+
+
+def _member(core: str, X: FiniteSpace, m: int) -> bool:
+    """Membership of the nonempty mask ``m`` of X in the system with this
+    S/C/D/R core; ``h_member`` is its validating front."""
+    if core == "S":
+        return m & (m - 1) == 0
+    if core == "C":
+        return _chain_mask(X, m)
+    if core == "D":
+        return is_directed(X, m)
+    return is_irreducible(X, m)
+
+
 def h_member(H, X: FiniteSpace, A) -> bool:
     """Is A a member of H(X)?
 
@@ -198,18 +217,7 @@ def h_member(H, X: FiniteSpace, A) -> bool:
     m = _as_mask(X, A)
     if m == 0:
         raise EmptySet("subset-system members are nonempty")
-    if H.derived is not None:
-        # determined sets of any of the seven bases collapse to the
-        # irreducible sets on a finite carrier
-        return is_irreducible(X, m)
-    core = H.base_core
-    if core == "S":
-        return m & (m - 1) == 0
-    if core == "C":
-        return _chain_mask(X, m)
-    if core == "D":
-        return is_directed(X, m)
-    return is_irreducible(X, m)
+    return _member(_core_of(H), X, m)
 
 
 def h_closed_members(X: FiniteSpace, H, cap: int | None = 14) -> list[int]:
@@ -218,12 +226,8 @@ def h_closed_members(X: FiniteSpace, H, cap: int | None = 14) -> list[int]:
     (The closure of an H-set is again an H-set for each of the seven tags,
     so taking closed members and taking closures agree; asserted cheaply.)
     """
-    H = as_system(H)
-    out = []
-    for d in X.downsets(cap):
-        if d and h_member(H, X, d):
-            out.append(d)
-    return out
+    core = _core_of(as_system(H))
+    return [d for d in X.downsets(cap) if d and _member(core, X, d)]
 
 
 # -- membership: families of compact saturated sets -----------------------
@@ -283,11 +287,7 @@ def h_family_member(H, X: FiniteSpace, family) -> bool:
     Evaluated directly on the reverse-inclusion order, which is the
     specialization order of the Smyth power space.
     """
-    H = as_system(H)
-    masks = family_masks(X, family)
-    if H.derived is not None:
-        return family_base_ok("R", masks)
-    return family_base_ok(H.base_core, masks)
+    return family_base_ok(_core_of(as_system(H)), family_masks(X, family))
 
 
 # -- the M(family) machinery ----------------------------------------------
@@ -384,7 +384,8 @@ def rudin_witness(H, X: FiniteSpace, A) -> RudinWitness | None:
     and the one-member family {up(t)} witnesses it; one-member families
     belong to every system.  Non-irreducible sets admit no witness for the
     systems here (their minimal meeting sets are point closures inside
-    them); checked by ``recheck``.
+    them); checked by ``recheck``, whose failure on the constructed
+    witness is an :class:`InternalError`.
     """
     H = as_system(H)
     m = _as_mask(X, A)
@@ -396,7 +397,7 @@ def rudin_witness(H, X: FiniteSpace, A) -> RudinWitness | None:
         return None
     w = RudinWitness(H, X, (X.up[t],), cl)
     if not w.recheck():  # unreachable; keeps the witness honest
-        return None
+        raise InternalError("the one-member Rudin witness failed its recheck")
     return w
 
 
@@ -436,13 +437,14 @@ def property_q_instance(H, X: FiniteSpace, family, A, cap: int | None = 12) -> b
     # closed subsets of A are the down-sets of the induced poset on A
     sub = X.subspace(am)
     back = list(bits(am))
+    core = _core_of(H)
     for d in sub.downsets():
         if d == 0:
             continue
         c = 0
         for i in bits(d):
             c |= 1 << back[i]
-        if all(c & k for k in masks) and h_member(H, X, c):
+        if all(c & k for k in masks) and _member(core, X, c):
             return True
     return False
 
@@ -476,8 +478,9 @@ def scott_h_open(H, X: FiniteSpace, U, cap: int | None = 14) -> bool:
         return False
     if cap is not None and X.n > cap:
         raise CapExceeded(f"Scott-open check enumerates subsets; needs carrier <= {cap}")
+    core = _core_of(H)
     for m in range(1, X.full + 1):
-        if not h_member(H, X, m):
+        if not _member(core, X, m):
             continue
         t = _sup_of(X, m)
         if t is not None and (um >> t) & 1 and m & um == 0:
@@ -499,8 +502,9 @@ def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, cap: int | No
         raise UsageError("mapping does not cover the source carrier")
     if cap is not None and X.n > cap:
         raise CapExceeded(f"Scott-continuity check enumerates subsets; needs carrier <= {cap}")
+    core = _core_of(H)
     for m in range(1, X.full + 1):
-        if not h_member(H, X, m):
+        if not _member(core, X, m):
             continue
         t = _sup_of(X, m)
         if t is None:

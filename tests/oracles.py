@@ -20,6 +20,63 @@ def closure(X: FiniteSpace, m: int) -> int:
     return out
 
 
+def saturation(X: FiniteSpace, m: int) -> int:
+    out = 0
+    for i in bits(m):
+        out |= X.up[i]
+    return out
+
+
+def upper_bounds(X: FiniteSpace, m: int) -> int:
+    out = X.full
+    for i in bits(m):
+        out &= X.up[i]
+    return out
+
+
+def lower_bounds(X: FiniteSpace, m: int) -> int:
+    out = X.full
+    for i in bits(m):
+        out &= X.down[i]
+    return out
+
+
+def maximal(X: FiniteSpace, m: int) -> int:
+    out = 0
+    for i in bits(m):
+        if X.up[i] & m == 1 << i:
+            out |= 1 << i
+    return out
+
+
+def minimal(X: FiniteSpace, m: int) -> int:
+    out = 0
+    for i in bits(m):
+        if X.down[i] & m == 1 << i:
+            out |= 1 << i
+    return out
+
+
+def greatest(X: FiniteSpace, m: int):
+    """The point of m above every point of m, or None."""
+    for i in bits(m):
+        if all((X.up[j] >> i) & 1 for j in bits(m)):
+            return i
+    return None
+
+
+# the order-calculus kernel of FiniteSpace and its per-bit definition
+KERNEL = (
+    ("closure_mask", closure),
+    ("sat_mask", saturation),
+    ("ubs_mask", upper_bounds),
+    ("lbs_mask", lower_bounds),
+    ("max_mask", maximal),
+    ("min_mask", minimal),
+    ("top_of", greatest),
+)
+
+
 def downsets(X: FiniteSpace) -> list[int]:
     out = []
     for m in range(X.full + 1):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from t0lab import parse_space, powers
+from t0lab import FiniteSpace, cli, construct, parse_space, powers, systems
 from t0lab.cli import main
 from t0lab.errors import InternalError
+from t0lab.spaces import chain_core
 
 DIAMOND = {
     "points": ["bot", "l", "r", "top"],
@@ -240,4 +241,36 @@ def test_broken_certification_is_an_internal_error_exit_4(capsys, diamond_doc, m
     with pytest.raises(InternalError):
         powers.smyth(parse_space(DIAMOND))
     assert main(["construct", "smyth", diamond_doc]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site):
+    """The CLI exit code when ``site(space)`` runs as a command."""
+    monkeypatch.setattr(cli, "_cmd_inspect", lambda args: site(cli._load_space(args.space)))
+    return main(["inspect", diamond_doc])
+
+
+def test_broken_function_space_certification_is_an_internal_error_exit_4(capsys, sier_doc, monkeypatch):
+    monkeypatch.setattr(FiniteSpace, "is_up", lambda self, m: False)
+    with pytest.raises(InternalError):
+        construct.function_space(parse_space(SIER), parse_space(SIER))
+    assert main(["construct", "function-space", sier_doc, sier_doc]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_broken_chain_core_closure_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    monkeypatch.setattr(FiniteSpace, "closure_mask", lambda self, m: m)
+    X = parse_space(DIAMOND)
+    with pytest.raises(InternalError):
+        chain_core(X, X.full)
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: chain_core(Y, Y.full)) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_failed_rudin_witness_recheck_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    monkeypatch.setattr(systems.RudinWitness, "recheck", lambda self: False)
+    X = parse_space(DIAMOND)
+    with pytest.raises(InternalError):
+        systems.rudin_witness("R", X, X.full)
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: systems.rudin_witness("R", Y, Y.full)) == 4
     assert "internal error" in capsys.readouterr().err

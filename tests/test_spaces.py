@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from t0lab import FiniteSpace, PointSet, parse_space, random_space, to_dot
+from t0lab import FiniteSpace, PointSet, parse_space, powers, random_space, to_dot
 from t0lab.errors import (
     DuplicateLabel,
     EmptySet,
@@ -19,7 +19,6 @@ from t0lab.spaces import (
     ClosedSet,
     CompactSat,
     SpaceMap,
-    bits,
     chain_core,
     closure,
     is_directed,
@@ -114,10 +113,58 @@ def test_closure_and_saturation_match_oracle(all_posets):
         for X in all_posets[n]:
             for m in range(X.full + 1):
                 assert X.closure_mask(m) == oracles.closure(X, m)
-                sat = 0
-                for i in bits(m):
-                    sat |= X.up[i]
-                assert X.sat_mask(m) == sat
+                assert X.sat_mask(m) == oracles.saturation(X, m)
+
+
+def _random_order(rng, n):
+    """A seeded poset on exactly n points whose order does not follow the
+    point indices."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    density = rng.choice([0.15, 0.3, 0.5])
+    labels = [f"p{i}" for i in range(n)]
+    edges = [
+        (labels[perm[i]], labels[perm[j]])
+        for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    ]
+    return FiniteSpace.from_covers(labels, edges)
+
+
+def _kernel_matches_oracles(X, masks):
+    for name, oracle in oracles.KERNEL:
+        op = getattr(X, name)
+        for m in masks:
+            assert op(m) == oracle(X, m), (name, X.n, m)
+
+
+def test_order_kernel_matches_per_bit_oracles_on_every_mask():
+    # every chunk boundary up to two and a half 4-bit chunks
+    rng = random.Random(11)
+    for n in range(1, 11):
+        for _ in range(3):
+            X = _random_order(rng, n)
+            _kernel_matches_oracles(X, range(X.full + 1))
+
+
+def test_order_kernel_matches_per_bit_oracles_on_seeded_masks():
+    rng = random.Random(12)
+    for n in (12, 13, 16, 17, 20):
+        for _ in range(3):
+            X = _random_order(rng, n)
+            masks = [0, X.full] + [rng.getrandbits(n) for _ in range(150)]
+            masks += [mask_of_indices(rng.sample(range(n), rng.randint(1, 3))) for _ in range(150)]
+            _kernel_matches_oracles(X, masks)
+
+
+def test_order_kernel_matches_per_bit_oracles_on_a_large_smyth_space():
+    X = parse_space({"points": [f"a{i}" for i in range(8)], "covers": []})
+    P = powers.smyth(X).space
+    assert P.n == 255
+    rng = random.Random(13)
+    masks = [0, P.full] + [rng.getrandbits(P.n) for _ in range(60)]
+    masks += [mask_of_indices(rng.sample(range(P.n), rng.randint(1, 4))) for _ in range(120)]
+    masks += [P.up[i] for i in range(0, P.n, 7)] + [P.down[i] for i in range(0, P.n, 7)]
+    _kernel_matches_oracles(P, masks)
 
 
 def test_downsets_upsets_match_powerset_scan(all_posets):
