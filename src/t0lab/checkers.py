@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, MissingSystem, UsageError
-from .spaces import FiniteSpace, bits
+from .spaces import FiniteSpace, bits, is_directed
 from . import powers, systems
 
 __all__ = [
@@ -143,27 +143,10 @@ def _build_profile(X: FiniteSpace) -> dict:
         i = low.bit_length() - 1
         rest = m ^ low
         chain[m] = rest == 0 or (chain[rest] and rest & ~comp[i] == 0)
-        if pairwise:
-            idxs = list(bits(m))
-            ok = True
-            for a in range(len(idxs)):
-                ua = X.up[idxs[a]]
-                for b in range(a + 1, len(idxs)):
-                    if m & ua & X.up[idxs[b]] == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            directed[m] = ok
-        else:
-            directed[m] = X.top_of(m) is not None
-        u = X.ubs_mask(m)
-        if u:
-            least = X.min_mask(u)
-            if least and least & (least - 1) == 0:
-                t = least.bit_length() - 1
-                if u & ~X.up[t] == 0:
-                    sup[m] = t
+        directed[m] = is_directed(X, m) if pairwise else X.top_of(m) is not None
+        t = systems._sup_of(X, m)
+        if t is not None:
+            sup[m] = t
     return {
         "chain": chain,
         "directed": directed,
@@ -588,9 +571,8 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
         rngw = _rng(config, "wf", X.n, X.up[0])
         value = True
         for _ in range(config.caps.sample_count):
-            k0 = ks[rngw.randrange(len(ks))]
-            fam = [k0] + [k0 | X.sat_mask(rngw.getrandbits(X.n)) for _ in range(3)]
-            fam = sorted({k for k in fam if k})
+            fam = systems.sample_family(rngw, X, ks, 3, chain=False)
+            k0 = fam[0]
             sample_u = [X.sat_mask(rngw.getrandbits(X.n)) | k0 for _ in range(4)] + [k0]
             if not _filtered(_meet(X, fam), fam, sample_u):
                 value = False
@@ -621,13 +603,8 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
         value = True
         checked = 0
         for _ in range(config.caps.sample_count):
-            k0 = ks[rngo.randrange(len(ks))]
-            chain = [k0]
-            cur = k0
-            for _ in range(4):
-                cur = cur | X.sat_mask(rngo.getrandbits(X.n))
-                chain.append(cur)
-            chain = sorted(set(chain))
+            chain = systems.sample_family(rngo, X, ks, 4, chain=True)
+            k0 = chain[0]
             sample_u = [k0] + [k0 | X.sat_mask(rngo.getrandbits(X.n)) for _ in range(3)]
             if not _filtered(_meet(X, chain), chain, sample_u):
                 value = False
@@ -1050,15 +1027,8 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
         conds.append(("Smyth power space is sober", v.holds and v.characterizations_agreed))
     if H.is_countable_tag:
         ok_chain = True
-        ks = S.carrier
         for _ in range(config.caps.sample_count):
-            k0 = ks[rngx.randrange(len(ks))]
-            chain = [k0]
-            cur = k0
-            for _ in range(3):
-                cur = cur | X.sat_mask(rngx.getrandbits(X.n))
-                chain.append(cur)
-            chain = sorted(set(chain))
+            chain = systems.sample_family(rngx, X, S.carrier, 3, chain=True)
             if not _filtered(_meet(X, chain), chain, opens):
                 ok_chain = False
         conds.append(("descending countable chains", ok_chain))

@@ -211,24 +211,6 @@ def _cmd_render(args) -> int:
 # -- sweep ----------------------------------------------------------------
 
 
-def _random_h_family(rng, X, core):
-    ks = X.nonempty_upsets()
-    k0 = ks[rng.randrange(len(ks))]
-    if core == "S":
-        return [k0]
-    if core == "C":
-        fam = [k0]
-        cur = k0
-        for _ in range(3):
-            cur = cur | X.sat_mask(rng.getrandbits(X.n))
-            fam.append(cur)
-        return sorted(set(fam))
-    fam = {k0}
-    for _ in range(3):
-        fam.add(k0 | X.sat_mask(rng.getrandbits(X.n)))
-    return sorted(fam)
-
-
 def _sweep_one(X, config, rng) -> list[str]:
     """Run the invariant battery on one space; returns violation notes."""
     bad = []
@@ -248,7 +230,7 @@ def _sweep_one(X, config, rng) -> list[str]:
     # sampled minimal-closed-set instances
     for core in ("S", "C", "D", "R"):
         H = systems.SubsetSystemId(core)
-        fam = _random_h_family(rng, X, core)
+        fam = systems.sample_family(rng, X, X.nonempty_upsets(), 0 if core == "S" else 3, core == "C")
         if not systems.h_family_member(H, X, fam):
             continue
         mins = systems.m_family(X, fam, cap=config.caps.m_family)

@@ -79,7 +79,7 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
         # projections are open maps here: image of saturation = saturation of image
         for pr in (left, right):
             if pr.image_mask(P.sat_mask(m)) != pr.target.sat_mask(pr.image_mask(m)):
-                raise UsageError("projection failed a saturation sample")
+                raise InternalError("projection failed a saturation sample")
     return Product(space=P, left=left, right=right, factors=(X, Y))
 
 
@@ -159,20 +159,9 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
                 m |= 1 << gi
         return m
 
-    for x in range(X.n):
-        for U in Y.upsets():
-            if not F.is_up(subbasic(x, U)):
-                raise InternalError("subbasic evaluation set is not an up-set")  # unreachable
-    for fi, f in enumerate(maps):
-        inter = F.full
-        for x in range(X.n):
-            inter &= subbasic(x, Y.up[f.table[x]])
-        if inter != F.up[fi]:
-            raise InternalError("principal filter is not a finite meet of subbasics")  # unreachable
-    if len(maps) <= config.caps.topology_compare:
-        basics = [subbasic(x, U) for x in range(X.n) for U in Y.upsets()]
-        if powers.generated_topology(basics, F.full) != set(F.upsets()):
-            raise InternalError("generated topology differs from the pointwise order")  # unreachable
+    basics = [subbasic(x, U) for x in range(X.n) for U in Y.upsets()]
+    principal = ([subbasic(x, Y.up[f.table[x]]) for x in range(X.n)] for f in maps)
+    powers._certify_topology(F, basics, principal, basics if len(maps) <= config.caps.topology_compare else None)
     return F
 
 
@@ -413,10 +402,17 @@ class Reflection:
     base: FiniteSpace
     system: str
     kind: str
-    space: FiniteSpace
+    hoare: powers.HoareSpace  # the determined closed sets under inclusion
     unit: SpaceMap
-    carrier: tuple[int, ...]
     iso: SpaceMap | None
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.hoare.space
+
+    @property
+    def carrier(self) -> tuple[int, ...]:
+        return self.hoare.carrier
 
     def to_json(self) -> dict:
         return {
@@ -441,7 +437,7 @@ def _determined_closed(X: FiniteSpace, H: systems.SubsetSystemId, config: RunCon
     out = sorted({X.down[i] for i in range(X.n)}, key=lambda m: (m.bit_count(), m))
     for d in out:
         if not systems._member(core, X, d):
-            raise UsageError("principal closure failed determinacy")
+            raise InternalError("principal closure failed determinacy")
     return out
 
 
@@ -472,17 +468,16 @@ def reflect(
     else:
         v = checkers.check(R, "super_h_sober", H, config)
     if not v.holds:
-        raise UsageError(f"reflected space failed {v.property}")
+        raise InternalError(f"reflected space failed {v.property}")
     if not (unit.is_injective() and unit.is_order_embedding()):
-        raise UsageError("unit is not an embedding")
+        raise InternalError("unit is not an embedding")
     iso = homeomorphic(X, R, config)
     return Reflection(
         base=X,
         system=str(H),
         kind=kind,
-        space=R,
+        hoare=HS,
         unit=unit,
-        carrier=tuple(carrier),
         iso=iso,
     )
 
@@ -496,7 +491,7 @@ def _extend_along_unit(refl: Reflection, f: SpaceMap, config: RunConfig) -> Spac
         img = Y.closure_mask(f.image_mask(m))
         t = Y.top_of(img)
         if t is None:
-            raise UsageError("target is not sober enough to extend along the unit")
+            raise InternalError("target is not sober enough to extend along the unit")
         table.append(t)
     return SpaceMap(refl.space, Y, tuple(table))
 
@@ -551,21 +546,12 @@ def reflection_functor(
     refl_X: Reflection, refl_Y: Reflection, f: SpaceMap, config: RunConfig = DEFAULT
 ) -> SpaceMap:
     """The functorial lift of f between reflections (closure of the image,
-    member by member), checked to commute with the units."""
+    member by member), checked to commute with the units and to pull
+    diamonds back to diamonds."""
     if f.source is not refl_X.base or f.target is not refl_Y.base:
         raise EndpointMismatch("map endpoints do not match the reflections")
-    idx = {m: i for i, m in enumerate(refl_Y.carrier)}
-    table = []
-    for m in refl_X.carrier:
-        img = refl_Y.base.closure_mask(f.image_mask(m))
-        j = idx.get(img)
-        if j is None:
-            raise UsageError("image closure left the determined carrier")
-        table.append(j)
-    lifted = SpaceMap(refl_X.space, refl_Y.space, tuple(table))
-    if refl_X.unit.then(lifted).table != f.then(refl_Y.unit).table:
-        raise UsageError("lift does not commute with the units")
-    return lifted
+    return powers._lift(f, refl_X.hoare, refl_Y.hoare, f.target.closure_mask, powers.HoareSpace.diamond_mask,
+                        lambda H: refl_X.unit if H is refl_X.hoare else refl_Y.unit)
 
 
 def functor_laws(

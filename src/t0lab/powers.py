@@ -1,23 +1,29 @@
 """Power spaces over a finite T0 space.
 
 Smyth power space: carrier = compact saturated sets (nonempty up-sets),
-topology generated by the boxes ``box(U) = {K : K inside U}``.  Its
-specialization order is reverse inclusion, and on a finite carrier the
-topology is exactly the up-set topology of that order.  Rather than
-materializing the topology, construction certifies this structurally:
+topology generated by the boxes ``box(U) = {K : K inside U}``; its
+specialization order is reverse inclusion.  Hoare power space: carrier =
+a family of nonempty closed sets, topology generated by the diamonds
+``diamond(U) = {A : A meets U}``; its specialization order is inclusion.
+The pointwise function space of ``construct`` is built the same way.
 
-* every box is an up-set of reverse inclusion, so every union of boxes is;
-* the principal filter of each member K equals ``box(K)`` (K is itself
-  open in the base), so every up-set, being a union of principal filters,
-  is a union of boxes.
+On a finite carrier each of these topologies is exactly the up-set
+topology of its order.  Rather than materializing the topology, one
+certifier, ``_certify_topology``, checks this structurally on every
+instance:
 
-Both bullets are checked computationally on every instance; below a cap
-the raw family-vs-family comparison runs too.
+* every basic open is an up-set of the order, so every union of basic
+  opens is;
+* the principal filter of each member is the meet of its generating
+  basic opens (``box(K)`` for K; the diamonds at the principal opens of
+  the points of A; the evaluation sets at the values of a map), so every
+  up-set, being a union of principal filters, is open.
 
-Hoare power space: carrier = a family of nonempty closed sets, topology
-generated by ``diamond(U) = {A : A meets U}``.  Specialization order is
-inclusion, certified the same way via ``up(A) = meet of diamond(up(x))``
-over the points x of A.
+Below each caller's caps the raw family-vs-family comparison against
+``generated_topology`` runs too.  One unit check (``_unit``) certifies the
+point embeddings x -> up(x) and x -> cl{x}, and one lift (``_lift``) gives
+the functorial action of a map on the Smyth and Hoare spaces and on the
+reflections built over Hoare spaces.
 
 Open filters of the open-set lattice are represented properly (no filter
 contains the empty open); on a finite space they are exactly the principal
@@ -75,20 +81,87 @@ def _set_label(X: FiniteSpace, mask: int) -> str:
     return "{" + ",".join(X.labels_of(mask)) + "}"
 
 
-def _all_unions(parts: Sequence[int]) -> set[int]:
-    out = {0}
-    for p in parts:
-        out |= {s | p for s in out}
-    return out
-
-
 def generated_topology(basics: Iterable[int], full: int) -> set[int]:
     """The topology on the carrier ``full`` generated by the basic opens:
     their finite meets (the empty meet is ``full``), closed under unions."""
     meets = {full}
     for b in basics:
         meets |= {s & b for s in meets}
-    return _all_unions(sorted(meets))
+    out = {0}
+    for p in sorted(meets):
+        out |= {s | p for s in out}
+    return out
+
+
+def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool) -> FiniteSpace:
+    """The carrier of subsets of X ordered by inclusion, or by reverse
+    inclusion when ``reverse``: member i lies below member j iff the
+    order relates their masks."""
+    rows = []
+    for a in carrier:
+        r = 0
+        for j, b in enumerate(carrier):
+            if (b & ~a if reverse else a & ~b) == 0:
+                r |= 1 << j
+        rows.append(r)
+    return FiniteSpace([_set_label(X, a) for a in carrier], rows)
+
+
+def _certify_topology(space: FiniteSpace, basics: Iterable[int], principal: Iterable[Iterable[int]], raw) -> None:
+    """Certify that the topology generated by some basic opens is the
+    up-set topology of ``space``: each of ``basics`` is an up-set, and the
+    i-th member of ``principal`` lists basic opens meeting to the
+    principal filter of point i.  Unless ``raw`` is None, the topology
+    that list of basic opens generates is also compared with every up-set."""
+    for b in basics:
+        if not space.is_up(b):
+            raise InternalError("a basic open failed to be an up-set")  # unreachable
+    for i, gens in enumerate(principal):
+        acc = space.full
+        for g in gens:
+            acc &= g
+        if acc != space.up[i]:
+            raise InternalError("principal filter is not the meet of its basic opens")  # unreachable
+    if raw is not None and generated_topology(raw, space.full) != set(space.upsets()):
+        raise InternalError("generated topology differs from the up-set topology")  # unreachable
+
+
+def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, opens) -> SpaceMap:
+    """The unit ``X -> space`` given by ``table``, certified a topological
+    embedding: injective, an order embedding, and the image of each open U
+    in ``opens`` is the trace of the basic open ``basic(U)`` on the image."""
+    f = SpaceMap(X, space, table)
+    if not f.is_injective() or not f.is_order_embedding():
+        raise InternalError("unit into the power space failed to embed")  # unreachable
+    img = f.image_mask(X.full)
+    for U in opens:
+        if f.image_mask(U) != img & basic(U):
+            raise InternalError("unit image of an open is not a trace of a basic open")  # unreachable
+    return f
+
+
+def _lift(f: SpaceMap, PX, PY, hull, basic, unit) -> SpaceMap:
+    """The functorial action of f between power spaces over its endpoints:
+    each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
+
+    ``basic(P, V)`` is the basic open of P at an open V of its base and
+    ``unit(P)`` the unit into P.  Checks naturality with the units and the
+    preimage identity ``(P f)^{-1}(basic V) = basic(f^{-1} V)``.
+    """
+    table = []
+    for a in PX.carrier:
+        j = PY.index.get(hull(f.image_mask(a)))
+        if j is None:
+            raise UsageError("image hull is not in the target carrier")
+        table.append(j)
+    Pf = SpaceMap(PX.space, PY.space, tuple(table))
+    uX, uY = unit(PX), unit(PY)
+    if uX.then(Pf).table != tuple(uY.table[y] for y in f.table):
+        raise InternalError("lift is not natural in the units")  # unreachable
+    for V in f.target.upsets():
+        if Pf.preimage_mask(basic(PY, V)) != basic(PX, f.preimage_mask(V)):
+            raise InternalError("basic-open preimage identity failed")  # unreachable
+    return Pf
 
 
 @dataclass(frozen=True)
@@ -141,33 +214,12 @@ def _smyth(X: FiniteSpace, caps) -> SmythSpace:
         raise CapExceeded(
             f"Smyth carrier has {len(carrier)} members, cap is {caps.smyth_carrier}"
         )
-    m = len(carrier)
-    # reverse inclusion: K_i below K_j iff K_j inside K_i
-    rows = []
-    for i in range(m):
-        ki = carrier[i]
-        r = 0
-        for j in range(m):
-            if carrier[j] & ~ki == 0:
-                r |= 1 << j
-        rows.append(r)
-    labels = [_set_label(X, k) for k in carrier]
-    space = FiniteSpace(labels, rows)
+    space = _inclusion_space(X, carrier, reverse=True)
     S = SmythSpace(X, carrier, space, {k: i for i, k in enumerate(carrier)})
-    # structural certification that the box topology is the up-set topology
-    opens = X.upsets()
-    for U in opens:
-        bm = S.box_mask(U)
-        if not space.is_up(bm):
-            raise InternalError("box of an open failed to be an up-set")  # unreachable
-    for i in range(m):
-        if space.up[i] != S.box_mask(carrier[i]):
-            raise InternalError("principal filter differs from its box")  # unreachable
-    if m <= caps.topology_compare:
-        # raw comparison: unions of boxes vs all up-sets
-        fam = _all_unions([S.box_mask(U) for U in opens])
-        if fam != set(space.upsets()):
-            raise InternalError("box topology mismatch")  # unreachable
+    # each member K is itself open, and its principal filter is box(K)
+    boxes = [S.box_mask(U) for U in X.upsets()]
+    raw = boxes if len(carrier) <= caps.topology_compare else None
+    _certify_topology(space, boxes, ([S.box_mask(k)] for k in carrier), raw)
     return S
 
 
@@ -175,16 +227,7 @@ def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
     """The unit x -> up(x) into the Smyth power space; a topological and
     order embedding (checked)."""
     S = smyth(X, config)
-    table = tuple(S.index[X.up[i]] for i in range(X.n))
-    f = SpaceMap(X, S.space, table)
-    if not f.is_injective() or not f.is_order_embedding():
-        raise InternalError("unit into the Smyth power space failed to embed")  # unreachable
-    for U in X.upsets():
-        img_U = f.image_mask(U)
-        img_X = f.image_mask(X.full)
-        if img_U != img_X & S.box_mask(U):
-            raise InternalError("unit image of an open is not a trace of a box")  # unreachable
-    return f
+    return _unit(X, S.space, tuple(S.index[X.up[i]] for i in range(X.n)), S.box_mask, X.upsets())
 
 
 def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -193,23 +236,8 @@ def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
     Checks naturality with the units and the box preimage identity
     ``(P f)^{-1}(box V) = box(f^{-1} V)``.
     """
-    SX = smyth(f.source, config)
-    SY = smyth(f.target, config)
-    Y = f.target
-    table = []
-    for k in SX.carrier:
-        img = Y.sat_mask(f.image_mask(k))
-        table.append(SY.index[img])
-    Pf = SpaceMap(SX.space, SY.space, tuple(table))
-    # naturality: P(f) after unit_X equals unit_Y after f
-    uX = xi_embed(f.source, config)
-    uY = xi_embed(f.target, config)
-    if uX.then(Pf).table != tuple(uY.table[f.table[i]] for i in range(f.source.n)):
-        raise InternalError("Smyth action is not natural in the units")  # unreachable
-    for V in Y.upsets():
-        if Pf.preimage_mask(SY.box_mask(V)) != SX.box_mask(f.preimage_mask(V)):
-            raise InternalError("box preimage identity failed")  # unreachable
-    return Pf
+    return _lift(f, smyth(f.source, config), smyth(f.target, config), f.target.sat_mask,
+                 SmythSpace.box_mask, lambda S: xi_embed(S.base, config))
 
 
 def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -283,40 +311,20 @@ def hoare(X: FiniteSpace, which="irr_closed", config: RunConfig = DEFAULT) -> Ho
 def _hoare(X: FiniteSpace, carrier: list[int], caps) -> HoareSpace:
     if not carrier:
         raise EmptyFamily("the Hoare carrier is empty")
-    m = len(carrier)
-    rows = []
-    for i in range(m):
-        ai = carrier[i]
-        r = 0
-        for j in range(m):
-            if ai & ~carrier[j] == 0:
-                r |= 1 << j
-        rows.append(r)
-    labels = [_set_label(X, a) for a in carrier]
-    space = FiniteSpace(labels, rows)
+    space = _inclusion_space(X, carrier, reverse=False)
     H = HoareSpace(X, tuple(carrier), space, {a: i for i, a in enumerate(carrier)})
-    # structural certification: diamonds are up-sets of inclusion, and each
-    # principal filter is a finite meet of diamonds at principal opens.
-    # diamond commutes with unions of opens, so the principal opens decide
-    # the up-set check; small instances rerun the whole topology raw below
-    for x in range(X.n):
-        if not space.is_up(H.diamond_mask(X.up[x])):
-            raise InternalError("diamond of an open failed to be an up-set")  # unreachable
-    full = (1 << m) - 1
-    for i in range(m):
-        acc = full
-        for x in bits(carrier[i]):
-            acc &= H.diamond_mask(X.up[x])
-        if acc != space.up[i]:
-            raise InternalError("principal filter is not the meet of its diamonds")  # unreachable
-    # raw re-derivation of the whole diamond topology; the cost driver is
-    # |opens| * |up-sets of the carrier order|, so both are counted first
-    if m <= caps.topology_compare and X.n <= caps.subset_enum:
+    # diamond commutes with unions of opens, so the diamonds at principal
+    # opens decide the up-set check and generate each principal filter
+    dia = [H.diamond_mask(X.up[x]) for x in range(X.n)]
+    # the raw cost driver is |opens| * |up-sets of the carrier order|, so
+    # both are counted first
+    raw = None
+    if len(carrier) <= caps.topology_compare and X.n <= caps.subset_enum:
         opens = X.upsets()
         tops = space.upsets() if len(opens) <= 1024 else None
         if tops is not None and len(opens) * len(tops) <= 1 << 18:
-            if generated_topology([H.diamond_mask(U) for U in opens], full) != set(tops):
-                raise InternalError("diamond topology mismatch")  # unreachable
+            raw = [H.diamond_mask(U) for U in opens]
+    _certify_topology(space, dia, ([dia[x] for x in bits(a)] for a in carrier), raw)
     return H
 
 
@@ -326,25 +334,8 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     Checks naturality with the point-closure units and the diamond
     preimage identity ``(P f)^{-1}(diamond V) = diamond(f^{-1} V)``.
     """
-    HX = hoare(f.source, which, config)
-    HY = hoare(f.target, which, config)
-    Y = f.target
-    table = []
-    for a in HX.carrier:
-        img = Y.closure_mask(f.image_mask(a))
-        j = HY.index.get(img)
-        if j is None:
-            raise UsageError("image closure is not in the target carrier")
-        table.append(j)
-    Pf = SpaceMap(HX.space, HY.space, tuple(table))
-    uX = hoare_eta(HX, config)
-    uY = hoare_eta(HY, config)
-    if uX.then(Pf).table != tuple(uY.table[f.table[i]] for i in range(f.source.n)):
-        raise InternalError("Hoare action is not natural in the units")  # unreachable
-    for V in Y.upsets():
-        if Pf.preimage_mask(HY.diamond_mask(V)) != HX.diamond_mask(f.preimage_mask(V)):
-            raise InternalError("diamond preimage identity failed")  # unreachable
-    return Pf
+    return _lift(f, hoare(f.source, which, config), hoare(f.target, which, config),
+                 f.target.closure_mask, HoareSpace.diamond_mask, lambda H: hoare_eta(H, config))
 
 
 def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -355,20 +346,13 @@ def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
         table = tuple(H.index[X.down[i]] for i in range(X.n))
     except KeyError:
         raise UsageError("the carrier must contain every point closure") from None
-    f = SpaceMap(X, H.space, table)
-    if not f.is_injective() or not f.is_order_embedding():
-        raise InternalError("unit into the Hoare power space failed to embed")  # unreachable
-    img = f.image_mask(X.full)
     # image and diamond both commute with unions of opens, so the principal
     # opens decide the trace identity; small bases recheck every open
     if X.n <= config.caps.subset_enum:
         opens = X.upsets()
     else:
         opens = [X.up[i] for i in range(X.n)]
-    for U in opens:
-        if f.image_mask(U) != img & H.diamond_mask(U):
-            raise InternalError("unit image of an open is not a trace of a diamond")  # unreachable
-    return f
+    return _unit(X, H.space, table, H.diamond_mask, opens)
 
 
 # -- open filters ---------------------------------------------------------

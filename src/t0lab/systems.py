@@ -253,6 +253,20 @@ def family_masks(X: FiniteSpace, family) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
+def sample_family(rng, X: FiniteSpace, ks: Sequence[int], steps: int, chain: bool) -> list[int]:
+    """A seeded family of compact saturated sets, sorted by mask: a member
+    k0 drawn from ``ks``, then ``steps`` more members, each the union of a
+    random saturated set with the previous member (``chain``) or with k0.
+    Every member contains k0, so k0 comes first."""
+    k0 = ks[rng.randrange(len(ks))]
+    fam = [k0]
+    cur = k0
+    for _ in range(steps):
+        cur = (cur if chain else k0) | X.sat_mask(rng.getrandbits(X.n))
+        fam.append(cur)
+    return sorted(set(fam))
+
+
 def family_base_ok(core: str, masks: Sequence[int]) -> bool:
     """Family membership in the Smyth order (reverse inclusion), on raw
     masks.  ``core`` is S, C, D or R."""

@@ -1,11 +1,14 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from t0lab import FiniteSpace, cli, construct, parse_space, powers, systems
+from t0lab import FiniteSpace, checkers, cli, construct, parse_space, powers, systems
 from t0lab.cli import main
+from t0lab.config import DEFAULT, Caps, RunConfig
 from t0lab.errors import InternalError
-from t0lab.spaces import chain_core
+from t0lab.spaces import SpaceMap, chain_core
 
 DIAMOND = {
     "points": ["bot", "l", "r", "top"],
@@ -273,4 +276,61 @@ def test_failed_rudin_witness_recheck_is_an_internal_error_exit_4(capsys, diamon
     with pytest.raises(InternalError):
         systems.rudin_witness("R", X, X.full)
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: systems.rudin_witness("R", Y, Y.full)) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_broken_product_projection_is_an_internal_error_exit_4(capsys, sier_doc, monkeypatch):
+    # saturation breaks on the 4-point product only, so its projections
+    # stop commuting with it
+    sat = FiniteSpace.sat_mask
+    monkeypatch.setattr(FiniteSpace, "sat_mask", lambda self, m: self.full if self.n == 4 else sat(self, m))
+    with pytest.raises(InternalError):
+        construct.product(parse_space(SIER), parse_space(SIER))
+    assert main(["construct", "product", sier_doc, sier_doc]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_reflection_failing_its_target_property_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    monkeypatch.setattr(checkers, "check", lambda *a, **k: SimpleNamespace(holds=False, property="h_sober"))
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: construct.reflect(Y, "R")) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_reflection_unit_failing_to_embed_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    # a constant unit is continuous but not injective
+    monkeypatch.setattr(powers, "hoare_eta", lambda H, config: SpaceMap(H.base, H.space, (0,) * H.base.n))
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: construct.reflect(Y, "R")) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_failed_determinacy_of_a_principal_closure_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    monkeypatch.setattr(systems, "_member", lambda core, X, d: False)
+    config = RunConfig(caps=Caps(family_listing=0))
+
+    def site(Y):
+        return construct._determined_closed(Y, systems.as_system("R"), config)
+
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_reflection_lift_failing_naturality_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    def site(Y):
+        r = construct.reflect(Y, "R")
+        # the same reflection with a constant unit, which no lift commutes with
+        fake = dataclasses.replace(construct.reflect(Y, "R"), unit=SpaceMap(Y, r.space, (0,) * Y.n))
+        return construct.reflection_functor(r, fake, SpaceMap.identity(Y))
+
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_extension_without_a_generic_point_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    def site(Y):
+        r = construct.reflect(Y, "R")
+        # every closed set of a finite space has a generic point; deny it
+        monkeypatch.setattr(FiniteSpace, "top_of", lambda self, m: None)
+        return construct._extend_along_unit(r, SpaceMap.identity(Y), DEFAULT)
+
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
     assert "internal error" in capsys.readouterr().err

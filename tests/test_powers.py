@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from t0lab import hofmann_mislove_report, hoare, parse_space, powers, random_space, smyth
+from t0lab import function_space, hofmann_mislove_report, hoare, parse_space, powers, random_space, smyth
 from t0lab.config import DEFAULT, Caps, RunConfig
 from t0lab.errors import (
     CapExceeded,
@@ -135,12 +135,19 @@ def test_smyth_cap_holds_after_a_build_under_larger_caps():
 # -- Hoare power space -----------------------------------------------------
 
 
-def test_hoare_raw_certification_runs_under_each_callers_caps(diamond, monkeypatch):
-    hoare(diamond, "closed", RunConfig(caps=Caps(topology_compare=0)))
-    # a broken raw comparison must surface once the caps let it run
+def test_hoare_raw_certification_runs_under_each_callers_caps(diamond, sier, monkeypatch):
+    # a broken raw comparison stays silent under topology_compare=0 and
+    # must surface once the caps let it run; fresh spaces keep the memo cold
     monkeypatch.setattr(powers, "generated_topology", lambda basics, full: set())
-    with pytest.raises(InternalError):
-        hoare(diamond, "closed")
+    builds = [
+        lambda config: hoare(parse_space(diamond.to_doc()), "closed", config),
+        lambda config: smyth(parse_space(diamond.to_doc()), config),
+        lambda config: function_space(sier, sier, config),
+    ]
+    for build in builds:
+        build(RunConfig(caps=Caps(topology_compare=0)))
+        with pytest.raises(InternalError):
+            build(DEFAULT)
 
 
 def test_hoare_on_point_closures_recovers_the_space(all_posets):
