@@ -59,6 +59,8 @@ def _config(args) -> RunConfig:
     for name in _CAP_NAMES:
         v = getattr(args, f"cap_{name}", None)
         if v is not None:
+            if v < 0:
+                raise UsageError(f"--cap-{name.replace('_', '-')} must be at least 0, got {v}")
             overrides[name] = v
     if overrides:
         caps = caps.with_(**overrides)
@@ -267,6 +269,10 @@ def _minimize(X, config, rng_seed) -> FiniteSpace:
 
 def _cmd_sweep(args) -> int:
     config = _config(args)
+    if args.max_points < 1:
+        raise UsageError(f"--max-points must be at least 1, got {args.max_points}")
+    if args.count < 0:
+        raise UsageError(f"--count must be at least 0, got {args.count}")
     rng = random.Random(args.seed)
     reports = []
     for i in range(args.count):

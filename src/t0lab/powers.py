@@ -81,6 +81,28 @@ def _set_label(X: FiniteSpace, mask: int) -> str:
     return "{" + ",".join(X.labels_of(mask)) + "}"
 
 
+def _set_label_masks(X: FiniteSpace, key: str) -> list[int]:
+    """Every mask whose ``_set_label`` is ``key``.  Labels may hold commas
+    and braces, so the key is matched against X's labels in carrier order."""
+    if len(key) < 2 or key[0] != "{" or key[-1] != "}":
+        return []
+    body = key[1:-1]
+    out = []
+
+    def walk(pos: int, start: int, mask: int) -> None:
+        for i in range(start, X.n):
+            label = X.labels[i]
+            end = pos + len(label)
+            if body.startswith(label, pos):
+                if end == len(body):
+                    out.append(mask | 1 << i)
+                elif body[end] == ",":
+                    walk(end + 1, i + 1, mask | 1 << i)
+
+    walk(0, 0, 0)
+    return out
+
+
 def generated_topology(basics: Iterable[int], full: int) -> set[int]:
     """The topology on the carrier ``full`` generated by the basic opens:
     their finite meets (the empty meet is ``full``), closed under unions."""

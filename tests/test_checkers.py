@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import oracles
-from t0lab import check, check_all, checkers, crosscheck_h_sober, crosscheck_super, parse_space
+from t0lab import check, check_all, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, systems
 from t0lab.checkers import (
     PROPERTY_IDS,
     Verdict,
@@ -13,6 +14,7 @@ from t0lab.checkers import (
 )
 from t0lab.config import Caps, RunConfig
 from t0lab.errors import CapExceeded, MissingSystem, UsageError
+from t0lab.spaces import FiniteSpace
 from t0lab.systems import BASE_IDS
 
 CORES = ("S", "C", "D", "R")
@@ -141,6 +143,37 @@ def test_validate_evidence_rejects_tampering(sier):
     assert not validate_evidence(sier, swapped)
 
 
+def _sober_and_dspace_evidence_validates(Y):
+    for prop, table in (("sober", "generic_points"), ("d_space", "sups")):
+        v = check(Y, prop)
+        assert v.evidence[table]
+        assert validate_evidence(Y, v)
+
+
+def test_validate_evidence_reads_product_labels(sier):
+    P = construct.product(sier, sier).space
+    assert "(a,b)" in P.labels
+    _sober_and_dspace_evidence_validates(P)
+
+
+def test_validate_evidence_reads_smyth_labels(sier):
+    Sm = powers.smyth(sier).space
+    assert "{a,b}" in Sm.labels
+    _sober_and_dspace_evidence_validates(Sm)
+
+
+def test_validate_evidence_reads_labels_with_commas_and_braces():
+    Y = parse_space({"points": ["x,y", "{z}", "x"], "covers": [["x", "x,y"], ["x", "{z}"]]})
+    _sober_and_dspace_evidence_validates(Y)
+    v = check(Y, "d_space")
+    for evidence in (
+        {"generic_points": {"{x,y,x}": "x"}},  # the closure of x is {x}
+        {"sups": {"{x,y}": "x"}},  # x is below the point x,y
+        {"sups": {"{y}": "x,y"}},  # no set of points is written {y}
+    ):
+        assert not validate_evidence(Y, dataclasses.replace(v, evidence=evidence))
+
+
 def test_verdict_json_shape(diamond):
     v = check(diamond, "h_sober", "D")
     doc = v.to_json()
@@ -193,15 +226,59 @@ def test_crosscheck_condition_batteries(diamond):
     names = [n for n, _ in r1.conditions]
     assert names[0] == "h_sober"
     assert sum("cut equation" in n for n in names) == 4
-    r2 = crosscheck_super(diamond, "R")
-    names2 = [n for n, _ in r2.conditions]
-    assert "Smyth power space is sober" in names2
-    r3 = crosscheck_super(diamond, "Dw")
-    assert "descending countable chains" in [n for n, _ in r3.conditions]
-    assert "Smyth power space is sober" not in [n for n, _ in r3.conditions]
-    doc = r2.to_json()
+    # the verdict first, then only forms that no super_h_sober path computes
+    common = [
+        "super_h_sober",
+        "open filtration",
+        "compact intersections + filtration",
+        "equational form over Smyth-closed families",
+    ]
+    batteries = {
+        "S": common,
+        "R": common + ["Smyth power space is sober"],
+        "Dw": common + ["descending countable chains"],
+    }
+    for H, expected in batteries.items():
+        assert [n for n, _ in crosscheck_super(diamond, H).conditions] == expected, H
+    doc = crosscheck_super(diamond, "R").to_json()
     assert doc["agreed"] is True and doc["property"] == "super_h_sober_characterizations"
     json.dumps(doc)
+
+
+def test_batteries_read_their_verdicts_agreement(monkeypatch):
+    # a verdict that still holds but whose paths disagree fails its battery
+    for prop, battery in (("super_h_sober", crosscheck_super), ("h_sober", crosscheck_h_sober)):
+        impl = checkers._IMPLS[prop]
+
+        def dissenting(X, H, config, impl=impl):
+            paths, evidence = impl(X, H, config)
+            return paths + [("injected dissent", False, "")], evidence
+
+        with monkeypatch.context() as m:
+            m.setitem(checkers._IMPLS, prop, dissenting)
+            X = parse_space({"points": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]})
+            v = check(X, prop, "D")
+            assert v.holds and not v.characterizations_agreed
+            r = battery(X, "D")
+            assert dict(r.conditions)[prop] is False
+            assert not r.agreed, prop
+
+
+def _sat_pairs_unsaturated(monkeypatch):
+    sat = FiniteSpace.sat_mask
+    monkeypatch.setattr(FiniteSpace, "sat_mask", lambda self, m: m if m.bit_count() == 2 else sat(self, m))
+
+
+@pytest.mark.parametrize("inject", [
+    _sat_pairs_unsaturated,  # sat({x, y}) = {x, y}: not monotone
+    lambda mp: mp.setattr(systems, "family_base_ok", lambda core, masks: True),
+    lambda mp: mp.setattr(checkers, "_psi_ok", lambda X, config: False),
+], ids=["non-monotone sat_mask", "family_base_ok accepts all", "_psi_ok false"])
+def test_super_battery_detects_injected_faults(monkeypatch, inject):
+    docs = [X.to_doc() for X in enumerate_posets(3)]
+    inject(monkeypatch)
+    # fresh spaces, so no verdict or family list cached before the fault
+    assert any(not crosscheck_super(parse_space(doc), "D").agreed for doc in docs)
 
 
 def test_crosschecks_on_random_corpus(corpus):

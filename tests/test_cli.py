@@ -223,6 +223,21 @@ def test_sweep_seed_changes_the_run(capsys):
     assert json.loads(out2)["seed"] == 8
 
 
+def test_sweep_rejects_max_points_below_one(capsys):
+    assert main(["sweep", "--max-points", "0", "--count", "1"]) == 2
+    assert "--max-points must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_negative_count(capsys):
+    assert main(["sweep", "--count", "-1"]) == 2
+    assert "--count must be at least 0" in capsys.readouterr().err
+
+
+def test_negative_cap_is_a_usage_error(capsys, diamond_doc):
+    assert main(["--cap-sample-count", "-1", "check", diamond_doc, "--property", "sober"]) == 2
+    assert "--cap-sample-count must be at least 0" in capsys.readouterr().err
+
+
 # -- error paths -----------------------------------------------------------
 
 
@@ -297,10 +312,10 @@ def test_reflection_failing_its_target_property_is_an_internal_error_exit_4(caps
 
 
 def test_reflection_unit_failing_to_embed_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
-    # a constant unit is continuous but not injective
-    monkeypatch.setattr(powers, "hoare_eta", lambda H, config: SpaceMap(H.base, H.space, (0,) * H.base.n))
+    # the unit's embedding is certified once, inside powers._unit
+    monkeypatch.setattr(SpaceMap, "is_order_embedding", lambda self: False)
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: construct.reflect(Y, "R")) == 4
-    assert "internal error" in capsys.readouterr().err
+    assert "internal error: unit into the power space failed to embed" in capsys.readouterr().err
 
 
 def test_failed_determinacy_of_a_principal_closure_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):

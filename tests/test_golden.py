@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "8d839a37834bfd098385beb71d59fc4de443cf592a044a995eff7625d005e002"
+GOLDEN_SHA256 = "cccf82da45bf4d9a7fda086572a9be16bfa04b4f1ebcde80e6356c8d6d3ef7b5"
 
 
 def _spaces():
@@ -94,3 +94,13 @@ def test_power_space_and_construction_output_is_unchanged():
     records = _construction_records()
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == CONSTRUCTION_SHA256
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py OUT.json writes the records
+    # GOLDEN_SHA256 hashes, indented, so that two commits' records diff
+    import sys
+
+    with open(sys.argv[1], "w") as fh:
+        json.dump([_record(X) for X in _spaces()], fh, indent=1, sort_keys=True)
+        fh.write("\n")
