@@ -222,29 +222,38 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     """Seeded members of H(P): small sets built with a greatest element
     (chains by upward walks; directed/irreducible sets as subsets of a
     principal down-set containing its point).  Membership is re-verified
-    through the honest predicate, so a generation bug cannot slip by."""
+    through the honest predicate, so a generation bug cannot slip by.
+
+    Memoized per space: the index tuples of each point's strict up-set
+    (``"above_index"``) or down-set (``"below_index"``), built once, and
+    each sampled mask's membership (``("member", core)``), filled as masks
+    are drawn.  Neither changes the draws."""
     core = systems._core_of(H)
+    if core == "C":
+        walk = P.memo("above_index", lambda: [tuple(bits(r & ~(1 << i))) for i, r in enumerate(P.up)])
+    elif core != "S":
+        walk = P.memo("below_index", lambda: [tuple(bits(r)) for r in P.down])
+    member = P.memo(("member", core), dict)
     out = []
     for _ in range(count):
         x = rng.randrange(P.n)
-        if core == "S":
-            m = 1 << x
-        elif core == "C":
-            m = 1 << x
+        m = 1 << x
+        if core == "C":
             cur = x
             for _ in range(3):
-                above = P.up[cur] & ~(1 << cur)
-                if not above:
+                choices = walk[cur]
+                if not choices:
                     break
-                choices = list(bits(above))
                 cur = choices[rng.randrange(len(choices))]
                 m |= 1 << cur
-        else:
-            below = list(bits(P.down[x]))
-            m = 1 << x
+        elif core != "S":
+            below = walk[x]
             for _ in range(min(4, len(below))):
                 m |= 1 << below[rng.randrange(len(below))]
-        if systems._member(core, P, m):
+        ok = member.get(m)
+        if ok is None:
+            ok = member[m] = systems._member(core, P, m)
+        if ok:
             out.append(m)
     return out
 
@@ -343,10 +352,11 @@ def _filtered(inter: int, fam: Sequence[int], opens: Iterable[int]) -> bool:
     return True
 
 
-def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int]) -> bool:
+def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int], sat: Callable[[int], int]) -> bool:
     """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
-    over K in fam, for every C in ``closed_sets``."""
-    sat, full = X.sat_mask, X.full
+    over K in fam, for every C in ``closed_sets``; ``sat`` saturates the
+    cuts (``X.sat_mask``, or the table of ``_cut_sat``)."""
+    full = X.full
     inter = full
     for k in fam:
         inter &= k
@@ -357,6 +367,21 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int]
         if sat(C & inter) != rhs:
             return False
     return True
+
+
+def _cut_sat(X: FiniteSpace) -> Callable[[int], int]:
+    """``X.sat_mask`` through one per-space table of cut masks
+    (``"cut_sat"``), filled from the kernel on each mask's first use."""
+    table = X.memo("cut_sat", dict)
+    sat_mask = X.sat_mask
+
+    def sat(m: int) -> int:
+        s = table.get(m)
+        if s is None:
+            s = table[m] = sat_mask(m)
+        return s
+
+    return sat
 
 
 def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
@@ -664,12 +689,13 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     value = True
     rngs = _rng(config, "supereq", str(H), X.n, X.up[0])
     closed = X.downsets()
+    sat = _cut_sat(X)
     for fam in fams[: 4 * config.caps.sample_count]:
         if _meet(X, fam) == 0:
             value = False
             continue
         cuts = closed if len(fams) * len(closed) <= 4096 else [closed[rngs.randrange(len(closed))] for _ in range(4)]
-        if not _cut_identity(X, fam, cuts):
+        if not _cut_identity(X, fam, cuts, sat):
             value = False
     paths.append(("equational cut identity over closed sets", value, ""))
     return paths, evidence
@@ -918,6 +944,8 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
                 return False
         return True
 
+    sat = _cut_sat(X)
+
     def cond_bounded_eq(a_range, c_range):
         v = all(X.ubs_mask(m) != 0 for m in a_range)
         rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
@@ -928,7 +956,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
                     cs = [c_range[rngq.randrange(len(c_range))] for _ in range(4)]
                 else:
                     cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-            if not _cut_identity(X, [X.up[a] for a in bits(m)], cs):
+            if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat):
                 v = False
         return v
 
@@ -1002,7 +1030,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
         idxs = [S.index[k] for k in fam]
         cls = [sp.down[rngx.randrange(sp.n)] for _ in range(2)]
         cls.append(sp.closure_mask(1 << idxs[0]))
-        if not _cut_identity(sp, [sp.up[j] for j in idxs], cls):
+        if not _cut_identity(sp, [sp.up[j] for j in idxs], cls, sp.sat_mask):
             ok_eq_family = False
     conds.append(("equational form over Smyth-closed families", ok_eq_family))
 

@@ -61,6 +61,9 @@ def _config(args) -> RunConfig:
         if v is not None:
             if v < 0:
                 raise UsageError(f"--cap-{name.replace('_', '-')} must be at least 0, got {v}")
+            if name == "sample_count" and v < 1:
+                # a sampled path over no samples would read true unearned
+                raise UsageError(f"--cap-sample-count must be at least 1, got {v}")
             overrides[name] = v
     if overrides:
         caps = caps.with_(**overrides)

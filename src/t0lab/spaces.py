@@ -423,7 +423,10 @@ class FiniteSpace:
         ``build()`` on first use.  The key names everything the value
         depends on besides the space itself; a value whose build reads the
         caps has the caps in its key, so no cap is bypassed by a value
-        built under other caps."""
+        built under other caps.  A value may be a table that its users fill
+        lazily after the build (the checkers' cut and sampled-member
+        tables); its key must still name everything an entry depends on,
+        and neither of those tables reads a cap."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from t0lab import systems
 from t0lab.spaces import FiniteSpace, bits
 
 
@@ -304,3 +305,34 @@ def continuous_tables(X: FiniteSpace, Y: FiniteSpace) -> list[tuple[int, ...]]:
         ):
             out.append(t)
     return sorted(out)
+
+
+def sampled_h_sets(P: FiniteSpace, H, rng, count: int) -> list[int]:
+    """The per-sample build of ``checkers._sampled_h_sets``, kept as the
+    reference for its draws and output: the index lists are rebuilt for
+    every sample and step, and every sample goes through
+    ``systems._member``."""
+    core = systems._core_of(H)
+    out = []
+    for _ in range(count):
+        x = rng.randrange(P.n)
+        if core == "S":
+            m = 1 << x
+        elif core == "C":
+            m = 1 << x
+            cur = x
+            for _ in range(3):
+                above = P.up[cur] & ~(1 << cur)
+                if not above:
+                    break
+                choices = list(bits(above))
+                cur = choices[rng.randrange(len(choices))]
+                m |= 1 << cur
+        else:
+            below = list(bits(P.down[x]))
+            m = 1 << x
+            for _ in range(min(4, len(below))):
+                m |= 1 << below[rng.randrange(len(below))]
+        if systems._member(core, P, m):
+            out.append(m)
+    return out

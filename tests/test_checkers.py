@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from t0lab import check, check_all, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, systems
+from t0lab import check, check_all, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems
 from t0lab.checkers import (
     PROPERTY_IDS,
     Verdict,
@@ -14,7 +16,7 @@ from t0lab.checkers import (
 )
 from t0lab.config import Caps, RunConfig
 from t0lab.errors import CapExceeded, MissingSystem, UsageError
-from t0lab.spaces import FiniteSpace
+from t0lab.spaces import FiniteSpace, bits
 from t0lab.systems import BASE_IDS
 
 CORES = ("S", "C", "D", "R")
@@ -279,6 +281,94 @@ def test_super_battery_detects_injected_faults(monkeypatch, inject):
     inject(monkeypatch)
     # fresh spaces, so no verdict or family list cached before the fault
     assert any(not crosscheck_super(parse_space(doc), "D").agreed for doc in docs)
+
+
+# -- per-space tables ------------------------------------------------------
+
+
+def _fresh(X: FiniteSpace) -> FiniteSpace:
+    """The same space with an empty memo."""
+    return FiniteSpace(X.labels, X.up)
+
+
+def _draw_spaces():
+    """The 24 classes of at most 4 points, seeded 8-point spaces and a
+    31-point Smyth carrier."""
+    spaces = [X for n in range(1, 5) for X in enumerate_posets(n)]
+    rng = random.Random(5)
+    while len(spaces) < 30:
+        X = random_space(rng, max_points=8)
+        if X.n == 8:
+            spaces.append(X)
+    anti5 = parse_space({"points": list("abcde"), "covers": []})
+    spaces.append(powers.smyth(anti5).space)
+    return spaces
+
+
+@pytest.mark.parametrize("H", ["S", "C", "D", "R", "D^R"])
+def test_sampled_h_sets_keep_the_per_sample_draws(H):
+    H = systems.as_system(H)
+    spaces = _draw_spaces()
+    assert len(spaces) == 31 and spaces[-1].n > 16
+    for X in spaces:
+        P = _fresh(X)
+        # the first call runs on a cold memo, the others on a warm one
+        for seed in (0, 1, 0):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = checkers._sampled_h_sets(P, H, got_rng, 40)
+            want = oracles.sampled_h_sets(P, H, want_rng, 40)
+            assert got == want, (X, H, seed)
+            assert got_rng.getstate() == want_rng.getstate(), (X, H, seed)
+
+
+def test_cut_table_gives_the_kernels_cut_equation(corpus):
+    values = Counter()
+    for X in corpus[:12]:
+        sat = checkers._cut_sat(_fresh(X))
+        fams = [fam for H in CORES for fam in checkers._families_for(X, systems.as_system(H), RunConfig())[1]]
+        fams += [[X.up[a] for a in bits(m)] for m in range(1, X.full + 1)]
+        # every mask as a cut, so that failing equations are compared too
+        cuts = X.downsets() + list(range(X.full + 1))
+        for fam in fams:
+            for C in cuts:
+                v = checkers._cut_identity(X, fam, [C], sat)
+                assert v == checkers._cut_identity(X, fam, [C], X.sat_mask), (X, fam, C)
+                values[v] += 1
+    assert values[True] and values[False]
+
+
+def test_super_cut_path_saturates_each_mask_once(monkeypatch, corpus):
+    sat = FiniteSpace.sat_mask
+    calls = Counter()
+    counted = [None]
+
+    def counting(self, m):
+        if self is counted[0]:
+            calls[m] += 1
+        return sat(self, m)
+
+    monkeypatch.setattr(FiniteSpace, "sat_mask", counting)
+    for X in corpus[:20]:
+        for H in ("D", "R"):
+            runs = []
+            for _ in range(2):
+                counted[0] = _fresh(X)
+                calls.clear()
+                check(counted[0], "super_h_sober", H)
+                runs.append(dict(calls))
+            # the cut path is the only saturation on X, and the count repeats
+            assert runs[0] == runs[1], (X, H)
+            assert set(runs[0].values()) <= {1}, (X, H)
+            assert len(runs[0]) == len(counted[0].memo("cut_sat", dict)), (X, H)
+
+
+def test_super_cut_path_reads_a_faulty_kernel(monkeypatch):
+    docs = [X.to_doc() for X in enumerate_posets(3)]
+    _sat_pairs_unsaturated(monkeypatch)
+    # fresh spaces, so the table is filled from the faulty kernel
+    path = "equational cut identity over closed sets"
+    values = [dict(check(parse_space(doc), "super_h_sober", "D").characterizations)[path] for doc in docs]
+    assert "false" in values
 
 
 def test_crosschecks_on_random_corpus(corpus):

@@ -238,6 +238,15 @@ def test_negative_cap_is_a_usage_error(capsys, diamond_doc):
     assert "--cap-sample-count must be at least 0" in capsys.readouterr().err
 
 
+def test_zero_sample_count_is_a_usage_error(capsys, tmp_path):
+    # with no samples, the sampled paths of h_bounded would read true
+    v = tmp_path / "v.json"
+    v.write_text(json.dumps({"points": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}))
+    argv = ["--cap-sample-count", "0", "--cap-subset-enum", "0", "check", str(v), "--property", "h_bounded", "--system", "D"]
+    assert main(argv) == 2
+    assert "--cap-sample-count must be at least 1" in capsys.readouterr().err
+
+
 # -- error paths -----------------------------------------------------------
 
 
