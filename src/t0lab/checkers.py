@@ -923,53 +923,43 @@ def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 
 def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
     """Evaluate the characterization battery for H-sobriety and assert the
-    conditions agree: meeting of closures with upper-bound sets, the
-    neighborhood filtration (over members and closed members), and the
-    boundedness-plus-cut-equation forms over closed sets and closed
-    members."""
+    conditions agree: the verdict with its agreement record, closures of
+    members meeting their upper-bound sets, the neighborhood filtration
+    over members, and boundedness plus the cut equation over the closed
+    members (the closures of members) against the closed sets."""
     H = systems.as_system(H)
     base = check(X, "h_sober", H, config)
     mode, hs = _h_sets(X, H, config)
-    hc = sorted({X.closure_mask(m) for m in hs}, key=lambda m: (m.bit_count(), m))
     closed = X.downsets() if X.n <= _PROFILE_MAX else None
     opens = X.upsets() if X.n <= _PROFILE_MAX else None
-
-    def cond_meets(ran):
-        return all(X.closure_mask(m) & X.ubs_mask(m) for m in ran)
-
-    def cond_filtration(ran):
-        for m in ran:
-            ub = X.ubs_mask(m)
-            if not _filtered(ub, [X.up[a] for a in bits(m)], opens if opens is not None else [ub]):
-                return False
-        return True
-
+    meets = all(X.closure_mask(m) & X.ubs_mask(m) for m in hs)
+    filtration = True
+    for m in hs:
+        ub = X.ubs_mask(m)
+        if not _filtered(ub, [X.up[a] for a in bits(m)], opens if opens is not None else [ub]):
+            filtration = False
+            break
+    # cuts by the closures of members: the family {up a : a in m} of a
+    # singleton member meets the equation whatever sat_mask does, while a
+    # closure's family reaches a faulty saturation
+    hc = sorted({X.closure_mask(m) for m in hs}, key=lambda m: (m.bit_count(), m))
+    bounded_eq = all(X.ubs_mask(m) != 0 for m in hc)
+    rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
     sat = _cut_sat(X)
-
-    def cond_bounded_eq(a_range, c_range):
-        v = all(X.ubs_mask(m) != 0 for m in a_range)
-        rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
-        for m in a_range:
-            cs = c_range
-            if cs is None or len(a_range) * len(cs) > 4096:
-                if c_range:
-                    cs = [c_range[rngq.randrange(len(c_range))] for _ in range(4)]
-                else:
-                    cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-            if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat):
-                v = False
-        return v
+    for m in hc:
+        cs = closed
+        if closed is None:
+            cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
+        elif len(hc) * len(closed) > 4096:
+            cs = [closed[rngq.randrange(len(closed))] for _ in range(4)]
+        if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat):
+            bounded_eq = False
 
     conds = [
         ("h_sober", base.holds and base.characterizations_agreed),
-        ("closure meets upper bounds [members]", cond_meets(hs)),
-        ("closure meets upper bounds [closed members]", cond_meets(hc)),
-        ("neighborhood filtration [members]", cond_filtration(hs)),
-        ("neighborhood filtration [closed members]", cond_filtration(hc)),
-        ("bounded + cut equation [members x closed]", cond_bounded_eq(hs, closed)),
-        ("bounded + cut equation [closed members x closed]", cond_bounded_eq(hc, closed)),
-        ("bounded + cut equation [members x closed members]", cond_bounded_eq(hs, hc)),
-        ("bounded + cut equation [closed members x closed members]", cond_bounded_eq(hc, hc)),
+        ("closure meets upper bounds [members]", meets),
+        ("neighborhood filtration [members]", filtration),
+        ("bounded + cut equation [closed members x closed]", bounded_eq),
     ]
     agreed = len({v for _, v in conds}) == 1
     return CrossReport(
@@ -984,8 +974,8 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
 def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
     """Characterization battery for super-H-sobriety: the verdict with its
     agreement record, then forms no verdict path computes: the open
-    filtration on sampled Smyth opens, compact intersections with
-    filtration, the cut equation over Smyth-closed families, sobriety of
+    filtration on sampled Smyth opens, compact saturated intersections,
+    the cut equation over Smyth-closed families, sobriety of
     the Smyth space for the irreducible base, and descending chains for
     the countable tags."""
     H = systems.as_system(H)
@@ -997,10 +987,10 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     rngx = _rng(config, "super", str(H), X.n, X.up[0])
 
     ok_open = True  # open form, on sampled opens
-    ok_compact = True  # intersections are compact saturated and filter
+    ok_compact = True  # intersections are compact saturated
     for fam in fams:
         inter = _meet(X, fam)
-        if not (inter != 0 and X.is_up(inter) and _filtered(inter, fam, opens)):
+        if not (inter != 0 and X.is_up(inter)):
             ok_compact = False
         # a family whose intersection is not a member fails the verdict's
         # compact filtration path
@@ -1020,7 +1010,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     conds = [
         ("super_h_sober", base.holds and base.characterizations_agreed),
         ("open filtration", ok_open),
-        ("compact intersections + filtration", ok_compact),
+        ("compact intersections", ok_compact),
     ]
 
     # equational form over principal closed families and sampled

@@ -59,11 +59,10 @@ def _config(args) -> RunConfig:
     for name in _CAP_NAMES:
         v = getattr(args, f"cap_{name}", None)
         if v is not None:
-            if v < 0:
-                raise UsageError(f"--cap-{name.replace('_', '-')} must be at least 0, got {v}")
-            if name == "sample_count" and v < 1:
-                # a sampled path over no samples would read true unearned
-                raise UsageError(f"--cap-sample-count must be at least 1, got {v}")
+            # a sampled path over no samples would read true unearned
+            least = 1 if name == "sample_count" else 0
+            if v < least:
+                raise UsageError(f"--cap-{name.replace('_', '-')} must be at least {least}, got {v}")
             overrides[name] = v
     if overrides:
         caps = caps.with_(**overrides)

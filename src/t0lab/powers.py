@@ -444,8 +444,8 @@ def open_filters(X: FiniteSpace) -> list[OpenFilter]:
     """All open filters.  On a finite space every proper Scott-open filter
     is the principal filter at its (nonempty) least member, so the list is
     indexed by the compact saturated sets; a brute-force oracle in the test
-    suite backs this up."""
-    return [phi(X, k) for k in X.nonempty_upsets()]
+    suite backs this up.  Built once per space (it reads no cap)."""
+    return X.memo("open_filters", lambda: [phi(X, k) for k in X.nonempty_upsets()])
 
 
 def filter_of_family(X: FiniteSpace, family) -> OpenFilter:

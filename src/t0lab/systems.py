@@ -221,10 +221,11 @@ def h_member(H, X: FiniteSpace, A) -> bool:
 
 
 def h_closed_members(X: FiniteSpace, H, cap: int | None = 14) -> list[int]:
-    """Masks of H_c(X): closures of H-sets, i.e. the closed H-sets.
+    """Masks of H_c(X): the closed sets that are H-sets.
 
-    (The closure of an H-set is again an H-set for each of the seven tags,
-    so taking closed members and taking closures agree; asserted cheaply.)
+    These are not the closures of H-sets in general: for S on the chain
+    a < b < c the only closed member is {a}, while the closures of the
+    members are {a}, {a,b} and {a,b,c}.
     """
     core = _core_of(as_system(H))
     return [d for d in X.downsets(cap) if d and _member(core, X, d)]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import mutants
 import oracles
 from t0lab import check, check_all, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems
 from t0lab.checkers import (
@@ -215,7 +216,7 @@ def test_crosschecks_agree_everywhere_small(all_posets):
             for H in BASE_IDS:
                 r1 = crosscheck_h_sober(X, H)
                 assert r1.agreed, (X, str(H), r1.conditions)
-                assert len(r1.conditions) == 9
+                assert len(r1.conditions) == 4
                 assert all(v is True for _, v in r1.conditions)
                 r2 = crosscheck_super(X, H)
                 assert r2.agreed, (X, str(H), r2.conditions)
@@ -225,14 +226,17 @@ def test_crosschecks_agree_everywhere_small(all_posets):
 def test_crosscheck_condition_batteries(diamond):
     r1 = crosscheck_h_sober(diamond, "D")
     assert dict(r1.modes)["members"] == "raw"
-    names = [n for n, _ in r1.conditions]
-    assert names[0] == "h_sober"
-    assert sum("cut equation" in n for n in names) == 4
+    assert [n for n, _ in r1.conditions] == [
+        "h_sober",
+        "closure meets upper bounds [members]",
+        "neighborhood filtration [members]",
+        "bounded + cut equation [closed members x closed]",
+    ]
     # the verdict first, then only forms that no super_h_sober path computes
     common = [
         "super_h_sober",
         "open filtration",
-        "compact intersections + filtration",
+        "compact intersections",
         "equational form over Smyth-closed families",
     ]
     batteries = {
@@ -266,21 +270,30 @@ def test_batteries_read_their_verdicts_agreement(monkeypatch):
             assert not r.agreed, prop
 
 
-def _sat_pairs_unsaturated(monkeypatch):
-    sat = FiniteSpace.sat_mask
-    monkeypatch.setattr(FiniteSpace, "sat_mask", lambda self, m: m if m.bit_count() == 2 else sat(self, m))
-
-
-@pytest.mark.parametrize("inject", [
-    _sat_pairs_unsaturated,  # sat({x, y}) = {x, y}: not monotone
-    lambda mp: mp.setattr(systems, "family_base_ok", lambda core, masks: True),
-    lambda mp: mp.setattr(checkers, "_psi_ok", lambda X, config: False),
-], ids=["non-monotone sat_mask", "family_base_ok accepts all", "_psi_ok false"])
-def test_super_battery_detects_injected_faults(monkeypatch, inject):
+@pytest.mark.parametrize("fault", [
+    "non-monotone sat_mask",  # sat({x, y}) = {x, y}
+    "family_base_ok accepts all",
+    "_psi_ok false",
+    "is_up false on pairs",
+])
+def test_super_battery_detects_injected_faults(monkeypatch, anti3, fault):
     docs = [X.to_doc() for X in enumerate_posets(3)]
-    inject(monkeypatch)
+    if fault == "is_up false on pairs":
+        # on the other 3-point spaces the Smyth certification raises first
+        docs = [anti3.to_doc()]
+    mutants.FAULTS[fault](monkeypatch)
     # fresh spaces, so no verdict or family list cached before the fault
     assert any(not crosscheck_super(parse_space(doc), "D").agreed for doc in docs)
+
+
+def test_h_sober_battery_cuts_by_closures_of_members(monkeypatch):
+    # under S every member is a singleton, whose cut equation holds for any
+    # saturation; the closures of the members reach the faulty one
+    doc = {"points": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}
+    mutants.FAULTS["non-monotone sat_mask"](monkeypatch)
+    r = crosscheck_h_sober(parse_space(doc), "S")
+    assert dict(r.conditions)["bounded + cut equation [closed members x closed]"] is False
+    assert not r.agreed
 
 
 # -- per-space tables ------------------------------------------------------
@@ -364,11 +377,27 @@ def test_super_cut_path_saturates_each_mask_once(monkeypatch, corpus):
 
 def test_super_cut_path_reads_a_faulty_kernel(monkeypatch):
     docs = [X.to_doc() for X in enumerate_posets(3)]
-    _sat_pairs_unsaturated(monkeypatch)
+    mutants.FAULTS["non-monotone sat_mask"](monkeypatch)
     # fresh spaces, so the table is filled from the faulty kernel
     path = "equational cut identity over closed sets"
     values = [dict(check(parse_space(doc), "super_h_sober", "D").characterizations)[path] for doc in docs]
     assert "false" in values
+
+
+def test_open_filters_are_built_once_per_space(monkeypatch, diamond):
+    X = _fresh(diamond)
+    phi = powers.phi
+    calls = Counter()
+
+    def counting(Y, K):
+        if Y is X:
+            calls[K] += 1
+        return phi(Y, K)
+
+    monkeypatch.setattr(powers, "phi", counting)
+    check_all(X)
+    # the sober verdict's report and the seven h_consonant verdicts share them
+    assert calls == Counter(X.nonempty_upsets())
 
 
 def test_crosschecks_on_random_corpus(corpus):

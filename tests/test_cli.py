@@ -235,7 +235,7 @@ def test_sweep_rejects_a_negative_count(capsys):
 
 def test_negative_cap_is_a_usage_error(capsys, diamond_doc):
     assert main(["--cap-sample-count", "-1", "check", diamond_doc, "--property", "sober"]) == 2
-    assert "--cap-sample-count must be at least 0" in capsys.readouterr().err
+    assert "--cap-sample-count must be at least 1" in capsys.readouterr().err
 
 
 def test_zero_sample_count_is_a_usage_error(capsys, tmp_path):

@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "cccf82da45bf4d9a7fda086572a9be16bfa04b4f1ebcde80e6356c8d6d3ef7b5"
+GOLDEN_SHA256 = "cb88b4e98588ca8114b8be6a9b1bf4d77e44494ba581591585eff07961d014d7"
 
 
 def _spaces():
