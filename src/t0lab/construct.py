@@ -425,18 +425,13 @@ class Reflection:
         }
 
 
-def _determined_closed(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) -> list[int]:
-    """Closures of the determined members for the reflection's system.
-
-    Verified honestly per candidate; exhaustively complete when the closed
-    sets are enumerable, else principal closures (irreducible closed sets
-    of a finite space all have a greatest element)."""
-    core = systems._core_of(systems.SubsetSystemId(H.base, "R" if H.derived is None else H.derived))
-    if X.n <= config.caps.family_listing:
-        return [d for d in X.downsets() if d and systems._member(core, X, d)]
+def _determined_closed(X: FiniteSpace, config: RunConfig) -> list[int]:
+    """The determined closed sets above ``caps.family_listing``: the point
+    closures (irreducible closed sets of a finite space all have a greatest
+    element), each verified irreducible."""
     out = sorted({X.down[i] for i in range(X.n)}, key=lambda m: (m.bit_count(), m))
     for d in out:
-        if not systems._member(core, X, d):
+        if not systems._member("R", X, d):
             raise InternalError("principal closure failed determinacy")
     return out
 
@@ -458,8 +453,11 @@ def reflect(
     if kind not in _KINDS:
         raise UsageError(f"kind must be one of {_KINDS}")
     H = systems.as_system(system)
-    carrier = _determined_closed(X, H, config)
-    HS = powers.hoare(X, carrier, config)
+    # every system's determined closed sets are the irreducible ones
+    if X.n <= config.caps.family_listing:
+        HS = powers.hoare(X, "irr_closed", config)
+    else:
+        HS = powers.hoare(X, _determined_closed(X, config), config)
     unit = powers.hoare_eta(HS, config)
     R = HS.space
     if kind == "sobrification":
@@ -550,7 +548,7 @@ def reflection_functor(
     if f.source is not refl_X.base or f.target is not refl_Y.base:
         raise EndpointMismatch("map endpoints do not match the reflections")
     return powers._lift(f, refl_X.hoare, refl_Y.hoare, f.target.closure_mask, powers.HoareSpace.diamond_mask,
-                        lambda H: refl_X.unit if H is refl_X.hoare else refl_Y.unit)
+                        refl_X.unit, refl_Y.unit)
 
 
 def functor_laws(

@@ -162,13 +162,14 @@ def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, ope
     return f
 
 
-def _lift(f: SpaceMap, PX, PY, hull, basic, unit) -> SpaceMap:
+def _lift(f: SpaceMap, PX, PY, hull, basic, uX: SpaceMap, uY: SpaceMap) -> SpaceMap:
     """The functorial action of f between power spaces over its endpoints:
     each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
 
-    ``basic(P, V)`` is the basic open of P at an open V of its base and
-    ``unit(P)`` the unit into P.  Checks naturality with the units and the
-    preimage identity ``(P f)^{-1}(basic V) = basic(f^{-1} V)``.
+    ``basic(P, V)`` is the basic open of P at an open V of its base, and
+    ``uX``, ``uY`` are the units into ``PX`` and ``PY``.  Checks naturality
+    with the units and the preimage identity
+    ``(P f)^{-1}(basic V) = basic(f^{-1} V)``.
     """
     table = []
     for a in PX.carrier:
@@ -177,7 +178,6 @@ def _lift(f: SpaceMap, PX, PY, hull, basic, unit) -> SpaceMap:
             raise UsageError("image hull is not in the target carrier")
         table.append(j)
     Pf = SpaceMap(PX.space, PY.space, tuple(table))
-    uX, uY = unit(PX), unit(PY)
     if uX.then(Pf).table != tuple(uY.table[y] for y in f.table):
         raise InternalError("lift is not natural in the units")  # unreachable
     for V in f.target.upsets():
@@ -259,7 +259,7 @@ def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
     ``(P f)^{-1}(box V) = box(f^{-1} V)``.
     """
     return _lift(f, smyth(f.source, config), smyth(f.target, config), f.target.sat_mask,
-                 SmythSpace.box_mask, lambda S: xi_embed(S.base, config))
+                 SmythSpace.box_mask, xi_embed(f.source, config), xi_embed(f.target, config))
 
 
 def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -356,8 +356,9 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     Checks naturality with the point-closure units and the diamond
     preimage identity ``(P f)^{-1}(diamond V) = diamond(f^{-1} V)``.
     """
-    return _lift(f, hoare(f.source, which, config), hoare(f.target, which, config),
-                 f.target.closure_mask, HoareSpace.diamond_mask, lambda H: hoare_eta(H, config))
+    HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
+    return _lift(f, HX, HY, f.target.closure_mask, HoareSpace.diamond_mask,
+                 hoare_eta(HX, config), hoare_eta(HY, config))
 
 
 def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:

@@ -8,7 +8,8 @@ memoized table they build, so a fault check parses its spaces afresh.
 Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
 runs both characterization batteries on the fault corpus under no fault and
 under each fault, and writes the (space, system, battery) triples that
-disagree or raise, so that two commits' fault detection can be diffed.
+disagree, raise or read false, so that two commits' fault detection can be
+diffed.
 """
 import json
 import random
@@ -79,20 +80,24 @@ def corpus_docs() -> list[dict]:
 
 def detections(docs: list[dict]) -> dict:
     """The (space index, system, battery) triples, parsed afresh, whose
-    battery disagrees or raises under whatever fault is in place."""
-    out = {"disagree": [], "raise": []}
+    battery disagrees, raises or has a condition that reads false under
+    whatever fault is in place.  Every property holds on a finite T0
+    space, so a false condition is a detection even when all agree."""
+    out = {"disagree": [], "false": [], "raise": []}
     for i, doc in enumerate(docs):
         X = parse_space(doc)
         for H in BASE_IDS:
             for battery in (crosscheck_h_sober, crosscheck_super):
                 triple = [i, str(H), battery.__name__]
                 try:
-                    agreed = battery(X, H).agreed
+                    report = battery(X, H)
                 except Exception:
                     out["raise"].append(triple)
                     continue
-                if not agreed:
+                if not report.agreed:
                     out["disagree"].append(triple)
+                if not all(v for _, v in report.conditions):
+                    out["false"].append(triple)
     return out
 
 

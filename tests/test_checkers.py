@@ -207,6 +207,17 @@ def test_verdicts_are_cached_per_config(diamond):
     assert c is not a and c.holds == a.holds
 
 
+def test_filtration_paths_are_skipped_above_the_compact_family_cap(diamond):
+    # a family built to hold its own meet passes the filtration whatever
+    # the kernel does, so above the cap the path is skipped, not computed
+    config = RunConfig(caps=Caps(compact_family_enum=0))
+    for prop, name in (("well_filtered", "filtered families"), ("omega_well_filtered", "descending chains")):
+        v = check(diamond, prop, config=config)
+        assert v.characterizations[0] == (name, "skipped: compact families above enumeration cap")
+        assert len(active_values(v)) == 2
+        assert v.holds and v.characterizations_agreed
+
+
 # -- crosschecks -----------------------------------------------------------
 
 
@@ -235,14 +246,13 @@ def test_crosscheck_condition_batteries(diamond):
     # the verdict first, then only forms that no super_h_sober path computes
     common = [
         "super_h_sober",
-        "open filtration",
         "compact intersections",
         "equational form over Smyth-closed families",
     ]
     batteries = {
         "S": common,
         "R": common + ["Smyth power space is sober"],
-        "Dw": common + ["descending countable chains"],
+        "Dw": common,
     }
     for H, expected in batteries.items():
         assert [n for n, _ in crosscheck_super(diamond, H).conditions] == expected, H

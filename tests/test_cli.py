@@ -332,7 +332,7 @@ def test_failed_determinacy_of_a_principal_closure_is_an_internal_error_exit_4(c
     config = RunConfig(caps=Caps(family_listing=0))
 
     def site(Y):
-        return construct._determined_closed(Y, systems.as_system("R"), config)
+        return construct._determined_closed(Y, config)
 
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
     assert "internal error" in capsys.readouterr().err

@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "cb88b4e98588ca8114b8be6a9b1bf4d77e44494ba581591585eff07961d014d7"
+GOLDEN_SHA256 = "01c6e92c64a862f16f9230eaa53fbbd82cd78c7971cddd505fdde0199e4234fc"
 
 
 def _spaces():
