@@ -8,18 +8,22 @@ the boolean but the *certificate*: each path genuinely evaluates a
 different characterization of the property on the instance, and
 ``characterizations_agreed`` reports whether they all concur.
 
-Enumerative paths run raw below the configured caps.  Above them, each
-path switches to an exact reduced form whose justifying lemma (finite
-chains, directed sets and irreducible sets contain a greatest element;
-finite filtered families contain a least member; the smallest open
-containing an up-set is the set itself) is pinned to the raw code by
-brute-force oracles in the test suite.  Reduced paths still compute on
-the instance: they evaluate the reduced quantifier exhaustively and the
-original quantifier on seeded samples.  A reduced form that would only
-restate its own lemma is skipped, not computed: a family built to hold
-its least member passes the filtration whatever the kernel does, so the
-filtration paths of well_filtered and omega_well_filtered are skipped
-above ``caps.compact_family_enum``.
+Enumerative paths run raw below the configured caps, and ``Caps`` holds
+every limit they obey: quantifiers over subsets read the memoized member
+list of one S/C/D/R core (``_h_members``) within ``caps.subset_enum``,
+listings of closed and open sets run within ``caps.family_listing``, and
+families of compacts within ``caps.compact_family_enum``.  Above them,
+each path switches to an exact reduced form whose justifying lemma
+(finite chains, directed sets and irreducible sets contain a greatest
+element; finite filtered families contain a least member; the smallest
+open containing an up-set is the set itself) is pinned to the raw code
+by brute-force oracles in the test suite.  Reduced paths still compute
+on the instance: they evaluate the reduced quantifier exhaustively and
+the original quantifier on seeded samples.  A reduced form that would
+only restate its own lemma is skipped, not computed: a family built to
+hold its least member passes the filtration whatever the kernel does,
+so the filtration paths of well_filtered, omega_well_filtered and
+super_h_sober are skipped above ``caps.compact_family_enum``.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, MissingSystem, UsageError
-from .spaces import FiniteSpace, bits, is_directed
+from .spaces import FiniteSpace, bits
 from . import powers, systems
 
 __all__ = [
@@ -70,10 +74,6 @@ _H_REQUIRED = {
     "smyth_h_complete",
     "h_consonant",
 }
-
-_PROFILE_MAX = 14  # carrier size for subset profiles (2^n masks)
-_PAIRWISE_MAX = 10  # carrier size for pairwise-definitional directedness
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -120,43 +120,6 @@ class CrossReport:
 
 def _rng(config: RunConfig, *parts) -> random.Random:
     return random.Random("|".join([str(config.seed)] + [str(p) for p in parts]))
-
-
-def _profile(X: FiniteSpace) -> dict | None:
-    """Per-subset flags for carriers up to 2^14 masks.
-
-    ``directed`` is the pairwise definition for carriers up to 2^10 and
-    the greatest-element criterion above (mode recorded); the two are
-    pinned together by oracles in the test suite.
-    """
-    if X.n > _PROFILE_MAX:
-        return None
-    return X.memo("profile", lambda: _build_profile(X))
-
-
-def _build_profile(X: FiniteSpace) -> dict:
-    n, full = X.n, X.full
-    comp = [X.up[i] | X.down[i] for i in range(n)]
-    size = full + 1
-    chain = [False] * size
-    pairwise = n <= _PAIRWISE_MAX
-    directed = [False] * size
-    sup = [-1] * size
-    for m in range(1, size):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        chain[m] = rest == 0 or (chain[rest] and rest & ~comp[i] == 0)
-        directed[m] = is_directed(X, m) if pairwise else X.top_of(m) is not None
-        t = systems._sup_of(X, m)
-        if t is not None:
-            sup[m] = t
-    return {
-        "chain": chain,
-        "directed": directed,
-        "sup": sup,
-        "directed_mode": "pairwise" if pairwise else "greatest-element",
-    }
 
 
 def _pair_scan(P: FiniteSpace) -> dict:
@@ -263,15 +226,19 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
 
 
 def _h_members(X: FiniteSpace, H: systems.SubsetSystemId) -> list[int]:
-    """Every member of H(X), by the membership predicate on all 2^n masks;
-    callers keep X.n within ``caps.subset_enum``."""
+    """Every member of H(X) in ascending mask order, by the membership
+    predicate on all 2^n masks, built once per S/C/D/R core: the one
+    subset table every exhaustive path reads (the directed sets of
+    d_space under D, its chains under C).  Callers keep X.n within
+    ``caps.subset_enum``."""
     core = systems._core_of(H)
     return X.memo(("h_members", core), lambda: [m for m in range(1, X.full + 1) if systems._member(core, X, m)])
 
 
-def _compacts(X: FiniteSpace) -> list[int]:
-    if X.n > _PROFILE_MAX:
-        raise CapExceeded("compact-family analysis needs a small base carrier")
+def _compacts(X: FiniteSpace, config: RunConfig) -> list[int]:
+    cap = config.caps.family_listing
+    if X.n > cap:
+        raise CapExceeded(f"compact-family analysis needs carrier <= {cap}, got {X.n}")
     return X.nonempty_upsets()
 
 
@@ -308,7 +275,7 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
     filtered by membership when it fits the cap, else the generator
     instances filtered by shape."""
     core = systems._core_of(H)
-    if len(_compacts(X)) <= config.caps.compact_family_enum:
+    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
         return "raw", _raw_families(X, core)
     fams = []
     for fam, shape in _generator_instances(X, config):
@@ -322,10 +289,11 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
 
 def _raw_families(X: FiniteSpace, core: str) -> list[tuple[int, ...]]:
     """Every subfamily of K(X) in the S/C/D/R family system, from the raw
-    powerset; callers keep |K(X)| within ``caps.compact_family_enum``."""
+    powerset; callers have listed K(X) through ``_compacts`` and keep
+    |K(X)| within ``caps.compact_family_enum``."""
 
     def build():
-        ks = _compacts(X)
+        ks = X.nonempty_upsets()
         fams = (tuple(ks[i] for i in bits(m)) for m in range(1, 1 << len(ks)))
         return [fam for fam in fams if systems.family_base_ok(core, fam)]
 
@@ -474,11 +442,12 @@ def _p_t0(X: FiniteSpace, H, config: RunConfig):
 def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config: RunConfig, name: str | None = None):
     """Shared engine for sober/h_sober: every ``members``-closed set is a
     point closure with a unique generic point.  ``name`` renames the
-    exhaustive path when it runs."""
+    exhaustive path, computed or skipped."""
     paths = []
     evidence = {}
+    name = name or f"closed {tag}-members are point closures (exhaustive)"
     # 1: definitional family equality over enumerated closed sets
-    if X.n <= _PROFILE_MAX:
+    if X.n <= config.caps.family_listing:
         sc = {X.down[i] for i in range(X.n)}
         hc = {d for d in X.downsets() if d and members(d)}
         table = {}
@@ -491,13 +460,11 @@ def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config
                 table[powers._set_label(X, d)] = X.labels[t]
         # uniqueness comes with T0: distinct points have distinct closures
         value = value and len({X.down[i] for i in range(X.n)}) == X.n
-        paths.append((name or f"closed {tag}-members are point closures (exhaustive)", value, ""))
+        paths.append((name, value, ""))
         evidence["generic_points"] = _truncate(table)
         evidence["closed_members"] = len(hc)
     else:
-        paths.append(
-            (f"closed {tag}-members are point closures (exhaustive)", None, "carrier above enumeration cap")
-        )
+        paths.append((name, None, "carrier above enumeration cap"))
     # 2: pair scan: no member-closure can have two maximal points
     scan = _pair_scan(X)
     paths.append(("incomparable-pair split certificates", scan["ok"], ""))
@@ -514,10 +481,10 @@ def _p_sober(X: FiniteSpace, H, config: RunConfig):
         X, lambda d: X.top_of(d) is not None, "irreducible", config,
         "irreducible closed sets have unique generic points",
     )
-    if X.n <= _PROFILE_MAX:
+    if "closed_members" in evidence:
         evidence["irreducible_closed"] = evidence["closed_members"]
     # Hofmann-Mislove corroboration on small carriers
-    if X.n <= _PROFILE_MAX and len(X.upsets()) <= 65:
+    if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
         rep = powers.hofmann_mislove_report(X, config)
         paths.append(("compact/open-filter bijection", rep["bijective"] and rep["order_reversing"], ""))
         evidence["open_filters"] = rep["filters"]
@@ -529,24 +496,21 @@ def _p_sober(X: FiniteSpace, H, config: RunConfig):
 def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
-    prof = _profile(X)
-    if prof is not None and X.n <= config.caps.subset_enum:
+    enum = X.n <= config.caps.subset_enum
+    if enum:
         value = True
         sups = {}
-        count = 0
-        for m in range(1, X.full + 1):
-            if not prof["directed"][m]:
-                continue
-            count += 1
-            s = prof["sup"][m]
+        directed = _h_members(X, systems.SubsetSystemId("D"))
+        for m in directed:
+            s = systems._sup_of(X, m)
             c = X.closure_mask(m)
             t = X.top_of(c)
-            if s < 0 or t is None or X.down[t] != c or s != t:
+            if s is None or t is None or X.down[t] != c or s != t:
                 value = False
             elif len(sups) < 12:
                 sups[powers._set_label(X, m)] = X.labels[s]
-        paths.append((f"directed sets have sups with principal closures ({prof['directed_mode']})", value, ""))
-        evidence["directed_sets"] = count
+        paths.append(("directed sets have sups with principal closures (pairwise)", value, ""))
+        evidence["directed_sets"] = len(directed)
         evidence["sups"] = sups
     else:
         paths.append(("directed sets have sups with principal closures", None, "carrier above enumeration cap"))
@@ -563,12 +527,9 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     evidence["sampled_directed"] = len(sampled)
     # chain criterion: d-space iff chain closures are principal
-    if prof is not None:
-        value = True
-        for m in range(1, X.full + 1):
-            if prof["chain"][m]:
-                if X.top_of(X.closure_mask(m)) is None:
-                    value = False
+    if enum:
+        chains = _h_members(X, systems.SubsetSystemId("C"))
+        value = all(X.top_of(X.closure_mask(m)) is not None for m in chains)
         paths.append(("chain closures are principal", value, ""))
     else:
         sampled_c = _sampled_h_sets(X, systems.SubsetSystemId("C"), rngd, config.caps.sample_count)
@@ -581,7 +542,7 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
     # 1: definitional filtered-family condition
-    if len(_compacts(X)) <= config.caps.compact_family_enum:
+    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
         fams = _raw_families(X, "D")
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
@@ -603,7 +564,7 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
 def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
-    if len(_compacts(X)) <= config.caps.compact_family_enum:
+    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
         fams = _raw_families(X, "C")
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
@@ -649,15 +610,19 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     v = check(S.space, "h_sober", H, config)
     paths.append(("Smyth power space is H-sober", v.holds and v.characterizations_agreed, ""))
     evidence["smyth_carrier"] = len(S.carrier)
-    # compact filtration: members inside opens once the intersection is
+    # compact filtration: members inside opens once the intersection is;
+    # each generator family holds its own meet, so only raw mode computes
     mode, fams = _families_for(X, H, config)
-    opens = X.upsets()
-    value = True
-    for fam in fams:
-        inter = _meet(X, fam)
-        if inter == 0 or inter not in fam or not _filtered(inter, fam, opens):
-            value = False
-    paths.append((f"compact filtration ({mode})", value, ""))
+    if mode == "raw":
+        opens = X.upsets()
+        value = True
+        for fam in fams:
+            inter = _meet(X, fam)
+            if inter == 0 or inter not in fam or not _filtered(inter, fam, opens):
+                value = False
+        paths.append(("compact filtration (raw)", value, ""))
+    else:
+        paths.append(("compact filtration", None, "compact families above enumeration cap"))
     evidence["families"] = len(fams)
     paths.append(("meeting-families are principal ideals at the base", _psi_ok(X, config), ""))
     # equational form on generator/raw families with closed cuts
@@ -679,10 +644,9 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
-    prof = _profile(X)
-    if prof is not None and X.n <= config.caps.subset_enum:
+    if X.n <= config.caps.subset_enum:
         members = _h_members(X, H)
-        value = all(prof["sup"][m] >= 0 for m in members)
+        value = all(systems._sup_of(X, m) is not None for m in members)
         paths.append(("every member has a least upper bound (exhaustive)", value, ""))
         evidence["members"] = len(members)
     else:
@@ -699,7 +663,7 @@ def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
-    if X.n <= _PROFILE_MAX and X.n <= config.caps.subset_enum:
+    if X.n <= config.caps.subset_enum:
         members = _h_members(X, H)
         value = all(X.ubs_mask(m) != 0 for m in members)
         paths.append(("every member has an upper bound (exhaustive)", value, ""))
@@ -752,7 +716,7 @@ def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConf
 def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
-    if X.n <= _PROFILE_MAX and len(X.upsets()) <= 65:
+    if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
         filters = powers.open_filters(X)
         value = True
         table = {}
@@ -785,7 +749,7 @@ def _p_lhc(X: FiniteSpace, H, config: RunConfig):
     evidence = {}
     # minimal neighborhoods are principal filters
     value = True
-    opens = X.upsets() if X.n <= _PROFILE_MAX else None
+    opens = X.upsets() if X.n <= config.caps.family_listing else None
     for x in range(X.n):
         if not X.is_up(X.up[x]):
             value = False
@@ -904,8 +868,9 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     H = systems.as_system(H)
     base = check(X, "h_sober", H, config)
     mode, hs = _h_sets(X, H, config)
-    closed = X.downsets() if X.n <= _PROFILE_MAX else None
-    opens = X.upsets() if X.n <= _PROFILE_MAX else None
+    listed = X.n <= config.caps.family_listing
+    closed = X.downsets() if listed else None
+    opens = X.upsets() if listed else None
     meets = all(X.closure_mask(m) & X.ubs_mask(m) for m in hs)
     filtration = True
     for m in hs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 class Caps:
     # carrier size up to which powerset-style enumerations run (2^n subsets)
     subset_enum: int = 12
-    # carrier size cap for enumerate_families / downset listings
+    # carrier size cap for down-set (closed) and up-set (open) listings
     family_listing: int = 14
     # |K(X)| up to which subfamilies of K(X) are enumerated raw (2^|K|)
     compact_family_enum: int = 8

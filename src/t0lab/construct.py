@@ -388,7 +388,8 @@ def homeomorphic(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) ->
     if not rec(0):
         return None
     f = SpaceMap(X, Y, tuple(table))
-    assert f.is_injective() and f.is_order_embedding()
+    if not (f.is_injective() and f.is_order_embedding()):
+        raise InternalError("backtracked isomorphism is not an order embedding")
     return f
 
 

@@ -48,7 +48,6 @@ from .errors import (
     UsageError,
 )
 from .spaces import (
-    ClosedSet,
     CompactSat,
     FiniteSpace,
     PointSet,
@@ -195,9 +194,6 @@ class SmythSpace:
     space: FiniteSpace  # carrier ordered by reverse inclusion
     index: dict
 
-    def compact(self, i: int) -> CompactSat:
-        return CompactSat(self.base, self.carrier[i])
-
     def box_mask(self, U: int) -> int:
         """Members contained in the open U, as a mask over carrier indices."""
         m = 0
@@ -301,9 +297,6 @@ class HoareSpace:
     carrier: tuple[int, ...]
     space: FiniteSpace  # carrier ordered by inclusion
     index: dict
-
-    def closed(self, i: int) -> ClosedSet:
-        return ClosedSet(self.base, self.carrier[i])
 
     def diamond_mask(self, U: int) -> int:
         m = 0

@@ -54,18 +54,9 @@ __all__ = [
     "SpaceMap",
     "parse_space",
     "closure",
-    "saturation",
-    "order_calculus",
     "is_directed",
     "chain_core",
     "is_irreducible",
-    "is_irreducible_definitional",
-    "enumerate_families",
-    "minimal_points",
-    "down_meet_closed",
-    "singletons",
-    "point_closures",
-    "principal_filters",
     "random_space",
     "to_dot",
 ]
@@ -597,27 +588,6 @@ def closure(X: FiniteSpace, A) -> ClosedSet:
     return ClosedSet(X, X.closure_mask(_as_mask(X, A)))
 
 
-def saturation(X: FiniteSpace, A) -> PointSet:
-    return PointSet(X, X.sat_mask(_as_mask(X, A)))
-
-
-def order_calculus(X: FiniteSpace, A, which: str) -> PointSet:
-    """One-stop order operators: up, down, max, min, ubs (common upper
-    bounds), lbs (common lower bounds)."""
-    m = _as_mask(X, A)
-    ops = {
-        "up": X.sat_mask,
-        "down": X.closure_mask,
-        "max": X.max_mask,
-        "min": X.min_mask,
-        "ubs": X.ubs_mask,
-        "lbs": X.lbs_mask,
-    }
-    if which not in ops:
-        raise UsageError(f"unknown order operator {which!r}; choose from {sorted(ops)}")
-    return PointSet(X, ops[which](m))
-
-
 def is_directed(X: FiniteSpace, A) -> bool:
     """Every pair of elements has an upper bound *inside* the set."""
     m = _as_mask(X, A)
@@ -655,95 +625,11 @@ def chain_core(X: FiniteSpace, D) -> PointSet:
 def is_irreducible(X: FiniteSpace, A) -> bool:
     """Irreducibility of a nonempty set: not covered by two closed proper
     cut-downs.  On a finite space this holds iff the closure of the set has
-    a greatest element, which is what is evaluated here; the definitional
-    two-closed-sets version is `is_irreducible_definitional`."""
+    a greatest element, which is what is evaluated here."""
     m = _as_mask(X, A)
     if m == 0:
         raise EmptySet("irreducibility is about nonempty sets")
     return X.top_of(X.closure_mask(m)) is not None
-
-
-def is_irreducible_definitional(X: FiniteSpace, A, cap: int | None = 14) -> bool:
-    """Definitional irreducibility: for closed B, C, if A is inside B union C
-    then A is inside one of them.  Exponential in the carrier; used as the
-    oracle that pins `is_irreducible` down."""
-    m = _as_mask(X, A)
-    if m == 0:
-        raise EmptySet("irreducibility is about nonempty sets")
-    downs = X.downsets(cap)
-    for b in downs:
-        if m & ~b == 0:
-            continue
-        for c in downs:
-            if m & ~c == 0:
-                continue
-            if m & ~(b | c) == 0:
-                return False
-    return True
-
-
-def enumerate_families(X: FiniteSpace, which: str, cap: int | None = 14) -> list[PointSet]:
-    """List a named family of subsets, sorted by (size, mask).
-
-    ``which`` is one of ``closed``, ``open``, ``compact_saturated``,
-    ``irr_closed``, ``point_closures``.
-    """
-    if which == "closed":
-        return [ClosedSet(X, d) for d in X.downsets(cap)]
-    if which == "open":
-        return [PointSet(X, u) for u in X.upsets(cap)]
-    if which == "compact_saturated":
-        return [CompactSat(X, u) for u in X.nonempty_upsets(cap)]
-    if which == "irr_closed":
-        return [ClosedSet(X, d) for d in X.irr_downsets(cap)]
-    if which == "point_closures":
-        masks = sorted({X.down[i] for i in range(X.n)}, key=lambda m: (m.bit_count(), m))
-        return [ClosedSet(X, d) for d in masks]
-    raise UsageError(f"unknown family {which!r}")
-
-
-def minimal_points(X: FiniteSpace, K) -> PointSet:
-    """Minimal points of a compact saturated set; their saturation is the set
-    back (checked)."""
-    if isinstance(K, CompactSat):
-        _owns(X, K)
-        m = K.mask
-    else:
-        m = _as_mask(X, K)
-        CompactSat(X, m)  # validates nonempty saturated
-    mins = X.min_mask(m)
-    if X.sat_mask(mins) != m:
-        raise InternalError("minimal points failed to regenerate the set")  # unreachable
-    return PointSet(X, mins)
-
-
-def down_meet_closed(X: FiniteSpace, K, A) -> ClosedSet:
-    """The closed set down(K meet A), together with the cutting identity
-    down(K meet A) = union over k in min K of down(up(k) meet A) (checked)."""
-    km = _as_mask(X, K)
-    CompactSat(X, km)
-    am = _as_mask(X, A)
-    if not X.is_down(am):
-        raise UsageError("A must be closed")
-    out = X.closure_mask(km & am)
-    alt = 0
-    for k in bits(X.min_mask(km)):
-        alt |= X.closure_mask(X.up[k] & am)
-    if alt != out:
-        raise InternalError("cutting identity failed")  # unreachable
-    return ClosedSet(X, out)
-
-
-def singletons(X: FiniteSpace) -> list[PointSet]:
-    return [PointSet(X, 1 << i) for i in range(X.n)]
-
-
-def point_closures(X: FiniteSpace) -> list[ClosedSet]:
-    return [ClosedSet(X, X.down[i]) for i in range(X.n)]
-
-
-def principal_filters(X: FiniteSpace) -> list[CompactSat]:
-    return [CompactSat(X, X.up[i]) for i in range(X.n)]
 
 
 # -- maps -----------------------------------------------------------------

@@ -9,12 +9,16 @@ Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
 runs both characterization batteries on the fault corpus under no fault and
 under each fault, and writes the (space, system, battery) triples that
 disagree, raise or read false, so that two commits' fault detection can be
-diffed.
+diffed.  Under the ``"paths"`` key it writes the per-path kill table: for
+each path of each verdict ``check_all`` returns, the faults under which
+its value differs from its no-fault value, with the number of (space,
+system) pairs where it does; the row ``"(raise)"`` counts the pairs where
+the verdict raises instead.
 """
 import json
 import random
 
-from t0lab import checkers, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems
+from t0lab import check, checkers, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems
 from t0lab.spaces import FiniteSpace
 from t0lab.systems import BASE_IDS
 
@@ -101,6 +105,61 @@ def detections(docs: list[dict]) -> dict:
     return out
 
 
+# the mode suffixes a path name carries; the kill table keys paths without
+# them, so that one path in two modes is one row
+_MODES = (" (raw powerset)", " (raw)", " (generators)", " (sampled)", " (exhaustive)", " (pairwise)")
+
+
+def _path_key(name: str) -> str:
+    for suffix in _MODES:
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
+def path_values(docs: list[dict]) -> dict:
+    """The value of every path of every verdict ``check_all`` returns, on
+    each space parsed afresh, by (space index, property, system, path name
+    without its mode suffix).  Each verdict is checked on its own, so that
+    one that raises reads "raise" under (space index, property, system,
+    None) and leaves the others standing."""
+    out = {}
+    for i, doc in enumerate(docs):
+        X = parse_space(doc)
+        for prop in checkers.PROPERTY_IDS:
+            for H in BASE_IDS if prop in checkers._H_REQUIRED else (None,):
+                system = None if H is None else str(H)
+                try:
+                    v = check(X, prop, H)
+                except Exception:
+                    out[i, prop, system, None] = "raise"
+                    continue
+                for name, value in v.characterizations:
+                    out[i, prop, system, _path_key(name)] = value
+    return out
+
+
+def kill_table(base: dict, faulty: dict[str, dict]) -> dict:
+    """property -> path -> fault -> number of (space, system) pairs whose
+    path value under the fault differs from ``base``, counting only the
+    verdicts that do not raise; those that do are counted in the row
+    ``"(raise)"``."""
+    table = {}
+    for (i, prop, system, path), value in base.items():
+        row = table.setdefault(prop, {}).setdefault(path, {})
+        for fault, values in faulty.items():
+            if (i, prop, system, None) in values:
+                continue
+            if values.get((i, prop, system, path)) != value:
+                row[fault] = row.get(fault, 0) + 1
+    for fault, values in faulty.items():
+        for (i, prop, system, path) in values:
+            if path is None:
+                row = table.setdefault(prop, {}).setdefault("(raise)", {})
+                row[fault] = row.get(fault, 0) + 1
+    return table
+
+
 if __name__ == "__main__":
     import sys
 
@@ -108,10 +167,13 @@ if __name__ == "__main__":
 
     docs = corpus_docs()
     report = {"no fault": detections(docs)}
+    faulty = {}
     for name, inject in FAULTS.items():
         with pytest.MonkeyPatch.context() as mp:
             inject(mp)
             report[name] = detections(docs)
+            faulty[name] = path_values(docs)
+    report["paths"] = kill_table(path_values(docs), faulty)
     with open(sys.argv[1], "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -218,6 +218,58 @@ def test_filtration_paths_are_skipped_above_the_compact_family_cap(diamond):
         assert v.holds and v.characterizations_agreed
 
 
+def test_super_compact_filtration_is_skipped_above_the_compact_family_cap(diamond):
+    # each generator family starts at its own meet, so the filtration over
+    # generators would hold by construction
+    config = RunConfig(caps=Caps(compact_family_enum=0))
+    for H in BASE_IDS:
+        v = check(diamond, "super_h_sober", H, config)
+        assert v.characterizations[1] == ("compact filtration", "skipped: compact families above enumeration cap")
+        assert len(active_values(v)) == 3
+        assert v.holds and v.characterizations_agreed
+    assert check(diamond, "super_h_sober", "D").characterizations[1] == ("compact filtration (raw)", "true")
+
+
+def test_subset_quantifiers_are_sampled_above_the_subset_cap(diamond):
+    # the exhaustive paths read the memoized member lists, which
+    # caps.subset_enum bounds
+    config = RunConfig(caps=Caps(subset_enum=0))
+    v = check(diamond, "d_space", config=config)
+    assert v.characterizations[0] == (
+        "directed sets have sups with principal closures", "skipped: carrier above enumeration cap")
+    assert v.characterizations[2] == ("chain closures are principal (sampled)", "true")
+    verdicts = [v]
+    for prop in ("h_complete", "h_bounded"):
+        for H in BASE_IDS:
+            v = check(diamond, prop, H, config)
+            assert v.characterizations[0][0].endswith("(sampled)"), v.characterizations
+            verdicts.append(v)
+    for v in verdicts:
+        assert len(active_values(v)) >= 2
+        assert v.holds and v.characterizations_agreed
+
+
+def test_listing_paths_are_skipped_above_the_family_listing_cap(diamond):
+    # closed- and open-set listings obey caps.family_listing; a skipped
+    # path keeps the name it has when computed
+    config = RunConfig(caps=Caps(family_listing=0))
+    expected = {
+        ("sober", None): ["irreducible closed sets have unique generic points", "compact/open-filter bijection"],
+        ("h_sober", "D"): ["closed D-members are point closures (exhaustive)"],
+        ("locally_hypercompact", None): ["finite-set neighborhoods inside each open"],
+    }
+    for (prop, H), names in expected.items():
+        v = check(diamond, prop, H, config)
+        assert [n for n, val in v.characterizations if val.startswith("skipped")] == names
+        assert len(active_values(v)) >= 2
+        assert v.holds and v.characterizations_agreed
+    assert check(diamond, "sober").characterizations[0] == (
+        "irreducible closed sets have unique generic points", "true")
+    # the compacts are a listing of open sets too
+    with pytest.raises(CapExceeded, match="needs carrier <= 0, got 4"):
+        check(diamond, "well_filtered", config=config)
+
+
 # -- crosschecks -----------------------------------------------------------
 
 
@@ -304,6 +356,17 @@ def test_h_sober_battery_cuts_by_closures_of_members(monkeypatch):
     r = crosscheck_h_sober(parse_space(doc), "S")
     assert dict(r.conditions)["bounded + cut equation [closed members x closed]"] is False
     assert not r.agreed
+
+
+def test_kill_table_names_the_paths_a_fault_changes(monkeypatch, diamond):
+    docs = [diamond.to_doc()]
+    base = mutants.path_values(docs)
+    mutants.FAULTS["_cut_identity false"](monkeypatch)
+    table = mutants.kill_table(base, {"cut": mutants.path_values(docs)})
+    killed = {(prop, path): row["cut"] for prop, rows in table.items() for path, row in rows.items() if row}
+    # one row per path whatever its mode, counted over the seven systems
+    assert killed == {("super_h_sober", "equational cut identity over closed sets"): 7}
+    assert "compact filtration" in table["super_h_sober"]
 
 
 # -- per-space tables ------------------------------------------------------

@@ -27,6 +27,7 @@ from t0lab.construct import (
 from t0lab.errors import (
     CapExceeded,
     EndpointMismatch,
+    InternalError,
     NoHomeomorphism,
     UsageError,
 )
@@ -203,6 +204,13 @@ def test_homeomorphic_distinguishes_chain_from_antichain(anti3):
     assert homeomorphic(chain, anti3) is None
     two = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
     assert homeomorphic(chain, two) is None  # size mismatch
+
+
+def test_homeomorphism_failing_its_embedding_check_is_an_internal_error(diamond, monkeypatch):
+    # a raise, not an assert, so that python -O keeps the check
+    monkeypatch.setattr(SpaceMap, "is_injective", lambda f: False)
+    with pytest.raises(InternalError):
+        homeomorphic(diamond, diamond)
 
 
 # -- reflections -----------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "01c6e92c64a862f16f9230eaa53fbbd82cd78c7971cddd505fdde0199e4234fc"
+GOLDEN_SHA256 = "fd43b23623afd8203a8be6bc399cc8fc20b41833617aacbeb9f0c0fcc63175fe"
 
 
 def _spaces():

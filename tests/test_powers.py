@@ -61,7 +61,6 @@ def test_smyth_members_and_indexing(diamond):
     top = diamond.sat_mask(1 << diamond.index("top"))
     i = S.member_index(top)
     assert S.carrier[i] == top
-    assert S.compact(i).mask == top
     assert S.family_from_mask(S.family_mask([top])) == [top]
     with pytest.raises(UsageError):
         S.member_index(1 << diamond.index("bot"))  # not saturated -> not a member
