@@ -202,22 +202,6 @@ class SmythSpace:
                 m |= 1 << i
         return m
 
-    def member_index(self, K) -> int:
-        mask = _as_mask(self.base, K)
-        try:
-            return self.index[mask]
-        except KeyError:
-            raise UsageError("not a compact saturated set of the base space") from None
-
-    def family_mask(self, family: Iterable) -> int:
-        m = 0
-        for K in family:
-            m |= 1 << self.member_index(K)
-        return m
-
-    def family_from_mask(self, mask: int) -> list[int]:
-        return [self.carrier[i] for i in bits(mask)]
-
 
 def smyth(X: FiniteSpace, config: RunConfig = DEFAULT) -> SmythSpace:
     """Build (and cache, per caps) the Smyth power space of X."""
@@ -243,9 +227,13 @@ def _smyth(X: FiniteSpace, caps) -> SmythSpace:
 
 def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
     """The unit x -> up(x) into the Smyth power space; a topological and
-    order embedding (checked)."""
-    S = smyth(X, config)
-    return _unit(X, S.space, tuple(S.index[X.up[i]] for i in range(X.n)), S.box_mask, X.upsets())
+    order embedding (checked).  Built once per space and caps."""
+
+    def build():
+        S = smyth(X, config)
+        return _unit(X, S.space, tuple(S.index[X.up[i]] for i in range(X.n)), S.box_mask, X.upsets())
+
+    return X.memo(("xi_embed", config.caps), build)
 
 
 def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -356,19 +344,25 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
 
 def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
     """The unit x -> cl{x} into a Hoare power space whose carrier contains
-    all point closures; a topological embedding (checked)."""
+    all point closures; a topological embedding (checked).  Built once per
+    Hoare space and caps, in the memo of ``H.space``."""
     X = H.base
-    try:
-        table = tuple(H.index[X.down[i]] for i in range(X.n))
-    except KeyError:
-        raise UsageError("the carrier must contain every point closure") from None
-    # image and diamond both commute with unions of opens, so the principal
-    # opens decide the trace identity; small bases recheck every open
-    if X.n <= config.caps.subset_enum:
-        opens = X.upsets()
-    else:
-        opens = [X.up[i] for i in range(X.n)]
-    return _unit(X, H.space, table, H.diamond_mask, opens)
+
+    def build():
+        try:
+            table = tuple(H.index[X.down[i]] for i in range(X.n))
+        except KeyError:
+            raise UsageError("the carrier must contain every point closure") from None
+        # image and diamond both commute with unions of opens, so the
+        # principal opens decide the trace identity; small bases recheck
+        # every open
+        if X.n <= config.caps.subset_enum:
+            opens = X.upsets()
+        else:
+            opens = [X.up[i] for i in range(X.n)]
+        return _unit(X, H.space, table, H.diamond_mask, opens)
+
+    return H.space.memo(("hoare_eta", config.caps), build)
 
 
 # -- open filters ---------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Each injector takes a pytest ``monkeypatch`` (or ``pytest.MonkeyPatch``)
 and replaces one kernel method, family predicate or checker helper by a
-faulty version.  Spaces parsed after the injection see the fault in every
+faulty version, or corrupts every space built after it: the last two
+faults let ``FiniteSpace.__init__`` validate as usual and then rewrite the
+rows, so that the order is not antisymmetric or a closure row is not a
+down-set.  Spaces parsed after the injection see the fault in every
 memoized table they build, so a fault check parses its spaces afresh.
 
 Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
@@ -13,7 +16,10 @@ diffed.  Under the ``"paths"`` key it writes the per-path kill table: for
 each path of each verdict ``check_all`` returns, the faults under which
 its value differs from its no-fault value, with the number of (space,
 system) pairs where it does; the row ``"(raise)"`` counts the pairs where
-the verdict raises instead.
+the verdict raises instead.  The ``"conditions"`` key holds the same table
+for the battery conditions, keyed battery -> condition -> fault.
+``tests/test_checkers.py`` asserts on the classes of at most 3 points that
+every verdict path changes under some fault.
 """
 import json
 import random
@@ -46,6 +52,37 @@ def _drop_lowest(f, X, m):
     return u & (u - 1)
 
 
+def _corrupt_rows(corrupt):
+    """A fault that builds each space as usual and then rewrites its
+    validated rows: ``corrupt(up, down)`` edits the two lists in place."""
+
+    def init(original, X, labels, up):
+        original(X, labels, up)
+        rows = list(X.up), list(X.down)
+        corrupt(*rows)
+        object.__setattr__(X, "up", tuple(rows[0]))
+        object.__setattr__(X, "down", tuple(rows[1]))
+
+    return lambda mp: _wrap(mp, FiniteSpace, "__init__", init)
+
+
+def _not_antisymmetric(up, down):
+    # for the first strict pair i < j, taken by its upper point j, also j <= i
+    for j, row in enumerate(down):
+        below = row & ~(1 << j)
+        if below:
+            i = (below & -below).bit_length() - 1
+            up[j] |= 1 << i
+            down[i] |= 1 << j
+            return
+
+
+def _closure_not_down(up, down):
+    # the last point's closure loses its lowest strict member
+    strict = down[-1] & ~(1 << (len(down) - 1))
+    down[-1] &= ~(strict & -strict)
+
+
 FAULTS = {
     "non-monotone sat_mask": lambda mp: _wrap(
         mp, FiniteSpace, "sat_mask", lambda f, X, m: m if m.bit_count() == 2 else f(X, m)),
@@ -72,6 +109,8 @@ FAULTS = {
         mp, FiniteSpace, "is_up", lambda f, X, m: m.bit_count() != 2 and f(X, m)),
     "_cut_identity false": lambda mp: mp.setattr(checkers, "_cut_identity", lambda *args: False),
     "box_mask empty": lambda mp: mp.setattr(powers.SmythSpace, "box_mask", lambda S, U: 0),
+    "rows not antisymmetric": _corrupt_rows(_not_antisymmetric),
+    "closure row not a down-set": _corrupt_rows(_closure_not_down),
 }
 
 
@@ -82,26 +121,44 @@ def corpus_docs() -> list[dict]:
     return docs + [random_space(rng, 7).to_doc() for _ in range(8)]
 
 
-def detections(docs: list[dict]) -> dict:
-    """The (space index, system, battery) triples, parsed afresh, whose
-    battery disagrees, raises or has a condition that reads false under
-    whatever fault is in place.  Every property holds on a finite T0
-    space, so a false condition is a detection even when all agree."""
-    out = {"disagree": [], "false": [], "raise": []}
+def condition_values(docs: list[dict]) -> dict:
+    """The value of every condition of both batteries, on each space
+    parsed afresh, by (space index, battery, system, condition name); a
+    battery that raises reads "raise" under (space index, battery, system,
+    None)."""
+    out = {}
     for i, doc in enumerate(docs):
         X = parse_space(doc)
         for H in BASE_IDS:
             for battery in (crosscheck_h_sober, crosscheck_super):
-                triple = [i, str(H), battery.__name__]
+                key = i, battery.__name__, str(H)
                 try:
                     report = battery(X, H)
                 except Exception:
-                    out["raise"].append(triple)
+                    out[key + (None,)] = "raise"
                     continue
-                if not report.agreed:
-                    out["disagree"].append(triple)
-                if not all(v for _, v in report.conditions):
-                    out["false"].append(triple)
+                for name, value in report.conditions:
+                    out[key + (name,)] = value
+    return out
+
+
+def detections(values: dict) -> dict:
+    """The (space index, system, battery) triples of ``condition_values``
+    whose battery disagrees, raises or has a condition that reads false.
+    Every property holds on a finite T0 space, so a false condition is a
+    detection even when all agree."""
+    reports = {}
+    for (i, battery, system, name), value in values.items():
+        reports.setdefault((i, system, battery), []).append(value)
+    out = {"disagree": [], "false": [], "raise": []}
+    for triple, vals in reports.items():
+        if vals == ["raise"]:
+            out["raise"].append(list(triple))
+            continue
+        if len(set(vals)) != 1:
+            out["disagree"].append(list(triple))
+        if not all(vals):
+            out["false"].append(list(triple))
     return out
 
 
@@ -143,7 +200,8 @@ def kill_table(base: dict, faulty: dict[str, dict]) -> dict:
     """property -> path -> fault -> number of (space, system) pairs whose
     path value under the fault differs from ``base``, counting only the
     verdicts that do not raise; those that do are counted in the row
-    ``"(raise)"``."""
+    ``"(raise)"``.  Read over ``condition_values`` it gives battery ->
+    condition -> fault in the same way."""
     table = {}
     for (i, prop, system, path), value in base.items():
         row = table.setdefault(prop, {}).setdefault(path, {})
@@ -166,14 +224,17 @@ if __name__ == "__main__":
     import pytest
 
     docs = corpus_docs()
-    report = {"no fault": detections(docs)}
-    faulty = {}
+    conditions = condition_values(docs)
+    report = {"no fault": detections(conditions)}
+    faulty_paths, faulty_conditions = {}, {}
     for name, inject in FAULTS.items():
         with pytest.MonkeyPatch.context() as mp:
             inject(mp)
-            report[name] = detections(docs)
-            faulty[name] = path_values(docs)
-    report["paths"] = kill_table(path_values(docs), faulty)
+            faulty_conditions[name] = condition_values(docs)
+            report[name] = detections(faulty_conditions[name])
+            faulty_paths[name] = path_values(docs)
+    report["paths"] = kill_table(path_values(docs), faulty_paths)
+    report["conditions"] = kill_table(conditions, faulty_conditions)
     with open(sys.argv[1], "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -254,9 +254,9 @@ def test_listing_paths_are_skipped_above_the_family_listing_cap(diamond):
     # path keeps the name it has when computed
     config = RunConfig(caps=Caps(family_listing=0))
     expected = {
-        ("sober", None): ["irreducible closed sets have unique generic points", "compact/open-filter bijection"],
+        ("sober", None): ["irreducible closed sets have unique generic points"],
         ("h_sober", "D"): ["closed D-members are point closures (exhaustive)"],
-        ("locally_hypercompact", None): ["finite-set neighborhoods inside each open"],
+        ("locally_hypercompact", None): [],
     }
     for (prop, H), names in expected.items():
         v = check(diamond, prop, H, config)
@@ -279,7 +279,7 @@ def test_crosschecks_agree_everywhere_small(all_posets):
             for H in BASE_IDS:
                 r1 = crosscheck_h_sober(X, H)
                 assert r1.agreed, (X, str(H), r1.conditions)
-                assert len(r1.conditions) == 4
+                assert len(r1.conditions) == 2
                 assert all(v is True for _, v in r1.conditions)
                 r2 = crosscheck_super(X, H)
                 assert r2.agreed, (X, str(H), r2.conditions)
@@ -291,8 +291,6 @@ def test_crosscheck_condition_batteries(diamond):
     assert dict(r1.modes)["members"] == "raw"
     assert [n for n, _ in r1.conditions] == [
         "h_sober",
-        "closure meets upper bounds [members]",
-        "neighborhood filtration [members]",
         "bounded + cut equation [closed members x closed]",
     ]
     # the verdict first, then only forms that no super_h_sober path computes
@@ -367,6 +365,39 @@ def test_kill_table_names_the_paths_a_fault_changes(monkeypatch, diamond):
     # one row per path whatever its mode, counted over the seven systems
     assert killed == {("super_h_sober", "equational cut identity over closed sets"): 7}
     assert "compact filtration" in table["super_h_sober"]
+
+
+def test_every_verdict_path_kills_some_fault():
+    # every property holds on every finite T0 space, so a path is worth
+    # the faults it catches; each must change its value under one of them
+    docs = [X.to_doc() for n in range(1, 4) for X in enumerate_posets(n)]
+    assert len(docs) == 8
+    faulty = {}
+    for name, inject in mutants.FAULTS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            inject(mp)
+            faulty[name] = mutants.path_values(docs)
+    table = mutants.kill_table(mutants.path_values(docs), faulty)
+    # h_consonant's open-filter path kills none, but deleting it would
+    # leave that verdict one path, which changes the failures the
+    # benchmark pins as expected; it waits for a benchmark change
+    exempt = {("h_consonant", "filters realized by one-member families")}
+    empty = [(prop, path) for prop, rows in table.items() for path, row in rows.items() if not row]
+    assert set(empty) == exempt, empty
+
+
+def test_corrupted_spaces_fail_the_paths_that_read_their_rows(monkeypatch):
+    doc = {"points": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}
+
+    def values(prop):
+        return [val for _, val in check(parse_space(doc), prop).characterizations]
+
+    with monkeypatch.context() as m:
+        mutants.FAULTS["rows not antisymmetric"](m)
+        assert values("t0") == ["false", "false"]
+    mutants.FAULTS["closure row not a down-set"](monkeypatch)
+    assert values("t0") == ["true", "true"]
+    assert values("d_space") == ["false", "false", "false"]
 
 
 # -- per-space tables ------------------------------------------------------
@@ -469,7 +500,7 @@ def test_open_filters_are_built_once_per_space(monkeypatch, diamond):
 
     monkeypatch.setattr(powers, "phi", counting)
     check_all(X)
-    # the sober verdict's report and the seven h_consonant verdicts share them
+    # the seven h_consonant verdicts share them
     assert calls == Counter(X.nonempty_upsets())
 
 

@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "fd43b23623afd8203a8be6bc399cc8fc20b41833617aacbeb9f0c0fcc63175fe"
+GOLDEN_SHA256 = "6da07a59beb567ba624d473ba6ce3f1aaa3eae51e86a7cf72dc86c626a09bf0d"
 
 
 def _spaces():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -54,16 +55,6 @@ def test_smyth_topology_is_generated_by_boxes(all_posets):
                 b = S.box_mask(U)
                 unions |= {u | b for u in unions}
             assert unions == set(S.space.upsets())
-
-
-def test_smyth_members_and_indexing(diamond):
-    S = smyth(diamond)
-    top = diamond.sat_mask(1 << diamond.index("top"))
-    i = S.member_index(top)
-    assert S.carrier[i] == top
-    assert S.family_from_mask(S.family_mask([top])) == [top]
-    with pytest.raises(UsageError):
-        S.member_index(1 << diamond.index("bot"))  # not saturated -> not a member
 
 
 def test_xi_embed_unit(all_posets):
@@ -195,6 +186,29 @@ def test_hoare_map_functor_laws(all_posets):
                 g = SpaceMap(Y, Z, gt)
                 assert hoare_map(f.then(g)).table == \
                     hoare_map(f).then(hoare_map(g)).table
+
+
+def test_lifts_certify_each_unit_once(monkeypatch):
+    X = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
+    Y = parse_space({"points": ["x", "y", "z"], "covers": [["x", "z"], ["y", "z"]]})
+    unit = powers._unit
+    calls = Counter()
+
+    def counting(base, space, *args):
+        calls[base, space] += 1
+        return unit(base, space, *args)
+
+    monkeypatch.setattr(powers, "_unit", counting)
+    maps = oracles.continuous_tables(X, Y)
+    assert len(maps) > 1
+    for table in maps:
+        f = SpaceMap(X, Y, table)
+        smyth_map(f)
+        for which in ("closed", "irr_closed"):
+            hoare_map(f, which)
+    # one unit per endpoint and power, whatever the number of maps
+    spaces = [(B, P.space) for B in (X, Y) for P in (smyth(B), hoare(B, "closed"), hoare(B, "irr_closed"))]
+    assert calls == Counter(spaces)
 
 
 def test_hoare_explicit_carrier_validation(diamond):

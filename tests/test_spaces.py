@@ -50,8 +50,11 @@ def test_parse_rejects_duplicate_labels():
 
 
 def test_parse_rejects_cycles():
-    with pytest.raises(NotT0):
+    with pytest.raises(NotT0, match="'a' and 'b' lie in each other's closure"):
         parse_space({"points": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]})
+    # through the transitive closure of a longer cycle
+    with pytest.raises(NotT0, match="lie in each other's closure"):
+        parse_space({"points": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"], ["c", "a"]]})
 
 
 def test_parse_rejects_indistinguishable_points():
