@@ -108,7 +108,7 @@ class Unrepresentable(UsageError):
 
 
 class NoHomeomorphism(T0LabError):
-    """Raised when a construction promised a homeomorphism and none exists."""
+    """Raised when the map a construction promises as a homeomorphism fails its certificate."""
 
 
 class ContinuityError(UsageError):

@@ -334,9 +334,12 @@ def _hoare(X: FiniteSpace, carrier: list[int], caps) -> HoareSpace:
 def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> SpaceMap:
     """Functorial action on Hoare power spaces: A -> cl(f(A)).
 
+    ``which`` names both endpoints' carrier: ``closed`` or ``irr_closed``.
     Checks naturality with the point-closure units and the diamond
     preimage identity ``(P f)^{-1}(diamond V) = diamond(f^{-1} V)``.
     """
+    if which not in ("closed", "irr_closed"):
+        raise UsageError("hoare_map takes a named carrier: 'closed' or 'irr_closed'")
     HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
     return _lift(f, HX, HY, f.target.closure_mask, HoareSpace.diamond_mask,
                  hoare_eta(HX, config), hoare_eta(HY, config))

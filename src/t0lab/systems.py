@@ -138,10 +138,6 @@ class SubsetSystemId:
         """The tag with any countability marker dropped: S, C, D or R."""
         return self.base[:-1] if self.base.endswith("w") else self.base
 
-    @property
-    def is_countable_tag(self) -> bool:
-        return self.base.endswith("w")
-
     def refines(self, other: "SubsetSystemId") -> bool | None:
         """Whether every self-set is an other-set over every space.
 
@@ -245,12 +241,13 @@ def family_masks(X: FiniteSpace, family) -> list[int]:
             masks.add(K.mask)
         else:
             m = _as_mask(X, K)
-            CompactSat(X, m)  # validates nonempty saturated
+            if m == 0:
+                raise EmptyMember("compact saturated sets are nonempty")
+            if not X.is_up(m):
+                raise UsageError(f"{list(X.labels_of(m))} is not saturated (not an up-set)")
             masks.add(m)
     if not masks:
         raise EmptyFamily("the family has no members")
-    if 0 in masks:
-        raise EmptyMember("compact saturated sets are nonempty")
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from t0lab import (
+    construct,
     continuous_maps,
     enumerate_posets,
     function_space,
@@ -15,7 +16,7 @@ from t0lab import (
     reflect,
     universal_property_verify,
 )
-from t0lab.config import Caps, RunConfig
+from t0lab.config import DEFAULT, Caps, RunConfig
 from t0lab.construct import (
     _KINDS,
     equalizer,
@@ -237,7 +238,20 @@ def test_reflect_carrier_is_the_point_closures(all_posets):
             for system in ("D", "R"):
                 refl = reflect(X, system)
                 assert set(refl.carrier) == {X.down[i] for i in range(X.n)}
-                assert refl.iso is not None
+                assert refl.iso.table == refl.unit.table
+
+
+def test_reflect_iso_is_the_unit():
+    # two 2-chains listed so that a search for some isomorphism finds
+    # another automorphism first
+    X = parse_space(
+        {"points": ["v0", "v1", "v2", "v3"], "covers": [["v2", "v1"], ["v3", "v0"]]}
+    )
+    refl = reflect(X)
+    assert refl.iso.table == refl.unit.table == (3, 2, 0, 1)
+    assert refl.to_json()["iso_to_base"] == {
+        "v0": "{v0,v3}", "v1": "{v1,v2}", "v2": "{v2}", "v3": "{v3}"
+    }
 
 
 def test_universal_property_against_small_targets(diamond):
@@ -276,3 +290,38 @@ def test_product_preservation(sier, diamond):
     assert rep["ok"] and rep["carrier_decomposes"]
     assert rep["reflection_points"] == sier.n * diamond.n
     assert rep["iso"].is_order_embedding()
+
+
+def test_product_iso_is_the_canonical_map():
+    # a relabelled square of the 2-chain, on which a search for some
+    # isomorphism picks the factor swap instead of the canonical map
+    X = parse_space({"points": ["v0", "v1"], "covers": [["v1", "v0"]]})
+    rep = product_preservation(X, X, "R")
+    P = product(X, X)
+    RP, RX = reflect(P.space), reflect(X)
+    RXX = product(RX.space, RX.space)
+    canonical = tuple(
+        RXX.pair_index(
+            RX.hoare.index[X.closure_mask(P.left.image_mask(m))],
+            RX.hoare.index[X.closure_mask(P.right.image_mask(m))],
+        )
+        for m in RP.carrier
+    )
+    assert rep["iso"].table == canonical == (0, 2, 1, 3)
+
+
+def test_product_map_failing_its_certificate_raises(sier, diamond, monkeypatch):
+    build = construct.product
+    calls = []
+
+    def failing_after_reflections(X, Y, config=DEFAULT):
+        calls.append(X)
+        P = build(X, Y, config)
+        if len(calls) == 2:  # the product of the reflections, built last
+            monkeypatch.setattr(SpaceMap, "is_order_embedding", lambda f: False)
+        return P
+
+    monkeypatch.setattr(construct, "product", failing_after_reflections)
+    with pytest.raises(NoHomeomorphism, match=r"A -> \(cl pi1 A, cl pi2 A\)"):
+        product_preservation(sier, diamond, "R")
+    assert len(calls) == 2

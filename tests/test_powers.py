@@ -188,6 +188,20 @@ def test_hoare_map_functor_laws(all_posets):
                     hoare_map(f).then(hoare_map(g)).table
 
 
+def test_hoare_map_takes_only_a_named_carrier():
+    two = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
+    three = parse_space({"points": ["x", "y", "z"], "covers": [["x", "y"], ["y", "z"]]})
+    f = SpaceMap(two, three, (0, 2))
+    # one list cannot name closed sets of both endpoints
+    for which in ([["a"], ["a", "b"]], [1, 3]):
+        with pytest.raises(UsageError, match="named carrier"):
+            hoare_map(f, which)
+    closures = [two.down[i] for i in range(two.n)]
+    with pytest.raises(UsageError, match="named carrier"):
+        hoare_map(SpaceMap.identity(two), closures)
+    assert hoare_map(f, "closed").table == hoare_map(f, "irr_closed").table == (0, 2)
+
+
 def test_lifts_certify_each_unit_once(monkeypatch):
     X = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
     Y = parse_space({"points": ["x", "y", "z"], "covers": [["x", "z"], ["y", "z"]]})

@@ -62,8 +62,6 @@ def test_parse_rejects_unknown_and_stacked():
 
 def test_base_core_and_countable_tag():
     assert SubsetSystemId("Dw").base_core == "D"
-    assert SubsetSystemId("Dw").is_countable_tag
-    assert not SubsetSystemId("D").is_countable_tag
     assert SubsetSystemId("Rw", "d").base_core == "R"
 
 
