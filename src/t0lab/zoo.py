@@ -11,7 +11,7 @@ sets report ``checked_to_depth`` instead of ``verified``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import UnknownClaim, Unrepresentable
@@ -287,34 +287,20 @@ def _tail_contains(n: int, p) -> bool:
 class SymbolicSpace:
     name: str
     set_class: str
-    leq: Callable  # specialization order on points
-    member: Callable  # point-in-representable-set
-
-
-def _t1_leq(p, q) -> bool:
-    return p == q
 
 
 SPACES = {
     "cofinite_nat": SymbolicSpace(
         name="cofinite_nat",
         set_class="finite/cofinite subsets of the naturals",
-        leq=_t1_leq,
-        member=lambda p, S: S.contains(p),
     ),
     "cocountable": SymbolicSpace(
         name="cocountable",
         set_class="countable/cocountable token sets over an uncountable carrier",
-        leq=_t1_leq,
-        member=lambda p, S: S.contains_token(p),
     ),
     "johnstone": SymbolicSpace(
         name="johnstone",
         set_class="principal upper sets and infinity-row tails",
-        leq=johnstone_leq,
-        member=lambda p, S: _tail_contains(S["tail"], p) if "tail" in S else any(
-            johnstone_leq(q, p) for q in S["upper"]
-        ),
     ),
 }
 
@@ -347,11 +333,6 @@ def _jpt(doc):
 @_fact("cofinite.open")
 def _f_cof_open(a):
     return _cof(a["set"]).is_open()
-
-
-@_fact("cofinite.closed")
-def _f_cof_closed(a):
-    return _cof(a["set"]).is_closed()
 
 
 @_fact("cofinite.difference_with_open_is_finite")
@@ -483,27 +464,6 @@ def _f_coc_residual(a):
     return not _coc(a["set"]).is_countable()
 
 
-@_fact("cocountable.fresh_tokens_on_demand")
-def _f_coc_fresh(a):
-    # tokens are generated on demand, so any cocountable set admits a
-    # countably infinite choice of points outside its countable complement
-    return not _coc(a["set"]).is_countable()
-
-
-@_fact("cocountable.filtered_least_member")
-def _f_coc_least(a):
-    fam = [frozenset(m) for m in a["family"]]
-    if not fam:
-        return False
-    for s in fam:
-        for t in fam:
-            if not any(u <= s and u <= t for u in fam):
-                return False
-    least = min(fam, key=len)
-    inter = frozenset.intersection(*fam)
-    return all(least <= s for s in fam) and least == inter
-
-
 @_fact("cocountable.least_member_witness")
 def _f_coc_witness(a):
     fam = [frozenset(m) for m in a["family"]]
@@ -567,15 +527,6 @@ def _f_j_tail_up(a):
     n, (j, k) = a["n"], _jpt(a["base"])
     probed = all(johnstone_leq((j, k), (m, INF)) for m in range(n, n + 4))
     return probed == (n >= k)
-
-
-@_fact("johnstone.tail_nested")
-def _f_j_nested(a):
-    n = a["n"]
-    return all(
-        (not _tail_contains(n + 1, (m, INF))) or _tail_contains(n, (m, INF))
-        for m in range(n + 4)
-    )
 
 
 @_fact("johnstone.tail_nonempty")
@@ -670,11 +621,9 @@ class CertificateReport:
         }
 
 
-def _run(space: str, claim: str, verdict, facts: list[dict]) -> CertificateReport:
-    for f in facts:
-        if not _FACTS[f["fact"]](f):
-            return CertificateReport(space, claim, "refuted", tuple(facts))
-    return CertificateReport(space, claim, verdict, tuple(facts))
+# the window size, and the token depth, of the two claims whose quantifiers
+# range over unrepresentable sets
+_DEPTH = 12
 
 
 def _c_cof_compacts() -> list[dict]:
@@ -787,16 +736,10 @@ def _c_coc_compacts() -> list[dict]:
     facts.append(
         {"fact": "cocountable.uncountable_residual", "set": tail_open(0).to_json()}
     )
-    facts.append(
-        {
-            "fact": "cocountable.fresh_tokens_on_demand",
-            "set": CocountableSet.of_tokens(1, 2).complement().to_json(),
-        }
-    )
     return facts
 
 
-def _c_coc_wf_not_sober() -> tuple[list[dict], int]:
+def _c_coc_wf_not_sober() -> list[dict]:
     facts = [
         {"fact": "cocountable.closed", "set": CocountableSet.of_tokens(0).to_json()},
         {"fact": "cocountable.closed", "set": CocountableSet.of_tokens(2, 5).to_json()},
@@ -816,22 +759,20 @@ def _c_coc_wf_not_sober() -> tuple[list[dict], int]:
             "expect": False,
         }
     )
-    depth = 12
     fams = [
         [[0, 1, 2], [1, 2], [2]],
         [[0, 1], [1, 2], [1]],
-        [list(range(depth)), list(range(1, depth)), list(range(2, depth))],
+        [list(range(_DEPTH)), list(range(1, _DEPTH)), list(range(2, _DEPTH))],
     ]
     for fam in fams:
-        facts.append({"fact": "cocountable.filtered_least_member", "family": fam})
         facts.append(
             {
                 "fact": "cocountable.least_member_witness",
                 "family": fam,
-                "open": CocountableSet.tail_from(depth).complement().to_json(),
+                "open": CocountableSet.tail_from(_DEPTH).complement().to_json(),
             }
         )
-    return facts, depth
+    return facts
 
 
 def _c_johnstone_tails() -> list[dict]:
@@ -864,60 +805,38 @@ def _c_johnstone_tails() -> list[dict]:
 def _c_johnstone_not_wf() -> list[dict]:
     facts = [{"fact": "claim_verified", "space": "johnstone", "claim": "tails_compact"}]
     for n in (0, 1, 4):
-        facts.append({"fact": "johnstone.tail_nested", "n": n})
         facts.append({"fact": "johnstone.tail_nonempty", "n": n})
     for p in ([0, "inf"], [3, "inf"], [2, 2], [7, 0]):
         facts.append({"fact": "johnstone.point_escapes_tails", "p": p})
     return facts
 
 
-def _c_johnstone_dcpo() -> tuple[list[dict], int]:
+def _c_johnstone_dcpo() -> list[dict]:
     facts = [
         {"fact": "johnstone.window_directed_classification", "j_max": 3, "k_max": 2},
         {"fact": "johnstone.window_directed_classification", "j_max": 2, "k_max": 3},
     ]
     for j in (0, 1, 3):
         facts.append(
-            {"fact": "johnstone.column_sup_unique_bound", "j": j, "j_max": 12, "k_max": 12}
+            {"fact": "johnstone.column_sup_unique_bound", "j": j, "j_max": _DEPTH, "k_max": _DEPTH}
         )
         facts.append(
-            {"fact": "johnstone.window_chain_closure", "j": j, "j_max": 12, "k_max": 12}
+            {"fact": "johnstone.window_chain_closure", "j": j, "j_max": _DEPTH, "k_max": _DEPTH}
         )
-    return facts, 12
+    return facts
 
 
-_CLAIMS: dict[tuple[str, str], Callable[[], CertificateReport]] = {
-    ("cofinite_nat", "K_is_all_nonempty"): lambda: _run(
-        "cofinite_nat", "K_is_all_nonempty", "verified", _c_cof_compacts()
-    ),
-    ("cofinite_nat", "irr_closed"): lambda: _run(
-        "cofinite_nat", "irr_closed", "verified", _c_cof_irr()
-    ),
-    ("cofinite_nat", "X_in_DR"): lambda: _run(
-        "cofinite_nat", "X_in_DR", "verified", _c_cof_rudin()
-    ),
-    ("cofinite_nat", "not_well_filtered"): lambda: _run(
-        "cofinite_nat", "not_well_filtered", "verified", _c_cof_not_wf()
-    ),
-    ("cocountable", "K_is_finite_sets"): lambda: _run(
-        "cocountable", "K_is_finite_sets", "verified", _c_coc_compacts()
-    ),
-    ("cocountable", "wf_not_sober"): lambda: (
-        lambda facts, depth: _run(
-            "cocountable", "wf_not_sober", {"checked_to_depth": depth}, facts
-        )
-    )(*_c_coc_wf_not_sober()),
-    ("johnstone", "tails_compact"): lambda: _run(
-        "johnstone", "tails_compact", "verified", _c_johnstone_tails()
-    ),
-    ("johnstone", "not_well_filtered"): lambda: _run(
-        "johnstone", "not_well_filtered", "verified", _c_johnstone_not_wf()
-    ),
-    ("johnstone", "is_dcpo_d_space"): lambda: (
-        lambda facts, depth: _run(
-            "johnstone", "is_dcpo_d_space", {"checked_to_depth": depth}, facts
-        )
-    )(*_c_johnstone_dcpo()),
+# (space, claim) -> (transcript builder, verdict when every fact holds)
+_CLAIMS: dict[tuple[str, str], tuple[Callable[[], list[dict]], object]] = {
+    ("cofinite_nat", "K_is_all_nonempty"): (_c_cof_compacts, "verified"),
+    ("cofinite_nat", "irr_closed"): (_c_cof_irr, "verified"),
+    ("cofinite_nat", "X_in_DR"): (_c_cof_rudin, "verified"),
+    ("cofinite_nat", "not_well_filtered"): (_c_cof_not_wf, "verified"),
+    ("cocountable", "K_is_finite_sets"): (_c_coc_compacts, "verified"),
+    ("cocountable", "wf_not_sober"): (_c_coc_wf_not_sober, {"checked_to_depth": _DEPTH}),
+    ("johnstone", "tails_compact"): (_c_johnstone_tails, "verified"),
+    ("johnstone", "not_well_filtered"): (_c_johnstone_not_wf, "verified"),
+    ("johnstone", "is_dcpo_d_space"): (_c_johnstone_dcpo, {"checked_to_depth": _DEPTH}),
 }
 
 
@@ -925,11 +844,13 @@ def verify_claim(space, claim: str) -> CertificateReport:
     name = space.name if isinstance(space, SymbolicSpace) else str(space)
     if name not in SPACES:
         raise UnknownClaim(f"unknown symbolic space {name!r}")
-    builder = _CLAIMS.get((name, claim))
-    if builder is None:
+    entry = _CLAIMS.get((name, claim))
+    if entry is None:
         registered = sorted(c for s, c in _CLAIMS if s == name)
         raise UnknownClaim(f"{name} has no claim {claim!r}; registered: {registered}")
-    return builder()
+    build, verdict = entry
+    rep = CertificateReport(name, claim, verdict, tuple(build()))
+    return rep if rep.revalidate() else replace(rep, verdict="refuted")
 
 
 def list_claims() -> list[tuple[str, str]]:

@@ -1,32 +1,43 @@
-"""Injected faults for the checkers, as a table of name -> injector.
+"""Injected faults for the checkers and the zoo, as tables of name -> injector.
 
 Each injector takes a pytest ``monkeypatch`` (or ``pytest.MonkeyPatch``)
 and replaces one kernel method, family predicate or checker helper by a
 faulty version, or corrupts every space built after it: the last two
-faults let ``FiniteSpace.__init__`` validate as usual and then rewrite the
-rows, so that the order is not antisymmetric or a closure row is not a
-down-set.  Spaces parsed after the injection see the fault in every
-memoized table they build, so a fault check parses its spaces afresh.
+faults of ``FAULTS`` let ``FiniteSpace.__init__`` validate as usual and
+then rewrite the rows, so that the order is not antisymmetric or a closure
+row is not a down-set.  Spaces parsed after the injection see the fault in
+every memoized table they build, so a fault check parses its spaces
+afresh.  ``ZOO_FAULTS`` holds one fault per branch or clause of the zoo's
+set algebra (``CofiniteSet``, ``CocountableSet`` with its ``_desc_*``
+helpers and ``_norm_tail``) and of the Johnstone order (``johnstone_leq``,
+``_tail_contains``, ``_johnstone_up_formula``), plus one per order
+comparison there that moves its bound by one.
 
 Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
 runs both characterization batteries on the fault corpus under no fault and
-under each fault, and writes the (space, system, battery) triples that
-disagree, raise or read false, so that two commits' fault detection can be
-diffed.  Under the ``"paths"`` key it writes the per-path kill table: for
-each path of each verdict ``check_all`` returns, the faults under which
-its value differs from its no-fault value, with the number of (space,
-system) pairs where it does; the row ``"(raise)"`` counts the pairs where
-the verdict raises instead.  The ``"conditions"`` key holds the same table
-for the battery conditions, keyed battery -> condition -> fault.
-``tests/test_checkers.py`` asserts on the classes of at most 3 points that
-every verdict path changes under some fault.
+under each fault of ``FAULTS``, and writes the (space, system, battery)
+triples that disagree, raise or read false, so that two commits' fault
+detection can be diffed.  Under the ``"paths"`` key it writes the per-path
+kill table: for each path of each verdict ``check_all`` returns, the faults
+under which its value differs from its no-fault value, with the number of
+(space, system) pairs where it does; the row ``"(raise)"`` counts the pairs
+where the verdict raises instead.  The ``"conditions"`` key holds the same
+table for the battery conditions, keyed battery -> condition -> fault, and
+the ``"facts"`` key the one for the zoo certificates, keyed fact kind ->
+fault -> number of transcript entries, over ``ZOO_FAULTS`` and ``FAULTS``
+(``fact_values``).  ``tests/test_checkers.py`` asserts on the classes of at
+most 3 points that every verdict path changes under some fault, and
+``tests/test_zoo.py`` that every zoo fact kind does.
 """
 import json
 import random
 
-from t0lab import check, checkers, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems
+import pytest
+
+from t0lab import check, checkers, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems, zoo
 from t0lab.spaces import FiniteSpace
 from t0lab.systems import BASE_IDS
+from t0lab.zoo import INF, CocountableSet as Coc, CofiniteSet as Cof
 
 _SWAP_CD = {"C": "D", "D": "C"}
 
@@ -111,6 +122,129 @@ FAULTS = {
     "box_mask empty": lambda mp: mp.setattr(powers.SmythSpace, "box_mask", lambda S, U: 0),
     "rows not antisymmetric": _corrupt_rows(_not_antisymmetric),
     "closure row not a down-set": _corrupt_rows(_closure_not_down),
+}
+
+
+def _set(owner, name, faulty):
+    return lambda mp: mp.setattr(owner, name, faulty)
+
+
+def _branch(owner, name, taken, edit):
+    """A fault in one branch of ``owner.name``: where ``taken(*args)``
+    holds, its value v becomes ``edit(v, *args)``."""
+    return lambda mp: _wrap(mp, owner, name, lambda f, *a: edit(f(*a), *a) if taken(*a) else f(*a))
+
+
+def _always(*args):
+    return True
+
+
+# one fault per branch or clause of the zoo's set algebra and Johnstone
+# order, plus one per order comparison that moves its bound by one; the
+# facts also read the kernel, so ``fact_values`` runs FAULTS too
+ZOO_FAULTS = {
+    "CofiniteSet.contains ignores the flag": _set(Cof, "contains", lambda A, n: n in A.members),
+    "CofiniteSet.is_empty ignores the flag": _set(Cof, "is_empty", lambda A: not A.members),
+    "CofiniteSet.complement identity": _set(Cof, "complement", lambda A: A),
+    "CofiniteSet.union of finites meets": _branch(
+        Cof, "union", lambda A, B: A.finite and B.finite, lambda v, A, B: Cof(True, A.members & B.members)),
+    "CofiniteSet.union of cofinites joins the complements": _branch(
+        Cof, "union", lambda A, B: not (A.finite or B.finite), lambda v, A, B: Cof(False, A.members | B.members)),
+    "CofiniteSet.union of mixed keeps the cofinite side": _branch(
+        Cof, "union", lambda A, B: A.finite != B.finite, lambda v, A, B: B if A.finite else A),
+    "CofiniteSet.intersect is union": _set(Cof, "intersect", lambda A, B: A.union(B)),
+    "CofiniteSet.minus ignores its argument": _set(Cof, "minus", lambda A, B: A),
+    "CofiniteSet.subset_of accepts all": _set(Cof, "subset_of", _always),
+    "CofiniteSet.is_open misses the empty set": _set(Cof, "is_open", lambda A: not A.finite),
+    "CofiniteSet.is_open only the empty set": _set(Cof, "is_open", lambda A: A.is_empty()),
+    "CofiniteSet.is_open accepts all": _set(Cof, "is_open", _always),
+    "CofiniteSet.is_closed misses finite sets": _set(Cof, "is_closed", lambda A: not (A.finite or A.members)),
+    "CofiniteSet.is_closed misses the whole set": _set(Cof, "is_closed", lambda A: A.finite),
+    "CofiniteSet.is_closed accepts all": _set(Cof, "is_closed", _always),
+    "CocountableSet.complement identity": _set(Coc, "complement", lambda S: S),
+    "CocountableSet.contains_token ignores extras": _set(
+        Coc, "contains_token", lambda S, k: (S.tail is not None and k >= S.tail) == S.small),
+    "CocountableSet.contains_token ignores the tail": _set(
+        Coc, "contains_token", lambda S, k: (k in S.extras) == S.small),
+    "CocountableSet.contains_token tail bound off by one": _set(
+        Coc, "contains_token", lambda S, k: (k in S.extras or (S.tail is not None and k > S.tail)) == S.small),
+    "CocountableSet.is_empty ignores the tail": _set(Coc, "is_empty", lambda S: S.small and not S.extras),
+    "CocountableSet.is_countable accepts all": _set(Coc, "is_countable", _always),
+    "CocountableSet.is_open misses the empty set": _set(Coc, "is_open", lambda S: not S.small),
+    "CocountableSet.is_open only the empty set": _set(Coc, "is_open", lambda S: S.is_empty()),
+    "CocountableSet.is_open accepts all": _set(Coc, "is_open", _always),
+    "CocountableSet.is_closed misses countable sets": _set(
+        Coc, "is_closed", lambda S: not S.extras and S.tail is None and not S.small),
+    "CocountableSet.is_closed misses the whole set": _set(Coc, "is_closed", lambda S: S.small),
+    "CocountableSet.is_closed accepts all": _set(Coc, "is_closed", _always),
+    "CocountableSet._desc_union meets the extras": _branch(
+        Coc, "_desc_union", _always, lambda v, S, T: (S.extras & T.extras, v[1])),
+    "CocountableSet._desc_union takes the later tail": _branch(
+        Coc, "_desc_union", lambda S, T: None not in (S.tail, T.tail), lambda v, S, T: (v[0], max(S.tail, T.tail))),
+    "CocountableSet._desc_intersect drops the common extras": _branch(
+        Coc, "_desc_intersect", _always, lambda v, S, T: (v[0] - (S.extras & T.extras), v[1])),
+    "CocountableSet._desc_intersect drops its extras in the other's tail": _branch(
+        Coc, "_desc_intersect", lambda S, T: T.tail is not None,
+        lambda v, S, T: (v[0] - {i for i in S.extras - T.extras if i >= T.tail}, v[1])),
+    "CocountableSet._desc_intersect drops the other's extras in its tail": _branch(
+        Coc, "_desc_intersect", lambda S, T: S.tail is not None,
+        lambda v, S, T: (v[0] - {i for i in T.extras - S.extras if i >= S.tail}, v[1])),
+    "CocountableSet._desc_intersect other's tail bound off by one": _branch(
+        Coc, "_desc_intersect", lambda S, T: T.tail is not None,
+        lambda v, S, T: (v[0] - ({T.tail} & (S.extras - T.extras)), v[1])),
+    "CocountableSet._desc_intersect own tail bound off by one": _branch(
+        Coc, "_desc_intersect", lambda S, T: S.tail is not None,
+        lambda v, S, T: (v[0] - ({S.tail} & (T.extras - S.extras)), v[1])),
+    "CocountableSet._desc_intersect of two tails takes the earlier": _branch(
+        Coc, "_desc_intersect", lambda S, T: None not in (S.tail, T.tail), lambda v, S, T: (v[0], min(S.tail, T.tail))),
+    "CocountableSet._desc_minus keeps its extras in the other's tail": _branch(
+        Coc, "_desc_minus", lambda S, T: T.tail is not None,
+        lambda v, S, T: (v[0] | {i for i in S.extras - T.extras if i >= T.tail}, v[1])),
+    "CocountableSet._desc_minus other's tail bound off by one": _branch(
+        Coc, "_desc_minus", lambda S, T: T.tail is not None,
+        lambda v, S, T: (v[0] | ({T.tail} & (S.extras - T.extras)), v[1])),
+    "CocountableSet._desc_minus without a tail subtracts nothing": _branch(
+        Coc, "_desc_minus", lambda S, T: S.tail is None, lambda v, S, T: (S.extras, None)),
+    "CocountableSet._desc_minus of a tail cuts no holes": _branch(
+        Coc, "_desc_minus", lambda S, T: S.tail is not None and T.tail is None, lambda v, S, T: (v[0], S.tail)),
+    "CocountableSet._desc_minus of two tails drops the gap": _branch(
+        Coc, "_desc_minus", lambda S, T: None not in (S.tail, T.tail),
+        lambda v, S, T: (v[0] - set(range(S.tail, T.tail)), None)),
+    "CocountableSet.union of countables meets": _branch(
+        Coc, "union", lambda S, T: S.small and T.small, lambda v, S, T: Coc(True, *S._desc_intersect(T))),
+    "CocountableSet.union of cocountables joins the complements": _branch(
+        Coc, "union", lambda S, T: not (S.small or T.small), lambda v, S, T: Coc(False, *S._desc_union(T))),
+    "CocountableSet.union of mixed keeps the cocountable side": _branch(
+        Coc, "union", lambda S, T: S.small != T.small, lambda v, S, T: T if S.small else S),
+    "CocountableSet.intersect is union": _set(Coc, "intersect", lambda S, T: S.union(T)),
+    "CocountableSet.minus ignores its argument": _set(Coc, "minus", lambda S, T: S),
+    "CocountableSet.subset_of accepts all": _set(Coc, "subset_of", _always),
+    "_norm_tail keeps the tail": _branch(
+        zoo, "_norm_tail", lambda e, t: t is not None, lambda v, e, t: (frozenset(i for i in e if i < t), t)),
+    "_norm_tail keeps extras past the tail": _branch(zoo, "_norm_tail", _always, lambda v, e, t: (e, v[1])),
+    "johnstone_leq drops the column clause": _set(
+        zoo, "johnstone_leq", lambda p, q: q[1] == INF and p[1] <= q[0]),
+    "johnstone_leq drops the infinity clause": _set(
+        zoo, "johnstone_leq", lambda p, q: p[0] == q[0] and p[1] <= q[1]),
+    "johnstone_leq column clause ignores the rows": _set(
+        zoo, "johnstone_leq", lambda p, q: p[0] == q[0] or (q[1] == INF and p[1] <= q[0])),
+    "johnstone_leq infinity clause ignores the column": _set(
+        zoo, "johnstone_leq", lambda p, q: (p[0] == q[0] and p[1] <= q[1]) or q[1] == INF),
+    "johnstone_leq column bound off by one": _set(
+        zoo, "johnstone_leq", lambda p, q: (p[0] == q[0] and p[1] < q[1]) or (q[1] == INF and p[1] <= q[0])),
+    "johnstone_leq infinity bound off by one": _set(
+        zoo, "johnstone_leq", lambda p, q: (p[0] == q[0] and p[1] <= q[1]) or (q[1] == INF and p[1] < q[0])),
+    "_tail_contains ignores the row": _set(zoo, "_tail_contains", lambda n, p: p[0] >= n),
+    "_tail_contains ignores the column": _set(zoo, "_tail_contains", lambda n, p: p[1] == INF),
+    "_tail_contains row bound off by one": _set(zoo, "_tail_contains", lambda n, p: p[1] == INF and p[0] > n),
+    "_johnstone_up_formula drops the column": _branch(
+        zoo, "_johnstone_up_formula", _always, lambda v, p, jm, km: {q for q in v if q[1] == INF and q[0] >= p[1]}),
+    "_johnstone_up_formula drops the infinity row": _branch(
+        zoo, "_johnstone_up_formula", _always, lambda v, p, jm, km: {q for q in v if q[0] == p[0]}),
+    "_johnstone_up_formula column bound off by one": _branch(
+        zoo, "_johnstone_up_formula", _always, lambda v, p, jm, km: v - {p}),
+    "_johnstone_up_formula infinity bound off by one": _branch(
+        zoo, "_johnstone_up_formula", lambda p, jm, km: p[0] != p[1], lambda v, p, jm, km: v - {(p[1], INF)}),
 }
 
 
@@ -218,10 +352,39 @@ def kill_table(base: dict, faulty: dict[str, dict]) -> dict:
     return table
 
 
+def fact_values() -> tuple[dict, dict[str, dict]]:
+    """The value of every fact of every zoo claim's transcript, by (claim,
+    "facts", position, fact kind), with no fault and under each fault of
+    ZOO_FAULTS and FAULTS: the two arguments of ``kill_table``, whose
+    ``"facts"`` entry is then fact kind -> fault -> count.  The transcripts
+    are built once with no fault; a fact that raises reads "raise".  Each
+    evaluation gets a fresh truncation cache, so that a window built under
+    a faulty order does not leak into another."""
+    transcripts = {f"{s}.{c}": zoo.verify_claim(s, c).transcript for s, c in zoo.list_claims()}
+
+    def values():
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zoo, "_TRUNC_CACHE", {})
+            for claim, transcript in transcripts.items():
+                for pos, fact in enumerate(transcript):
+                    try:
+                        value = zoo._FACTS[fact["fact"]](fact)
+                    except Exception:
+                        value = "raise"
+                    out[claim, "facts", pos, fact["fact"]] = value
+        return out
+
+    faulty = {}
+    for name, inject in (ZOO_FAULTS | FAULTS).items():
+        with pytest.MonkeyPatch.context() as mp:
+            inject(mp)
+            faulty[name] = values()
+    return values(), faulty
+
+
 if __name__ == "__main__":
     import sys
-
-    import pytest
 
     docs = corpus_docs()
     conditions = condition_values(docs)
@@ -235,6 +398,7 @@ if __name__ == "__main__":
             faulty_paths[name] = path_values(docs)
     report["paths"] = kill_table(path_values(docs), faulty_paths)
     report["conditions"] = kill_table(conditions, faulty_conditions)
+    report["facts"] = kill_table(*fact_values())["facts"]
     with open(sys.argv[1], "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

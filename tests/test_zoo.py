@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mutants
+from t0lab import zoo
 from t0lab.errors import UnknownClaim, Unrepresentable
 from t0lab.zoo import (
     INF,
@@ -206,6 +208,25 @@ def test_every_claim_verifies_and_revalidates():
         doc = rep.to_json()
         json.dumps(doc)
         assert doc["claim"] == claim
+
+
+@pytest.mark.parametrize("space,claim", list_claims())
+def test_a_false_fact_refutes_its_claim(monkeypatch, space, claim):
+    kind = verify_claim(space, claim).transcript[-1]["fact"]
+    monkeypatch.setitem(zoo._FACTS, kind, lambda fact: False)
+    rep = verify_claim(space, claim)
+    assert rep.verdict == "refuted"
+    assert not rep.revalidate()
+
+
+def test_every_zoo_fact_kills_some_fault():
+    # a fact that no fault of the set algebra, the Johnstone order or the
+    # kernel can change certifies nothing; each registered kind appears in
+    # some transcript and must change under some fault
+    table = mutants.kill_table(*mutants.fact_values())["facts"]
+    assert set(table) == set(zoo._FACTS)
+    empty = [kind for kind, row in table.items() if not row]
+    assert empty == [], empty
 
 
 def test_symbolic_space_objects_are_accepted():
