@@ -236,7 +236,7 @@ def _sweep_one(X, config, rng) -> list[str]:
         fam = systems.sample_family(rng, X, X.nonempty_upsets(), 0 if core == "S" else 3, core == "C")
         if not systems.h_family_member(H, X, fam):
             continue
-        mins = systems.m_family(X, fam, cap=config.caps.m_family)
+        mins = systems.m_family(X, fam, config)
         for A in mins[:2]:
             m = systems.rudin_minimal(X, fam, A)
             if m not in mins:
@@ -245,7 +245,7 @@ def _sweep_one(X, config, rng) -> list[str]:
                 bad.append(f"cut family left the system for {core}")
         if core == "R":
             for A in mins[:2]:
-                if not systems.property_q_instance(H, X, fam, A, cap=config.caps.m_family):
+                if not systems.property_q_instance(H, X, fam, A, config):
                     bad.append("no closed irreducible subset stayed minimal")
     refl = construct.reflect(X, "R", "h_sobrification", config)
     if refl.iso is None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    CapExceeded,
     ContinuityError,
     DuplicateLabel,
     EmptyMember,
@@ -108,6 +107,17 @@ def mask_of_indices(idxs: Iterable[int]) -> int:
     return m
 
 
+def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    """The labels as a tuple, checked nonempty and free of duplicates."""
+    labels = tuple(labels)
+    if not labels:
+        raise MalformedDocument("a space needs at least one point")
+    if len(set(labels)) != len(labels):
+        dupes = sorted({l for l in labels if labels.count(l) > 1})
+        raise DuplicateLabel(f"duplicate point labels: {dupes}")
+    return labels
+
+
 class FiniteSpace:
     """A finite T0 space, stored as its specialization poset.
 
@@ -122,14 +132,9 @@ class FiniteSpace:
     )
 
     def __init__(self, labels: Sequence[str], up: Sequence[int]):
-        labels = tuple(labels)
+        labels = _checked_labels(labels)
         up = tuple(up)
         n = len(labels)
-        if n == 0:
-            raise MalformedDocument("a space needs at least one point")
-        if len(set(labels)) != n:
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise DuplicateLabel(f"duplicate point labels: {dupes}")
         if len(up) != n:
             raise MalformedDocument("order table size does not match labels")
         full = (1 << n) - 1
@@ -230,12 +235,7 @@ class FiniteSpace:
         up-set family of its own specialization order (every finite space
         determines and is determined by that order).
         """
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise DuplicateLabel(f"duplicate point labels: {dupes}")
-        if not labels:
-            raise MalformedDocument("a space needs at least one point")
+        labels = _checked_labels(labels)
         index = {l: i for i, l in enumerate(labels)}
         n = len(labels)
         full = (1 << n) - 1
@@ -362,14 +362,12 @@ class FiniteSpace:
 
     # -- family enumeration ---------------------------------------------
 
-    def downsets(self, cap: int | None = None) -> list[int]:
+    def downsets(self) -> list[int]:
         """All down-sets (closed sets), sorted by (size, mask).
 
         Output-sensitive: built over a linear extension, so cost is
-        O(#downsets * n), never 2^n.  ``cap`` guards the carrier size.
+        O(#downsets * n), never 2^n.
         """
-        if cap is not None and self.n > cap:
-            raise CapExceeded(f"downset listing needs carrier <= {cap}, got {self.n}")
         return self.memo("downsets", self._downsets)
 
     def _downsets(self) -> list[int]:
@@ -381,19 +379,19 @@ class FiniteSpace:
             ideals += [I | bit for I in ideals if need & ~I == 0]
         return sorted(ideals, key=lambda m: (m.bit_count(), m))
 
-    def upsets(self, cap: int | None = None) -> list[int]:
+    def upsets(self) -> list[int]:
         """All up-sets (opens), sorted by (size, mask); one shared list."""
-        downs = self.downsets(cap)
+        downs = self.downsets()
         full = self.full
         return self.memo("upsets", lambda: sorted((full ^ d for d in downs), key=lambda m: (m.bit_count(), m)))
 
-    def nonempty_upsets(self, cap: int | None = None) -> list[int]:
-        return [u for u in self.upsets(cap) if u]
+    def nonempty_upsets(self) -> list[int]:
+        return [u for u in self.upsets() if u]
 
-    def irr_downsets(self, cap: int | None = None) -> list[int]:
+    def irr_downsets(self) -> list[int]:
         """Irreducible closed sets; on a finite space these are exactly the
         point closures, but they are computed honestly from the criterion."""
-        downs = self.downsets(cap)
+        downs = self.downsets()
         return self.memo("irr_downsets", lambda: [d for d in downs if d and self.top_of(d) is not None])
 
     # -- memo ------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .config import DEFAULT, RunConfig
 from .errors import (
     CapExceeded,
     EmptyFamily,
@@ -216,15 +217,23 @@ def h_member(H, X: FiniteSpace, A) -> bool:
     return _member(_core_of(H), X, m)
 
 
-def h_closed_members(X: FiniteSpace, H, cap: int | None = 14) -> list[int]:
-    """Masks of H_c(X): the closed sets that are H-sets.
+def _downsets(X: FiniteSpace, cap: int) -> list[int]:
+    """``X.downsets()``, for a carrier of at most ``cap`` points."""
+    if X.n > cap:
+        raise CapExceeded(f"downset listing needs carrier <= {cap}, got {X.n}")
+    return X.downsets()
+
+
+def h_closed_members(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> list[int]:
+    """Masks of H_c(X): the closed sets that are H-sets, on a carrier of at
+    most ``caps.family_listing`` points.
 
     These are not the closures of H-sets in general: for S on the chain
     a < b < c the only closed member is {a}, while the closures of the
     members are {a}, {a,b} and {a,b,c}.
     """
     core = _core_of(as_system(H))
-    return [d for d in X.downsets(cap) if d and _member(core, X, d)]
+    return [d for d in _downsets(X, config.caps.family_listing) if d and _member(core, X, d)]
 
 
 # -- membership: families of compact saturated sets -----------------------
@@ -314,10 +323,11 @@ def meets_all(X: FiniteSpace, family, C) -> bool:
     return all(cm & k for k in masks)
 
 
-def m_family(X: FiniteSpace, family, cap: int | None = 12) -> list[ClosedSet]:
-    """Minimal closed sets meeting every member of the family."""
+def m_family(X: FiniteSpace, family, config: RunConfig = DEFAULT) -> list[ClosedSet]:
+    """Minimal closed sets meeting every member of the family, on a carrier
+    of at most ``caps.m_family`` points."""
     masks = family_masks(X, family)
-    members = [d for d in X.downsets(cap) if all(d & k for k in masks)]
+    members = [d for d in _downsets(X, config.caps.m_family) if all(d & k for k in masks)]
     # members is sorted by (size, mask); a member is minimal iff no
     # strictly smaller member is a subset of it
     out = []
@@ -432,9 +442,10 @@ def property_m_instance(H, X: FiniteSpace, family, A) -> bool:
     return h_family_member(H, X, derived)
 
 
-def property_q_instance(H, X: FiniteSpace, family, A, cap: int | None = 12) -> bool:
+def property_q_instance(H, X: FiniteSpace, family, A, config: RunConfig = DEFAULT) -> bool:
     """Given an H-family and a closed set A meeting every member, does A
-    contain a *closed H-set* that still meets every member?"""
+    contain a *closed H-set* that still meets every member?  A may have at
+    most ``caps.m_family`` points."""
     H = as_system(H)
     masks = family_masks(X, family)
     am = _as_mask(X, A)
@@ -444,7 +455,8 @@ def property_q_instance(H, X: FiniteSpace, family, A, cap: int | None = 12) -> b
         raise PreconditionViolated("the family is not an H-family")
     if not all(am & k for k in masks):
         raise NotInM("A does not meet every member of the family")
-    if am.bit_count() > (cap if cap is not None else am.bit_count()):
+    cap = config.caps.m_family
+    if am.bit_count() > cap:
         raise CapExceeded(f"property Q search needs |A| <= {cap}")
     # closed subsets of A are the down-sets of the induced poset on A
     sub = X.subspace(am)
@@ -477,18 +489,20 @@ def _sup_of(X: FiniteSpace, m: int) -> int | None:
     return None
 
 
-def scott_h_open(H, X: FiniteSpace, U, cap: int | None = 14) -> bool:
+def scott_h_open(H, X: FiniteSpace, U, config: RunConfig = DEFAULT) -> bool:
     """Is U open in the Scott-style system for H?
 
     Two clauses: U is an up-set, and whenever an H-set has a least upper
     bound lying in U, the set already meets U.  The H-set quantifier is
-    enumerated, so the carrier must fit under ``cap``.
+    enumerated over all 2^n subsets, so the carrier must fit under
+    ``caps.subset_enum``.
     """
     H = as_system(H)
     um = _as_mask(X, U)
     if not X.is_up(um):
         return False
-    if cap is not None and X.n > cap:
+    cap = config.caps.subset_enum
+    if X.n > cap:
         raise CapExceeded(f"Scott-open check enumerates subsets; needs carrier <= {cap}")
     core = _core_of(H)
     for m in range(1, X.full + 1):
@@ -500,10 +514,11 @@ def scott_h_open(H, X: FiniteSpace, U, cap: int | None = 14) -> bool:
     return True
 
 
-def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, cap: int | None = 14) -> bool:
+def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, config: RunConfig = DEFAULT) -> bool:
     """Does the point map preserve all existing least upper bounds of
     H-sets?  ``mapping`` is a dict of labels, a label list, or an index
-    table; monotonicity is not assumed.
+    table; monotonicity is not assumed.  The H-sets are enumerated over all
+    2^n subsets, so the source must fit under ``caps.subset_enum``.
     """
     H = as_system(H)
     if isinstance(mapping, dict):
@@ -512,7 +527,8 @@ def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, cap: int | No
         table = [Y.index(v) if isinstance(v, str) else int(v) for v in mapping]
     if len(table) != X.n or any(not 0 <= v < Y.n for v in table):
         raise UsageError("mapping does not cover the source carrier")
-    if cap is not None and X.n > cap:
+    cap = config.caps.subset_enum
+    if X.n > cap:
         raise CapExceeded(f"Scott-continuity check enumerates subsets; needs carrier <= {cap}")
     core = _core_of(H)
     for m in range(1, X.full + 1):

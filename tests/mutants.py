@@ -1,4 +1,5 @@
-"""Injected faults for the checkers and the zoo, as tables of name -> injector.
+"""Injected faults for the checkers, the zoo and the constructions, as tables
+of name -> injector.
 
 Each injector takes a pytest ``monkeypatch`` (or ``pytest.MonkeyPatch``)
 and replaces one kernel method, family predicate or checker helper by a
@@ -11,7 +12,10 @@ afresh.  ``ZOO_FAULTS`` holds one fault per branch or clause of the zoo's
 set algebra (``CofiniteSet``, ``CocountableSet`` with its ``_desc_*``
 helpers and ``_norm_tail``) and of the Johnstone order (``johnstone_leq``,
 ``_tail_contains``, ``_johnstone_up_formula``), plus one per order
-comparison there that moves its bound by one.
+comparison there that moves its bound by one.  ``CONSTRUCT_FAULTS`` holds
+one fault in each function that builds a value a construction of
+``powers`` or ``construct`` returns, and none in code that only a
+certificate reads.
 
 Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
 runs both characterization batteries on the fault corpus under no fault and
@@ -25,17 +29,31 @@ where the verdict raises instead.  The ``"conditions"`` key holds the same
 table for the battery conditions, keyed battery -> condition -> fault, and
 the ``"facts"`` key the one for the zoo certificates, keyed fact kind ->
 fault -> number of transcript entries, over ``ZOO_FAULTS`` and ``FAULTS``
-(``fact_values``).  ``tests/test_checkers.py`` asserts on the classes of at
-most 3 points that every verdict path changes under some fault, and
-``tests/test_zoo.py`` that every zoo fact kind does.
+(``fact_values``).  The ``"certificates"`` key holds, for each
+``InternalError`` and ``NoHomeomorphism`` site of ``spaces``, ``systems``,
+``powers`` and ``construct``, the faults of ``FAULTS`` and
+``CONSTRUCT_FAULTS`` under which it is the first to raise, with the number
+of construction calls where it is (``certificate_values``).
+``tests/test_checkers.py`` asserts on the classes of at most 3 points that
+every verdict path changes under some fault, ``tests/test_zoo.py`` that
+every zoo fact kind does, and ``tests/test_construct.py`` that every
+certificate site but two named ones is the first to raise under one.
 """
+import ast
+import inspect
 import json
 import random
+import re
 
 import pytest
 
-from t0lab import check, checkers, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space, systems, zoo
-from t0lab.spaces import FiniteSpace
+from t0lab import (
+    check, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers,
+    random_space, spaces, systems, zoo,
+)
+from t0lab.config import Caps, RunConfig
+from t0lab.errors import InternalError, NoHomeomorphism
+from t0lab.spaces import FiniteSpace, SpaceMap
 from t0lab.systems import BASE_IDS
 from t0lab.zoo import INF, CocountableSet as Coc, CofiniteSet as Cof
 
@@ -43,9 +61,9 @@ _SWAP_CD = {"C": "D", "D": "C"}
 
 
 def _wrap(mp, owner, name, faulty):
-    """Replace ``owner.name`` by ``faulty(original, *args)``."""
+    """Replace ``owner.name`` by ``faulty(original, *args, **kwargs)``."""
     original = getattr(owner, name)
-    mp.setattr(owner, name, lambda *args: faulty(original, *args))
+    mp.setattr(owner, name, lambda *args, **kwargs: faulty(original, *args, **kwargs))
 
 
 def _any_maximal(X, m):
@@ -248,6 +266,69 @@ ZOO_FAULTS = {
 }
 
 
+def _during(owner, name, patch):
+    """A fault that is live only while ``owner.name`` runs: each call first
+    applies ``patch(mp, *args)`` to a fresh ``MonkeyPatch``, and undoes it
+    on return."""
+
+    def call(original, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp, *args)
+            return original(*args, **kwargs)
+
+    return lambda mp: _wrap(mp, owner, name, call)
+
+
+def _constant_unit(unit, X, space, table, *rest):
+    return unit(X, space, (table[0],) * len(table), *rest)
+
+
+def _without_highest(mask):
+    return spaces.bits(mask & ~(1 << mask.bit_length() - 1) if mask & (mask - 1) else mask)
+
+
+def _first_factor_discrete(mp, X, Y, *rest):
+    # each row keeps only the points of its own X-block
+    block = (1 << Y.n) - 1
+    _wrap(mp, construct, "FiniteSpace",
+          lambda cls, labels, up: cls(labels, [r & (block << p // Y.n * Y.n) for p, r in enumerate(up)]))
+
+
+def _with_full(hoare, X, which, config):
+    carrier = X.irr_downsets() if which == "irr_closed" else which
+    return hoare(X, [*carrier, X.full], config)
+
+
+def _constant_extension(extend, refl, f, config):
+    g = extend(refl, f, config)
+    return SpaceMap(g.source, g.target, (g.table[0],) * len(g.table))
+
+
+# one fault in each function that builds a value a construction returns,
+# and none in code that only a certificate reads
+CONSTRUCT_FAULTS = {
+    "_inclusion_space ignores reverse": lambda mp: _wrap(
+        mp, powers, "_inclusion_space", lambda f, X, carrier, reverse: f(X, carrier, reverse=not reverse)),
+    "diamond_mask empty": _set(powers.HoareSpace, "diamond_mask", lambda H, U: 0),
+    "_lift skips the hull": lambda mp: _wrap(
+        mp, powers, "_lift", lambda lift, f, PX, PY, hull, *rest: lift(f, PX, PY, lambda m: m, *rest)),
+    "smyth_union misses the last member": _during(
+        powers, "smyth_union", lambda mp, *a: mp.setattr(powers, "bits", _without_highest)),
+    "xi_embed table constant": _during(
+        powers, "xi_embed", lambda mp, *a: _wrap(mp, powers, "_unit", _constant_unit)),
+    "hoare_eta table constant": _during(
+        powers, "hoare_eta", lambda mp, *a: _wrap(mp, powers, "_unit", _constant_unit)),
+    "phi ignores its compact": lambda mp: _wrap(mp, powers, "phi", lambda f, X, K: f(X, X.full)),
+    "product rows drop the first factor's order": _during(construct, "product", _first_factor_discrete),
+    "continuous_maps drops the last map": lambda mp: _wrap(
+        mp, construct, "continuous_maps", lambda f, *a: f(*a)[:-1]),
+    "_extend_along_unit constant": lambda mp: _wrap(mp, construct, "_extend_along_unit", _constant_extension),
+    "reflect's carrier gains the whole space": _during(
+        construct, "reflect", lambda mp, *a: _wrap(mp, powers, "hoare", _with_full)),
+    "pair_index swaps the factors": _set(construct.Product, "pair_index", lambda P, i, j: j * P.factors[0].n + i),
+}
+
+
 def corpus_docs() -> list[dict]:
     """The 24 classes of at most 4 points and 8 seeded spaces of up to 7."""
     docs = [X.to_doc() for n in range(1, 5) for X in enumerate_posets(n)]
@@ -383,6 +464,97 @@ def fact_values() -> tuple[dict, dict[str, dict]]:
     return values(), faulty
 
 
+_CERTIFICATES = (InternalError, NoHomeomorphism)
+
+
+def certificate_sites() -> dict[str, re.Pattern]:
+    """Every ``raise InternalError(...)`` and ``raise NoHomeomorphism(...)``
+    in ``spaces``, ``systems``, ``powers`` and ``construct``, keyed by its
+    message with each f-string field kept as ``{expr}``, to a pattern that
+    the messages it raises match."""
+    names = {c.__name__ for c in _CERTIFICATES}
+    sites = {}
+    for module in (spaces, systems, powers, construct):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) in names):
+                continue
+            (msg,) = node.exc.args
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            key = "".join(p.value if isinstance(p, ast.Constant) else "{" + ast.unparse(p.value) + "}" for p in parts)
+            if key in sites:
+                raise ValueError(f"two certificate sites raise {key!r}")
+            sites[key] = re.compile("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".*" for p in parts))
+    return sites
+
+
+def _construction_corpus(attempt) -> None:
+    """Run every construction on the classes of at most 3 points, parsed
+    afresh; ``attempt(fn, *args)`` makes each call and returns its value, or
+    None when it raises."""
+    base = [parse_space(X.to_doc()) for n in range(1, 4) for X in enumerate_posets(n)]
+    refl = []
+    for X in base:
+        attempt(powers.smyth_union, X)
+        for m in range(1, X.full + 1):
+            attempt(spaces.chain_core, X, m)
+            for core in "SCDR":
+                attempt(systems.rudin_witness, core, X, m)
+        ks = attempt(X.nonempty_upsets) or []
+        for i, a in enumerate(ks):
+            for b in ks[i:]:
+                attempt(powers.filter_of_family, X, [a, b])
+                for which in ("intersection", "sup", "closure_intersection", "least"):
+                    attempt(powers.family_calculus, X, [a, b], which)
+        attempt(powers.hofmann_mislove_report, X)
+        # above caps.family_listing the carrier is built from the point closures
+        attempt(construct.reflect, X, "R", "h_sobrification", RunConfig(caps=Caps(family_listing=0)))
+        refl.append(attempt(construct.reflect, X, "R"))
+    for X, rX in zip(base, refl):
+        for Y, rY in zip(base, refl):
+            for f in attempt(construct.continuous_maps, X, Y) or []:
+                attempt(powers.smyth_map, f)
+                attempt(powers.hoare_map, f, "closed")
+                attempt(powers.hoare_map, f, "irr_closed")
+                if rX and rY:
+                    attempt(construct.reflection_functor, rX, rY, f)
+            if rX:
+                attempt(construct.universal_property_verify, rX, Y)
+    # the product is symmetric, so each unordered pair is built once
+    for i, X in enumerate(base):
+        for Y in base[i:]:
+            attempt(construct.product_preservation, X, Y)
+
+
+def certificate_values() -> dict:
+    """site -> fault -> the number of corpus calls that this certificate
+    site is the first to raise in, with no fault ("no fault") and under
+    each fault of FAULTS and CONSTRUCT_FAULTS; every site of
+    ``certificate_sites`` has a row."""
+    sites = certificate_sites()
+    table = {key: {} for key in sites}
+
+    def run(fault):
+        def attempt(fn, *args):
+            try:
+                return fn(*args)
+            except _CERTIFICATES as e:
+                row = table[next(k for k, p in sites.items() if p.fullmatch(str(e)))]
+                row[fault] = row.get(fault, 0) + 1
+            except Exception:
+                pass
+            return None
+
+        _construction_corpus(attempt)
+
+    run("no fault")
+    for name, inject in (FAULTS | CONSTRUCT_FAULTS).items():
+        with pytest.MonkeyPatch.context() as mp:
+            inject(mp)
+            run(name)
+    return table
+
+
 if __name__ == "__main__":
     import sys
 
@@ -399,6 +571,7 @@ if __name__ == "__main__":
     report["paths"] = kill_table(path_values(docs), faulty_paths)
     report["conditions"] = kill_table(conditions, faulty_conditions)
     report["facts"] = kill_table(*fact_values())["facts"]
+    report["certificates"] = certificate_values()
     with open(sys.argv[1], "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mutants
 import oracles
 from t0lab import (
     construct,
@@ -287,7 +288,7 @@ def test_reflection_functor_laws(sier, diamond, anti3):
 
 def test_product_preservation(sier, diamond):
     rep = product_preservation(sier, diamond, "R")
-    assert rep["ok"] and rep["carrier_decomposes"]
+    assert rep["ok"]
     assert rep["reflection_points"] == sier.n * diamond.n
     assert rep["iso"].is_order_embedding()
 
@@ -325,3 +326,21 @@ def test_product_map_failing_its_certificate_raises(sier, diamond, monkeypatch):
     with pytest.raises(NoHomeomorphism, match=r"A -> \(cl pi1 A, cl pi2 A\)"):
         product_preservation(sier, diamond, "R")
     assert len(calls) == 2
+
+
+# -- certificates ------------------------------------------------------------
+
+
+def test_every_construction_certificate_kills_some_fault():
+    # a run-time certificate that no injected fault makes the first to
+    # raise certifies nothing; none raises with no fault
+    table = mutants.certificate_values()
+    assert [site for site, row in table.items() if "no fault" in row] == []
+    exempt = {
+        # homeomorphic is the tests' reference implementation
+        "backtracked isomorphism is not an order embedding",
+        # the only check on the units a caller passes in a Reflection
+        "lift is not natural in the units",
+    }
+    empty = {site for site, row in table.items() if not row}
+    assert empty == exempt, empty

@@ -47,6 +47,8 @@ def test_parse_covers_and_opens_agree():
 def test_parse_rejects_duplicate_labels():
     with pytest.raises(DuplicateLabel):
         parse_space({"points": ["a", "a"], "covers": []})
+    with pytest.raises(DuplicateLabel):
+        parse_space({"points": ["a", "a"], "opens": [[], ["a"]]})
 
 
 def test_parse_rejects_cycles():

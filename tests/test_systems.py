@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from t0lab import SubsetSystemId, as_system, h_member, random_space, rudin_minimal
+from t0lab import Caps, RunConfig, SubsetSystemId, as_system, h_member, random_space, rudin_minimal
 from t0lab.errors import (
     CapExceeded,
     EmptyFamily,
@@ -279,7 +279,7 @@ def test_scott_h_open_matches_oracle(all_posets):
 
 def test_scott_h_open_cap(diamond):
     with pytest.raises(CapExceeded):
-        scott_h_open("D", diamond, diamond.full, cap=2)
+        scott_h_open("D", diamond, diamond.full, RunConfig(caps=Caps(subset_enum=2)))
 
 
 def test_scott_h_continuous_examples(diamond):

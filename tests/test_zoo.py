@@ -113,10 +113,11 @@ def test_cocountable_normalizes_extras_into_the_tail():
 def test_cocountable_open_closed_semantics():
     tail = CocountableSet.tail_from(2)
     assert tail.is_closed() and not tail.is_open()
-    assert tail.complement().is_open()
+    assert tail.complement().is_open() and not tail.complement().is_closed()
     whole = CocountableSet(False, frozenset(), None)
     assert whole.is_open() and whole.is_closed()
-    assert CocountableSet.of_tokens().is_empty()
+    empty = CocountableSet.of_tokens()
+    assert empty.is_empty() and empty.is_open()
 
 
 def test_cocountable_tail_minus_finite_keeps_a_tail():
