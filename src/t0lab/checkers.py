@@ -366,13 +366,17 @@ def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
     def build():
         S = powers.smyth(X, config)
         carrier, sp = S.carrier, S.space
-        for d in X.irr_downsets():
+        # by the criterion, not as the point closures, so that a faulty
+        # kernel shows; the Smyth cap bounds the closed sets too
+        for d in X.downsets():
+            t = X.top_of(d) if d else None
+            if t is None:
+                continue
             psi = 0
             for i, k in enumerate(carrier):
                 if k & d:
                     psi |= 1 << i
-            t = X.top_of(d)
-            if psi == 0 or t is None or X.max_mask(d) == 0:
+            if psi == 0 or X.max_mask(d) == 0:
                 return False
             up_t = S.index.get(X.up[t])
             if up_t is None or not (psi >> up_t) & 1:

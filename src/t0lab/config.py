@@ -20,7 +20,7 @@ class Caps:
     compact_family_enum: int = 8
     # carrier size cap for m_family / property_q ground enumeration
     m_family: int = 12
-    # largest Smyth carrier we will materialize
+    # largest Smyth or Hoare "closed" carrier we will materialize
     smyth_carrier: int = 2048
     # base carrier size allowed for the double Smyth power
     double_power_base: int = 3

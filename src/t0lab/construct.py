@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import permutations
+from itertools import chain, permutations
+from itertools import product as _product  # construct.product shadows it
 
 from .config import DEFAULT, RunConfig
 from .errors import (
@@ -239,6 +239,9 @@ def _wl_labels(n: int, down: list[int], up: list[int]) -> list:
 
 
 def _canon_key(n: int, up: list[int]) -> tuple:
+    """The least row tuple over the relabelings that keep each
+    ``_wl_labels`` class in one block of slots: at most 7! = 5,040, as
+    ``enumerate_posets`` stops at 7 points."""
     down = [0] * n
     for i in range(n):
         for j in bits(up[i]):
@@ -247,39 +250,11 @@ def _canon_key(n: int, up: list[int]) -> tuple:
     groups: dict = {}
     for i, l in enumerate(labels):
         groups.setdefault(l, []).append(i)
-    ordered = sorted(groups)
-    budget = 1
-    for c in ordered:
-        k = len(groups[c])
-        budget *= max(1, reduce(lambda a, b: a * b, range(1, k + 1), 1))
-        if budget > 40320:
-            break
-    if budget > 40320:
-        perms = permutations(range(n))
-    else:
-        def gen():
-            parts = [list(permutations(groups[c])) for c in ordered]
-
-            def rec(k, acc):
-                if k == len(parts):
-                    # target slots are handed out class-block by class-block
-                    pi = [0] * n
-                    slot = 0
-                    for block in acc:
-                        for src in block:
-                            pi[src] = slot
-                            slot += 1
-                    yield pi
-                    return
-                for p in parts[k]:
-                    yield from rec(k + 1, acc + [p])
-
-            yield from rec(0, [])
-
-        perms = gen()
     best = None
-    for pi in perms:
-        pi = list(pi)
+    for blocks in _product(*(permutations(groups[c]) for c in sorted(groups))):
+        pi = [0] * n
+        for slot, src in enumerate(chain.from_iterable(blocks)):
+            pi[src] = slot
         relabeled = [0] * n
         for i in range(n):
             m = 0
@@ -426,17 +401,6 @@ class Reflection:
         }
 
 
-def _determined_closed(X: FiniteSpace, config: RunConfig) -> list[int]:
-    """The determined closed sets above ``caps.family_listing``: the point
-    closures (irreducible closed sets of a finite space all have a greatest
-    element), each verified irreducible."""
-    out = sorted({X.down[i] for i in range(X.n)}, key=lambda m: (m.bit_count(), m))
-    for d in out:
-        if not systems._member("R", X, d):
-            raise InternalError("principal closure failed determinacy")
-    return out
-
-
 def reflect(
     X: FiniteSpace,
     system="R",
@@ -446,20 +410,17 @@ def reflect(
     """The sobriety reflection of the named kind: the space of determined
     closed sets under inclusion, with the point-closure unit x -> cl{x}.
 
-    The unit is certified a topological embedding by ``powers.hoare_eta``,
-    so when it is onto (always, on finite carriers) it is the homeomorphism
+    For every system these are the point closures, so the carrier is
+    ``powers.hoare(X, "irr_closed")`` at every size.  The unit is certified
+    a topological embedding by ``powers.hoare_eta``, so when it is onto (always, on finite carriers) it is the homeomorphism
     ``iso`` from the base, else ``iso`` is None.  This also asserts that
     the reflected space satisfies its target property.
     """
     if kind not in _KINDS:
         raise UsageError(f"kind must be one of {_KINDS}")
     H = systems.as_system(system)
-    # every system's determined closed sets are the irreducible ones
-    if X.n <= config.caps.family_listing:
-        HS = powers.hoare(X, "irr_closed", config)
-    else:
-        HS = powers.hoare(X, _determined_closed(X, config), config)
-    unit = powers.hoare_eta(HS, config)
+    HS = powers.hoare(X, "irr_closed", config)
+    unit = powers.hoare_eta(HS)
     R = HS.space
     if kind == "sobrification":
         v = checkers.check(R, "sober", None, config)

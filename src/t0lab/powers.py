@@ -7,6 +7,10 @@ a family of nonempty closed sets, topology generated by the diamonds
 ``diamond(U) = {A : A meets U}``; its specialization order is inclusion.
 The pointwise function space of ``construct`` is built the same way.
 
+The Hoare carrier ``closed`` shares the Smyth carrier's caps (the two
+families are equinumerous by complement); ``irr_closed``, the point
+closures, lists no family and is built at any base size.
+
 On a finite carrier each of these topologies is exactly the up-set
 topology of its order.  Rather than materializing the topology, one
 certifier, ``_certify_topology``, checks this structurally on every
@@ -23,7 +27,8 @@ Below each caller's caps the raw family-vs-family comparison against
 ``generated_topology`` runs too.  One unit check (``_unit``) certifies the
 point embeddings x -> up(x) and x -> cl{x}, and one lift (``_lift``) gives
 the functorial action of a map on the Smyth and Hoare spaces and on the
-reflections built over Hoare spaces, checked natural in the units.  The
+reflections built over Hoare spaces, checked to land in the target
+carrier and natural in the units (an ``InternalError`` either way).  The
 union map checks its box-preimage identity.  Each of these run-time
 certificates is the first to raise under some injected fault of
 ``tests/mutants.py``, which a tier-1 test asserts.
@@ -170,13 +175,14 @@ def _lift(f: SpaceMap, PX, PY, hull, uX: SpaceMap, uY: SpaceMap) -> SpaceMap:
 
     ``uX``, ``uY`` are the units into ``PX`` and ``PY``, and the lift is
     checked natural in them: for ``reflection_functor`` the one check on
-    the units a ``Reflection`` carries.
+    the units a ``Reflection`` carries.  A hull outside ``PY``'s carrier
+    is an internal break too: the named carriers hold every hull.
     """
     table = []
     for a in PX.carrier:
         j = PY.index.get(hull(f.image_mask(a)))
         if j is None:
-            raise UsageError("image hull is not in the target carrier")
+            raise InternalError("image hull is not in the target carrier")
         table.append(j)
     Pf = SpaceMap(PX.space, PY.space, tuple(table))
     if uX.then(Pf).table != tuple(uY.table[y] for y in f.table):
@@ -207,14 +213,21 @@ def smyth(X: FiniteSpace, config: RunConfig = DEFAULT) -> SmythSpace:
     return X.memo(("smyth", config.caps), lambda: _smyth(X, config.caps))
 
 
-def _smyth(X: FiniteSpace, caps) -> SmythSpace:
+def _nonempty_members(X: FiniteSpace, sets, caps, name: str) -> list[int]:
+    """The nonempty members of ``sets()``, the opens or the closed sets of
+    X (equinumerous by complement), under the caps both carriers share."""
     if X.n > 20:
-        raise CapExceeded("Smyth power space: base carrier too large to enumerate")
-    carrier = tuple(X.nonempty_upsets())
+        raise CapExceeded(f"{name} power space: base carrier too large to enumerate")
+    carrier = [m for m in sets() if m]
     if len(carrier) > caps.smyth_carrier:
         raise CapExceeded(
-            f"Smyth carrier has {len(carrier)} members, cap is {caps.smyth_carrier}"
+            f"{name} carrier has {len(carrier)} members, cap is {caps.smyth_carrier}"
         )
+    return carrier
+
+
+def _smyth(X: FiniteSpace, caps) -> SmythSpace:
+    carrier = tuple(_nonempty_members(X, X.upsets, caps, "Smyth"))
     space = _inclusion_space(X, carrier, reverse=True)
     S = SmythSpace(X, carrier, space, {k: i for i, k in enumerate(carrier)})
     # each member K is itself open, and its principal filter is box(K)
@@ -292,12 +305,14 @@ class HoareSpace:
 
 def hoare(X: FiniteSpace, which="irr_closed", config: RunConfig = DEFAULT) -> HoareSpace:
     """Build a Hoare power space on ``which``: ``irr_closed`` (default),
-    ``closed`` (all nonempty closed sets), or an explicit list of closed
+    the point closures, at any base size; ``closed``, all nonempty closed
+    sets, under the Smyth carrier's caps; or an explicit list of closed
     sets.  The two named carriers are cached per caps."""
     if which == "irr_closed":
         return X.memo(("hoare", which, config.caps), lambda: _hoare(X, X.irr_downsets(), config.caps))
     if which == "closed":
-        return X.memo(("hoare", which, config.caps), lambda: _hoare(X, [d for d in X.downsets() if d], config.caps))
+        return X.memo(("hoare", which, config.caps),
+                      lambda: _hoare(X, _nonempty_members(X, X.downsets, config.caps, "Hoare"), config.caps))
     carrier = []
     for A in which:
         m = _as_mask(X, A)
@@ -336,13 +351,15 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     if which not in ("closed", "irr_closed"):
         raise UsageError("hoare_map takes a named carrier: 'closed' or 'irr_closed'")
     HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
-    return _lift(f, HX, HY, f.target.closure_mask, hoare_eta(HX, config), hoare_eta(HY, config))
+    return _lift(f, HX, HY, f.target.closure_mask, hoare_eta(HX), hoare_eta(HY))
 
 
-def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
+def hoare_eta(H: HoareSpace) -> SpaceMap:
     """The unit x -> cl{x} into a Hoare power space whose carrier contains
-    all point closures; a topological embedding (checked).  Built once per
-    Hoare space and caps, in the memo of ``H.space``."""
+    all point closures; a topological embedding (checked).  Image and
+    diamond both commute with unions of opens, so the principal opens
+    decide the trace identity.  Built once per Hoare space, in the memo of
+    ``H.space``."""
     X = H.base
 
     def build():
@@ -350,16 +367,9 @@ def hoare_eta(H: HoareSpace, config: RunConfig = DEFAULT) -> SpaceMap:
             table = tuple(H.index[X.down[i]] for i in range(X.n))
         except KeyError:
             raise UsageError("the carrier must contain every point closure") from None
-        # image and diamond both commute with unions of opens, so the
-        # principal opens decide the trace identity; small bases recheck
-        # every open
-        if X.n <= config.caps.subset_enum:
-            opens = X.upsets()
-        else:
-            opens = [X.up[i] for i in range(X.n)]
-        return _unit(X, H.space, table, H.diamond_mask, opens)
+        return _unit(X, H.space, table, H.diamond_mask, X.up)
 
-    return H.space.memo(("hoare_eta", config.caps), build)
+    return H.space.memo("hoare_eta", build)
 
 
 # -- open filters ---------------------------------------------------------

@@ -389,10 +389,17 @@ class FiniteSpace:
         return [u for u in self.upsets() if u]
 
     def irr_downsets(self) -> list[int]:
-        """Irreducible closed sets; on a finite space these are exactly the
-        point closures, but they are computed honestly from the criterion."""
-        downs = self.downsets()
-        return self.memo("irr_downsets", lambda: [d for d in downs if d and self.top_of(d) is not None])
+        """Irreducible closed sets, sorted by (size, mask): on a finite
+        space the point closures, each certified to have its own point as
+        greatest element, so no family is listed at any size."""
+
+        def build():
+            for x, d in enumerate(self.down):
+                if self.top_of(d) != x:
+                    raise InternalError("principal closure failed determinacy")
+            return sorted(self.down, key=lambda m: (m.bit_count(), m))
+
+        return self.memo("irr_downsets", build)
 
     # -- memo ------------------------------------------------------------
 

@@ -33,13 +33,18 @@ fault -> number of transcript entries, over ``ZOO_FAULTS`` and ``FAULTS``
 ``InternalError`` and ``NoHomeomorphism`` site of ``spaces``, ``systems``,
 ``powers`` and ``construct``, the faults of ``FAULTS`` and
 ``CONSTRUCT_FAULTS`` under which it is the first to raise, with the number
-of construction calls where it is (``certificate_values``).
+of construction calls where it is (``certificate_values``), and the
+``"outcomes"`` key, per fault and per construction call, whether the call
+returned, raised a certificate or raised another exception, by class
+name (``outcome_values``), so that two commits' runs can be diffed call
+by call.
 ``tests/test_checkers.py`` asserts on the classes of at most 3 points that
 every verdict path changes under some fault, ``tests/test_zoo.py`` that
 every zoo fact kind does, and ``tests/test_construct.py`` that every
 certificate site but two named ones is the first to raise under one.
 """
 import ast
+import functools
 import inspect
 import json
 import random
@@ -51,7 +56,6 @@ from t0lab import (
     check, checkers, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers,
     random_space, spaces, systems, zoo,
 )
-from t0lab.config import Caps, RunConfig
 from t0lab.errors import InternalError, NoHomeomorphism
 from t0lab.spaces import FiniteSpace, SpaceMap
 from t0lab.systems import BASE_IDS
@@ -61,9 +65,10 @@ _SWAP_CD = {"C": "D", "D": "C"}
 
 
 def _wrap(mp, owner, name, faulty):
-    """Replace ``owner.name`` by ``faulty(original, *args, **kwargs)``."""
+    """Replace ``owner.name`` by ``faulty(original, *args, **kwargs)``,
+    under the original's name."""
     original = getattr(owner, name)
-    mp.setattr(owner, name, lambda *args, **kwargs: faulty(original, *args, **kwargs))
+    mp.setattr(owner, name, functools.wraps(original)(lambda *args, **kwargs: faulty(original, *args, **kwargs)))
 
 
 def _any_maximal(X, m):
@@ -507,8 +512,6 @@ def _construction_corpus(attempt) -> None:
                 for which in ("intersection", "sup", "closure_intersection", "least"):
                     attempt(powers.family_calculus, X, [a, b], which)
         attempt(powers.hofmann_mislove_report, X)
-        # above caps.family_listing the carrier is built from the point closures
-        attempt(construct.reflect, X, "R", "h_sobrification", RunConfig(caps=Caps(family_listing=0)))
         refl.append(attempt(construct.reflect, X, "R"))
     for X, rX in zip(base, refl):
         for Y, rY in zip(base, refl):
@@ -526,24 +529,20 @@ def _construction_corpus(attempt) -> None:
             attempt(construct.product_preservation, X, Y)
 
 
-def certificate_values() -> dict:
-    """site -> fault -> the number of corpus calls that this certificate
-    site is the first to raise in, with no fault ("no fault") and under
-    each fault of FAULTS and CONSTRUCT_FAULTS; every site of
-    ``certificate_sites`` has a row."""
-    sites = certificate_sites()
-    table = {key: {} for key in sites}
+def _corpus_under_faults(record) -> None:
+    """Run the construction corpus with no fault ("no fault") and under
+    each fault of FAULTS and CONSTRUCT_FAULTS; ``record(fault, fn, args,
+    error)`` sees each call, with ``error`` None when it returns."""
 
     def run(fault):
         def attempt(fn, *args):
             try:
-                return fn(*args)
-            except _CERTIFICATES as e:
-                row = table[next(k for k, p in sites.items() if p.fullmatch(str(e)))]
-                row[fault] = row.get(fault, 0) + 1
-            except Exception:
-                pass
-            return None
+                value = fn(*args)
+            except Exception as e:
+                record(fault, fn, args, e)
+                return None
+            record(fault, fn, args, None)
+            return value
 
         _construction_corpus(attempt)
 
@@ -552,7 +551,63 @@ def certificate_values() -> dict:
         with pytest.MonkeyPatch.context() as mp:
             inject(mp)
             run(name)
+
+
+def certificate_values() -> dict:
+    """site -> fault -> the number of corpus calls that this certificate
+    site is the first to raise in, with no fault ("no fault") and under
+    each fault of FAULTS and CONSTRUCT_FAULTS; every site of
+    ``certificate_sites`` has a row."""
+    sites = certificate_sites()
+    table = {key: {} for key in sites}
+
+    def record(fault, fn, args, error):
+        if isinstance(error, _CERTIFICATES):
+            row = table[next(k for k, p in sites.items() if p.fullmatch(str(error)))]
+            row[fault] = row.get(fault, 0) + 1
+
+    _corpus_under_faults(record)
     return table
+
+
+def _call_key(fn, args) -> str:
+    """A corpus call by its function and arguments, with a space named by
+    its rows, a map by its table and endpoints and a reflection by its
+    base, so that two commits' runs under one fault name it alike."""
+
+    def name(a):
+        if isinstance(a, FiniteSpace):
+            return f"space{list(a.up)}"
+        if isinstance(a, SpaceMap):
+            return f"map{list(a.table)}:{name(a.source)}->{name(a.target)}"
+        if isinstance(a, construct.Reflection):
+            return f"reflection of {name(a.base)}"
+        return repr(a)
+
+    owner = getattr(fn, "__self__", None)
+    args = args if owner is None else (owner, *args)
+    return f"{fn.__qualname__}({', '.join(map(name, args))})"
+
+
+def outcome_values() -> dict:
+    """fault -> corpus call -> how it ended, with no fault ("no fault") and
+    under each fault of FAULTS and CONSTRUCT_FAULTS: "returned",
+    "certificate" (an ``InternalError`` or ``NoHomeomorphism``) or the
+    class name of any other exception."""
+    out = {}
+
+    def record(fault, fn, args, error):
+        calls = out.setdefault(fault, {})
+        key = _call_key(fn, args)
+        if key in calls:
+            raise ValueError(f"two corpus calls are keyed {key!r}")
+        if error is None:
+            calls[key] = "returned"
+        else:
+            calls[key] = "certificate" if isinstance(error, _CERTIFICATES) else type(error).__name__
+
+    _corpus_under_faults(record)
+    return out
 
 
 if __name__ == "__main__":
@@ -572,6 +627,7 @@ if __name__ == "__main__":
     report["conditions"] = kill_table(conditions, faulty_conditions)
     report["facts"] = kill_table(*fact_values())["facts"]
     report["certificates"] = certificate_values()
+    report["outcomes"] = outcome_values()
     with open(sys.argv[1], "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

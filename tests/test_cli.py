@@ -6,7 +6,7 @@ import pytest
 
 from t0lab import FiniteSpace, checkers, cli, construct, parse_space, powers, systems
 from t0lab.cli import main
-from t0lab.config import DEFAULT, Caps, RunConfig
+from t0lab.config import DEFAULT
 from t0lab.errors import InternalError
 from t0lab.spaces import SpaceMap, chain_core
 
@@ -328,14 +328,10 @@ def test_reflection_unit_failing_to_embed_is_an_internal_error_exit_4(capsys, di
 
 
 def test_failed_determinacy_of_a_principal_closure_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
-    monkeypatch.setattr(systems, "_member", lambda core, X, d: False)
-    config = RunConfig(caps=Caps(family_listing=0))
-
-    def site(Y):
-        return construct._determined_closed(Y, config)
-
-    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
-    assert "internal error" in capsys.readouterr().err
+    # each point closure must have its own point as greatest element
+    monkeypatch.setattr(FiniteSpace, "top_of", lambda self, m: None)
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: construct.reflect(Y, "R")) == 4
+    assert "internal error: principal closure failed determinacy" in capsys.readouterr().err
 
 
 def test_reflection_lift_failing_naturality_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
@@ -347,6 +343,18 @@ def test_reflection_lift_failing_naturality_is_an_internal_error_exit_4(capsys, 
 
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+def test_reflection_lift_missing_its_target_carrier_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
+    def site(Y):
+        r = construct.reflect(Y, "R")
+        # the same reflection over the carrier {Y}, which holds no hull of
+        # a smaller point closure
+        fake = dataclasses.replace(r, hoare=powers.hoare(Y, [Y.full]))
+        return construct.reflection_functor(r, fake, SpaceMap.identity(Y))
+
+    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
+    assert "internal error: image hull is not in the target carrier" in capsys.readouterr().err
 
 
 def test_extension_without_a_generic_point_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):

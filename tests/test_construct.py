@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 import mutants
 import oracles
 from t0lab import (
+    FiniteSpace,
     construct,
     continuous_maps,
     enumerate_posets,
     function_space,
     homeomorphic,
     parse_space,
+    powers,
     product,
     random_space,
     reflect,
@@ -240,6 +242,26 @@ def test_reflect_carrier_is_the_point_closures(all_posets):
                 refl = reflect(X, system)
                 assert set(refl.carrier) == {X.down[i] for i in range(X.n)}
                 assert refl.iso.table == refl.unit.table
+
+
+def test_point_closure_carriers_list_no_closed_sets(monkeypatch):
+    # the irreducible closed sets are the point closures, so the Hoare
+    # space on them, its lifts and the reflection never list the base's
+    # closed sets, at any size
+    anti = [parse_space({"points": [f"a{i}" for i in range(n)], "covers": []}) for n in (30, 14)]
+    downsets = FiniteSpace.downsets
+
+    def refuse(X):
+        if any(X is B for B in anti):
+            raise AssertionError("the closed sets of a base were listed")
+        return downsets(X)
+
+    monkeypatch.setattr(FiniteSpace, "downsets", refuse)
+    X = anti[0]
+    assert set(powers.hoare(X, "irr_closed").carrier) == set(X.down)
+    assert powers.hoare_map(SpaceMap.identity(X), "irr_closed").table == tuple(range(X.n))
+    refl = reflect(anti[1])
+    assert refl.iso is not None and set(refl.carrier) == set(anti[1].down)
 
 
 def test_reflect_iso_is_the_unit():

@@ -166,6 +166,15 @@ def test_hoare_closed_carrier_orders_by_inclusion(diamond):
         assert ((dm >> i) & 1) == (1 if H.carrier[i] & U else 0)
 
 
+def test_hoare_closed_carrier_shares_the_smyth_cap():
+    # nonempty closed sets and nonempty opens are equinumerous by complement
+    anti = lambda n: parse_space({"points": [f"a{i}" for i in range(n)], "covers": []})
+    with pytest.raises(CapExceeded, match="Hoare carrier has 4095 members, cap is 2048"):
+        hoare(anti(12), "closed")
+    with pytest.raises(CapExceeded, match="Hoare power space: base carrier too large"):
+        hoare(anti(21), "closed")
+
+
 def test_hoare_map_functor_laws(all_posets):
     pool = [X for n in (1, 2, 3) for X in all_posets[n]]
     for X in pool[:6]:
