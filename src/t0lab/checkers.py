@@ -185,6 +185,21 @@ def _split_samples(P: FiniteSpace, rng: random.Random, count: int) -> dict:
     return {"sampled_closed": checked, "ok": ok}
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """The draw of ``randrange(n)`` on the ``random.Random`` whose
+    ``getrandbits`` this is, with the same state change but without its
+    argument handling: ``n.bit_length()`` random bits, drawn again while
+    they reach ``n``."""
+    if n < 1:
+        # getrandbits(0) is always 0, so the loop would never end
+        raise ValueError(f"no index to draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Random, count: int) -> list[int]:
     """Seeded members of H(P): small sets built with a greatest element
     (chains by upward walks; directed/irreducible sets as subsets of a
@@ -201,9 +216,10 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     elif core != "S":
         walk = P.memo("below_index", lambda: [tuple(bits(r)) for r in P.down])
     member = P.memo(("member", core), dict)
+    getrandbits = rng.getrandbits
     out = []
     for _ in range(count):
-        x = rng.randrange(P.n)
+        x = _randbelow(getrandbits, P.n)
         m = 1 << x
         if core == "C":
             cur = x
@@ -211,12 +227,12 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
                 choices = walk[cur]
                 if not choices:
                     break
-                cur = choices[rng.randrange(len(choices))]
+                cur = choices[_randbelow(getrandbits, len(choices))]
                 m |= 1 << cur
         elif core != "S":
             below = walk[x]
             for _ in range(min(4, len(below))):
-                m |= 1 << below[rng.randrange(len(below))]
+                m |= 1 << below[_randbelow(getrandbits, len(below))]
         ok = member.get(m)
         if ok is None:
             ok = member[m] = systems._member(core, P, m)

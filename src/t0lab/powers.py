@@ -243,7 +243,10 @@ def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
 
     def build():
         S = smyth(X, config)
-        return _unit(X, S.space, tuple(S.index[X.up[i]] for i in range(X.n)), S.box_mask, X.upsets())
+        table = tuple(S.index.get(r) for r in X.up)
+        if None in table:
+            raise InternalError("a point's up-set is not in the Smyth carrier")
+        return _unit(X, S.space, table, S.box_mask, X.upsets())
 
     return X.memo(("xi_embed", config.caps), build)
 

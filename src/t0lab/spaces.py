@@ -90,8 +90,19 @@ def _join_table(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _join(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
-    """OR of the table's rows at the set bits of ``mask``."""
+    """OR of the table's rows at the set bits of ``mask``.
+
+    A mask reaching past 64 points with fewer than one set bit in 8 ORs
+    the rows at its set bits, each read as the table's singleton entry;
+    any other mask reads one entry per chunk up to its highest bit.  So a
+    space of at most 64 points pays one comparison for the choice."""
     m = 0
+    if mask >= 1 << 64 and 8 * mask.bit_count() < mask.bit_length():
+        while mask:
+            i = mask.bit_length() - 1
+            m |= tables[i // _CHUNK][1 << (i % _CHUNK)]
+            mask ^= 1 << i
+        return m
     for t in tables:
         m |= t[mask & _CHUNK_MASK]
         mask >>= _CHUNK

@@ -438,6 +438,17 @@ def test_sampled_h_sets_keep_the_per_sample_draws(H):
             assert got_rng.getstate() == want_rng.getstate(), (X, H, seed)
 
 
+def test_randbelow_is_randrange_and_refuses_an_empty_range():
+    got_rng, want_rng = random.Random(3), random.Random(3)
+    for n in [1, 2, 3, 5, 8, 9, 255, 256, 257, 1000]:
+        for _ in range(50):
+            assert checkers._randbelow(got_rng.getrandbits, n) == want_rng.randrange(n)
+    assert got_rng.getstate() == want_rng.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            checkers._randbelow(got_rng.getrandbits, n)
+
+
 def test_cut_table_gives_the_kernels_cut_equation(corpus):
     values = Counter()
     for X in corpus[:12]:

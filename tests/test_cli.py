@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import mutants
 from t0lab import FiniteSpace, checkers, cli, construct, parse_space, powers, systems
 from t0lab.cli import main
 from t0lab.config import DEFAULT
@@ -269,6 +270,19 @@ def test_broken_certification_is_an_internal_error_exit_4(capsys, diamond_doc, m
         powers.smyth(parse_space(DIAMOND))
     assert main(["construct", "smyth", diamond_doc]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+def test_unit_row_outside_the_smyth_carrier_is_an_internal_error_exit_4(capsys, tmp_path, monkeypatch):
+    # with its order made not antisymmetric after validation, the chain's
+    # Smyth carrier misses the up-set of one of its points
+    doc = {"points": ["p0", "p1", "p2"], "covers": [["p0", "p1"], ["p1", "p2"]]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    mutants.FAULTS["rows not antisymmetric"](monkeypatch)
+    with pytest.raises(InternalError, match="not in the Smyth carrier"):
+        powers.xi_embed(parse_space(doc))
+    assert main(["construct", "smyth", str(path)]) == 4
+    assert "not in the Smyth carrier" in capsys.readouterr().err
 
 
 def _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site):

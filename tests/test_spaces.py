@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from t0lab import FiniteSpace, PointSet, parse_space, powers, random_space, to_dot
+from t0lab import FiniteSpace, PointSet, parse_space, powers, random_space, spaces, to_dot
 from t0lab.errors import (
     DuplicateLabel,
     EmptySet,
@@ -170,6 +170,37 @@ def test_order_kernel_matches_per_bit_oracles_on_a_large_smyth_space():
     masks += [mask_of_indices(rng.sample(range(P.n), rng.randint(1, 4))) for _ in range(120)]
     masks += [P.up[i] for i in range(0, P.n, 7)] + [P.down[i] for i in range(0, P.n, 7)]
     _kernel_matches_oracles(P, masks)
+
+
+@pytest.mark.parametrize("n", [64, 65, 67, 286])
+def test_join_kernel_gives_the_or_of_rows_on_both_sides_of_its_sparse_test(n):
+    # join tables on either side of 64 points, three of them with a padded
+    # last chunk; each mask is keyed to whether _join reads it at its set
+    # bits (more than 64 points and 8 * popcount < bit_length)
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    tables = spaces._join_table(rows)
+    masks = {0: False}
+    for off in (-1, 0, 1):
+        # the longest masks where 8 * popcount is bit_length + off
+        length = max(k for k in range(9, n + 1) if (k + off) % 8 == 0)
+        for _ in range(5):
+            rest = rng.sample(range(length - 1), (length + off) // 8 - 1)
+            masks[mask_of_indices([length - 1, *rest])] = off == -1 and length > 64
+    for i in range(spaces._CHUNK * (len(tables) - 1), n):
+        masks[1 << i] = i >= 64
+    for _ in range(20):
+        masks[rng.getrandbits(64)] = False
+        masks[mask_of_indices(rng.sample(range(64), 2))] = False
+        masks[rng.getrandbits(n) | 1 << (n - 1)] = False
+    assert (True in masks.values()) == (n > 64)
+    for m, sparse in masks.items():
+        assert (m >= 1 << 64 and 8 * m.bit_count() < m.bit_length()) == sparse, (n, m)
+        want = 0
+        for i in range(n):
+            if m >> i & 1:
+                want |= rows[i]
+        assert spaces._join(tables, m) == want, (n, m)
 
 
 def test_downsets_upsets_match_powerset_scan(all_posets):
