@@ -10,7 +10,8 @@ different characterization of the property on the instance, and
 
 Enumerative paths run raw below the configured caps, and ``Caps`` holds
 every limit they obey: quantifiers over subsets read the memoized member
-list of one S/C/D/R core (``_h_members``) within ``caps.subset_enum``,
+table of one S/C/D/R core (``systems._h_members``) within
+``caps.subset_enum`` and seeded samples above it (``_h_sets``),
 listings of closed and open sets run within ``caps.family_listing``, and
 families of compacts within ``caps.compact_family_enum``.  Above them,
 each path switches to an exact reduced form whose justifying lemma
@@ -44,26 +45,9 @@ __all__ = [
     "check_all",
     "crosscheck_h_sober",
     "crosscheck_super",
-    "h_consonance",
     "upper_topology_report",
     "validate_evidence",
 ]
-
-PROPERTY_IDS = (
-    "t0",
-    "d_space",
-    "sober",
-    "well_filtered",
-    "omega_well_filtered",
-    "h_sober",
-    "super_h_sober",
-    "h_complete",
-    "h_bounded",
-    "hip",
-    "smyth_h_complete",
-    "h_consonant",
-    "locally_hypercompact",
-)
 
 _H_REQUIRED = {
     "h_sober",
@@ -241,14 +225,14 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     return out
 
 
-def _h_members(X: FiniteSpace, H: systems.SubsetSystemId) -> list[int]:
-    """Every member of H(X) in ascending mask order, by the membership
-    predicate on all 2^n masks, built once per S/C/D/R core: the one
-    subset table every exhaustive path reads (the directed sets of
-    d_space under D, its chains under C).  Callers keep X.n within
-    ``caps.subset_enum``."""
-    core = systems._core_of(H)
-    return X.memo(("h_members", core), lambda: [m for m in range(1, X.full + 1) if systems._member(core, X, m)])
+def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: Callable[[], random.Random], count: int):
+    """(mode, member masks) for quantifying over H(X): ``"raw"`` and the
+    member table within ``caps.subset_enum``, else ``"sampled"`` and
+    ``count`` seeded members drawn from the generator ``rng()`` returns,
+    called only then, so the raw path seeds no generator."""
+    if X.n <= config.caps.subset_enum:
+        return "raw", systems._h_members(X, systems._core_of(H))
+    return "sampled", _sampled_h_sets(X, H, rng(), count)
 
 
 def _compacts(X: FiniteSpace, config: RunConfig) -> list[int]:
@@ -409,7 +393,7 @@ def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
 # -- verdict assembly -----------------------------------------------------
 
 
-def _mk_verdict(prop: str, system, paths: list[tuple[str, bool | None, str]], evidence: dict, min_paths: int = 2) -> Verdict:
+def _mk_verdict(prop: str, system, paths: list[tuple[str, bool | None, str]], evidence: dict) -> Verdict:
     chars = []
     values = []
     for name, value, note in paths:
@@ -418,7 +402,7 @@ def _mk_verdict(prop: str, system, paths: list[tuple[str, bool | None, str]], ev
         else:
             chars.append((name, "true" if value else "false"))
             values.append(value)
-    agreed = len(values) >= min_paths and len(set(values)) == 1
+    agreed = len(values) >= 2 and len(set(values)) == 1
     holds = values[0] if values else False
     return Verdict(
         property=prop,
@@ -513,7 +497,7 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     if enum:
         value = True
         sups = {}
-        directed = _h_members(X, systems.SubsetSystemId("D"))
+        directed = systems._h_members(X, "D")
         for m in directed:
             s = systems._sup_of(X, m)
             c = X.closure_mask(m)
@@ -540,14 +524,9 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     evidence["sampled_directed"] = len(sampled)
     # chain criterion: d-space iff chain closures are principal
-    if enum:
-        chains = _h_members(X, systems.SubsetSystemId("C"))
-        value = all(X.top_of(X.closure_mask(m)) is not None for m in chains)
-        paths.append(("chain closures are principal", value, ""))
-    else:
-        sampled_c = _sampled_h_sets(X, systems.SubsetSystemId("C"), rngd, config.caps.sample_count)
-        value = all(X.top_of(X.closure_mask(m)) is not None for m in sampled_c)
-        paths.append(("chain closures are principal (sampled)", value, ""))
+    mode, chains = _h_sets(X, systems.SubsetSystemId("C"), config, lambda: rngd, config.caps.sample_count)
+    value = all(X.top_of(X.closure_mask(m)) is not None for m in chains)
+    paths.append(("chain closures are principal" + (" (sampled)" if mode == "sampled" else ""), value, ""))
     return paths, evidence
 
 
@@ -654,38 +633,26 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     return paths, evidence
 
 
+_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
+
+
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    paths = []
-    evidence = {}
-    if X.n <= config.caps.subset_enum:
-        members = _h_members(X, H)
-        value = all(systems._sup_of(X, m) is not None for m in members)
-        paths.append(("every member has a least upper bound (exhaustive)", value, ""))
-        evidence["members"] = len(members)
-    else:
-        rngc = _rng(config, "hcomplete", str(H), X.n, X.up[0])
-        samples = _sampled_h_sets(X, H, rngc, config.caps.sample_count)
-        value = all(systems._sup_of(X, m) is not None for m in samples)
-        paths.append(("every member has a least upper bound (sampled)", value, ""))
-        evidence["sampled_members"] = len(samples)
+    rngc = lambda: _rng(config, "hcomplete", str(H), X.n, X.up[0])
+    mode, members = _h_sets(X, H, config, rngc, config.caps.sample_count)
+    value = all(systems._sup_of(X, m) is not None for m in members)
+    paths = [(f"every member has a least upper bound ({_MODE_NAMES[mode]})", value, "")]
+    evidence = {"members" if mode == "raw" else "sampled_members": len(members)}
     v = check(X, "h_sober", H, config)
     paths.append(("sobriety for the system (upper-topology biconditional)", v.holds and v.characterizations_agreed, ""))
     return paths, evidence
 
 
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    paths = []
-    evidence = {}
-    if X.n <= config.caps.subset_enum:
-        members = _h_members(X, H)
-        value = all(X.ubs_mask(m) != 0 for m in members)
-        paths.append(("every member has an upper bound (exhaustive)", value, ""))
-        evidence["members"] = len(members)
-    else:
-        rngb = _rng(config, "hbounded", str(H), X.n, X.up[0])
-        samples = _sampled_h_sets(X, H, rngb, config.caps.sample_count)
-        value = all(X.ubs_mask(m) != 0 for m in samples)
-        paths.append(("every member has an upper bound (sampled)", value, ""))
+    rngb = lambda: _rng(config, "hbounded", str(H), X.n, X.up[0])
+    mode, members = _h_sets(X, H, config, rngb, config.caps.sample_count)
+    value = all(X.ubs_mask(m) != 0 for m in members)
+    paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
+    evidence = {"members": len(members)} if mode == "raw" else {}
     # members carry a greatest element, which bounds them
     rngm = _rng(config, "hbounded2", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngm, config.caps.sample_count)
@@ -784,10 +751,11 @@ def _p_lhc(X: FiniteSpace, H, config: RunConfig):
     return paths, evidence
 
 
+# in the order of ``check_all`` and of the CLI's ``--property`` choices
 _IMPLS = {
     "t0": _p_t0,
-    "sober": _p_sober,
     "d_space": _p_d_space,
+    "sober": _p_sober,
     "well_filtered": _p_well_filtered,
     "omega_well_filtered": _p_omega_wf,
     "h_sober": _p_h_sober,
@@ -799,6 +767,8 @@ _IMPLS = {
     "h_consonant": _p_h_consonant,
     "locally_hypercompact": _p_lhc,
 }
+
+PROPERTY_IDS = tuple(_IMPLS)
 
 
 def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAULT) -> Verdict:
@@ -815,44 +785,21 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
         system = systems.as_system(system)
     elif system is not None:
         raise UsageError(f"property {property!r} does not take a subset system")
-    return X.memo(("verdict", property, str(system), config), lambda: _verdict(X, property, system, config))
-
-
-def _verdict(X: FiniteSpace, property: str, system, config: RunConfig) -> Verdict:
-    paths, evidence = _IMPLS[property](X, system, config)
-    if config.fast:
-        kept = []
-        for p in paths:
-            kept.append(p)
-            if p[1] is not None:
-                break
-        paths = kept
-    # under fast the caller opted out of corroboration, so one computed
-    # path counts as agreement
-    return _mk_verdict(property, system, paths, evidence, 1 if config.fast else 2)
+    return X.memo(("verdict", property, str(system), config),
+                  lambda: _mk_verdict(property, system, *_IMPLS[property](X, system, config)))
 
 
 def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:
     """All plain properties plus every H-parameterized property for the
     seven base systems, in a fixed order."""
-    out = []
-    for prop in ("t0", "d_space", "sober", "well_filtered", "omega_well_filtered", "locally_hypercompact"):
-        out.append(check(X, prop, None, config))
-    for prop in ("h_sober", "super_h_sober", "h_complete", "h_bounded", "hip", "smyth_h_complete", "h_consonant"):
-        for Hid in systems.BASE_IDS:
-            out.append(check(X, prop, Hid, config))
+    out = [check(X, prop, None, config) for prop in PROPERTY_IDS if prop not in _H_REQUIRED]
+    for prop in PROPERTY_IDS:
+        if prop in _H_REQUIRED:
+            out.extend(check(X, prop, Hid, config) for Hid in systems.BASE_IDS)
     return out
 
 
 # -- crosschecks ----------------------------------------------------------
-
-
-def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    """(mode, list of member masks) for quantifying over H(X)."""
-    if X.n <= config.caps.subset_enum:
-        return "raw", _h_members(X, H)
-    rngs = _rng(config, "hsets", str(H), X.n, X.up[0])
-    return "sampled", _sampled_h_sets(X, H, rngs, 4 * config.caps.sample_count)
 
 
 def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
@@ -862,7 +809,8 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     closures of members) against the closed sets."""
     H = systems.as_system(H)
     base = check(X, "h_sober", H, config)
-    mode, hs = _h_sets(X, H, config)
+    rngs = lambda: _rng(config, "hsets", str(H), X.n, X.up[0])
+    mode, hs = _h_sets(X, H, config, rngs, 4 * config.caps.sample_count)
     closed = X.downsets() if X.n <= config.caps.family_listing else None
     # cuts by the closures of members: the family {up a : a in m} of a
     # singleton member meets the equation whatever sat_mask does, while a
@@ -945,13 +893,6 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
 
 
 # -- auxiliary reports ----------------------------------------------------
-
-
-def h_consonance(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> Verdict:
-    """Consonance for the system: every open filter is realized by a
-    family of compacts from the system (on finite spaces, by the
-    one-member family at its least element)."""
-    return check(X, "h_consonant", H, config)
 
 
 def upper_topology_report(P: FiniteSpace, H, config: RunConfig = DEFAULT) -> Verdict:

@@ -66,7 +66,7 @@ def _config(args) -> RunConfig:
             overrides[name] = v
     if overrides:
         caps = caps.with_(**overrides)
-    return RunConfig(caps=caps, seed=args.seed, fast=getattr(args, "fast", False))
+    return RunConfig(caps=caps, seed=args.seed)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -133,17 +133,13 @@ def _cmd_construct(args) -> int:
         raise UsageError(f"construct {args.what} needs a second space")
     if args.what == "product":
         P = construct.product(X, _load_space(args.other), config)
-        _emit(args, {"points": list(P.space.labels), "covers": [
-            [P.space.labels[a], P.space.labels[b]] for a, b in P.space.cover_pairs()
-        ]})
+        _emit(args, P.space.to_doc())
     elif args.what == "maps":
         ms = construct.continuous_maps(X, _load_space(args.other), config)
         _emit(args, {"count": len(ms), "maps": [m.to_json() for m in ms[:50]]})
     elif args.what == "function-space":
         F = construct.function_space(X, _load_space(args.other), config)
-        _emit(args, {"points": list(F.labels), "covers": [
-            [F.labels[a], F.labels[b]] for a, b in F.cover_pairs()
-        ]})
+        _emit(args, F.to_doc())
     elif args.what == "smyth":
         S = powers.smyth(X, config)
         _emit(args, {
@@ -280,14 +276,7 @@ def _cmd_sweep(args) -> int:
         X = random_space(rng, args.max_points)
         inst_rng = random.Random(f"{args.seed}|{i}")
         bad = _sweep_one(X, config, inst_rng)
-        reports.append(
-            {
-                "index": i,
-                "points": list(X.labels),
-                "covers": [[X.labels[a], X.labels[b]] for a, b in X.cover_pairs()],
-                "violations": bad,
-            }
-        )
+        reports.append({"index": i, **X.to_doc(), "violations": bad})
         if bad:
             small = _minimize(X, config, f"{args.seed}|{i}")
             print(json.dumps({
@@ -333,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--property", default="all", choices=("all",) + checkers.PROPERTY_IDS)
     sp.add_argument("--system", help="subset system id, e.g. S, C, Cω, D, Dω, R, Rω, D^d")
     sp.add_argument("--cross", action="store_true", help="also run the characterization crosschecks")
-    sp.add_argument("--fast", action="store_true", help="first characterization only")
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("construct", help="products, map spaces, power spaces")

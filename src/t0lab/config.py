@@ -41,9 +41,6 @@ class Caps:
 class RunConfig:
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
-    # stop after the first characterization per property; off by default so
-    # verdicts normally carry the full agreement record
-    fast: bool = False
 
 
 DEFAULT = RunConfig()

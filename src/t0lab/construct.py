@@ -55,8 +55,9 @@ class Product:
 def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Product:
     """Componentwise-ordered product with its projections.
 
-    The projections are checked continuous by construction; saturation of
-    a sampled handful of sets is checked to commute with them.
+    The projections are continuous by construction (the order is
+    componentwise); saturation of a sampled handful of sets is checked to
+    commute with them.
     """
     labels = []
     up = []
@@ -69,8 +70,8 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
                     m |= 1 << (a * Y.n + b)
             up.append(m)
     P = FiniteSpace(labels, up)
-    left = SpaceMap(P, X, tuple(i for i in range(X.n) for _ in range(Y.n)))
-    right = SpaceMap(P, Y, tuple(j for _ in range(X.n) for j in range(Y.n)))
+    left = SpaceMap._trusted(P, X, tuple(i for i in range(X.n) for _ in range(Y.n)))
+    right = SpaceMap._trusted(P, Y, tuple(j for _ in range(X.n) for j in range(Y.n)))
     rng = random.Random(f"{config.seed}|product|{X.n}|{Y.n}")
     for _ in range(min(16, config.caps.sample_count)):
         m = rng.getrandbits(P.n)
@@ -185,7 +186,8 @@ def equalizer(f: SpaceMap, g: SpaceMap) -> Equalizer:
     if mask == 0:
         return Equalizer(space=None, inclusion=None, is_empty=True)
     E = f.source.subspace(mask)
-    incl = SpaceMap(E, f.source, tuple(f.source.index(l) for l in E.labels))
+    # the subspace carries the induced order, so its inclusion is monotone
+    incl = SpaceMap._trusted(E, f.source, tuple(f.source.index(l) for l in E.labels))
     return Equalizer(space=E, inclusion=incl, is_empty=False)
 
 
@@ -362,7 +364,7 @@ def homeomorphic(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) ->
 
     if not rec(0):
         return None
-    f = SpaceMap(X, Y, tuple(table))
+    f = SpaceMap._trusted(X, Y, tuple(table))
     if not (f.is_injective() and f.is_order_embedding()):
         raise InternalError("backtracked isomorphism is not an order embedding")
     return f
@@ -451,7 +453,8 @@ def _extend_along_unit(refl: Reflection, f: SpaceMap, config: RunConfig) -> Spac
         if t is None:
             raise InternalError("target is not sober enough to extend along the unit")
         table.append(t)
-    return SpaceMap(refl.space, Y, tuple(table))
+    # a larger closed set has a larger image closure, hence a larger top
+    return SpaceMap._trusted(refl.space, Y, tuple(table))
 
 
 def universal_property_verify(

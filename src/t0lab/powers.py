@@ -159,7 +159,8 @@ def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, ope
     """The unit ``X -> space`` given by ``table``, certified a topological
     embedding: injective, an order embedding, and the image of each open U
     in ``opens`` is the trace of the basic open ``basic(U)`` on the image."""
-    f = SpaceMap(X, space, table)
+    # an order embedding is monotone, so the certificate checks the table
+    f = SpaceMap._trusted(X, space, table)
     if not f.is_injective() or not f.is_order_embedding():
         raise InternalError("unit into the power space failed to embed")  # unreachable
     img = f.image_mask(X.full)
@@ -184,7 +185,8 @@ def _lift(f: SpaceMap, PX, PY, hull, uX: SpaceMap, uY: SpaceMap) -> SpaceMap:
         if j is None:
             raise InternalError("image hull is not in the target carrier")
         table.append(j)
-    Pf = SpaceMap(PX.space, PY.space, tuple(table))
+    # image and hull keep inclusion, so the lift is monotone in either order
+    Pf = SpaceMap._trusted(PX.space, PY.space, tuple(table))
     if uX.then(Pf).table != tuple(uY.table[y] for y in f.table):
         raise InternalError("lift is not natural in the units")  # unreachable
     return Pf
@@ -278,7 +280,9 @@ def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
         for i in bits(fam_mask):
             u |= S1.carrier[i]
         table.append(S1.index[u])
-    un = SpaceMap(S2.space, S1.space, tuple(table))
+    # union keeps inclusion, so the table is monotone for reverse inclusion;
+    # a wrong table fails the preimage identity
+    un = SpaceMap._trusted(S2.space, S1.space, tuple(table))
     for U in X.upsets():
         b1 = S1.box_mask(U)  # an open of S1.space (certified up-set)
         if un.preimage_mask(b1) != S2.box_mask(b1):

@@ -204,6 +204,14 @@ def _member(core: str, X: FiniteSpace, m: int) -> bool:
     return is_irreducible(X, m)
 
 
+def _h_members(X: FiniteSpace, core: str) -> list[int]:
+    """Every member of the system with this S/C/D/R core in ascending mask
+    order, by ``_member`` on all 2^n masks, built once per space and core:
+    the one table every exhaustive quantifier over H(X) reads.  Callers
+    keep X.n within ``caps.subset_enum``."""
+    return X.memo(("h_members", core), lambda: [m for m in range(1, X.full + 1) if _member(core, X, m)])
+
+
 def h_member(H, X: FiniteSpace, A) -> bool:
     """Is A a member of H(X)?
 
@@ -493,8 +501,8 @@ def scott_h_open(H, X: FiniteSpace, U, config: RunConfig = DEFAULT) -> bool:
     """Is U open in the Scott-style system for H?
 
     Two clauses: U is an up-set, and whenever an H-set has a least upper
-    bound lying in U, the set already meets U.  The H-set quantifier is
-    enumerated over all 2^n subsets, so the carrier must fit under
+    bound lying in U, the set already meets U.  The H-set quantifier reads
+    the member table (``_h_members``), so the carrier must fit under
     ``caps.subset_enum``.
     """
     H = as_system(H)
@@ -504,10 +512,7 @@ def scott_h_open(H, X: FiniteSpace, U, config: RunConfig = DEFAULT) -> bool:
     cap = config.caps.subset_enum
     if X.n > cap:
         raise CapExceeded(f"Scott-open check enumerates subsets; needs carrier <= {cap}")
-    core = _core_of(H)
-    for m in range(1, X.full + 1):
-        if not _member(core, X, m):
-            continue
+    for m in _h_members(X, _core_of(H)):
         t = _sup_of(X, m)
         if t is not None and (um >> t) & 1 and m & um == 0:
             return False
@@ -517,8 +522,9 @@ def scott_h_open(H, X: FiniteSpace, U, config: RunConfig = DEFAULT) -> bool:
 def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, config: RunConfig = DEFAULT) -> bool:
     """Does the point map preserve all existing least upper bounds of
     H-sets?  ``mapping`` is a dict of labels, a label list, or an index
-    table; monotonicity is not assumed.  The H-sets are enumerated over all
-    2^n subsets, so the source must fit under ``caps.subset_enum``.
+    table; monotonicity is not assumed.  The H-sets are read from the
+    member table (``_h_members``), so the source must fit under
+    ``caps.subset_enum``.
     """
     H = as_system(H)
     if isinstance(mapping, dict):
@@ -530,10 +536,7 @@ def scott_h_continuous(H, X: FiniteSpace, Y: FiniteSpace, mapping, config: RunCo
     cap = config.caps.subset_enum
     if X.n > cap:
         raise CapExceeded(f"Scott-continuity check enumerates subsets; needs carrier <= {cap}")
-    core = _core_of(H)
-    for m in range(1, X.full + 1):
-        if not _member(core, X, m):
-            continue
+    for m in _h_members(X, _core_of(H)):
         t = _sup_of(X, m)
         if t is None:
             continue

@@ -114,7 +114,7 @@ def test_check_h_property_needs_system(capsys, diamond_doc):
 def test_check_fast_and_text_format(capsys, diamond_doc):
     code, out = run(
         capsys, "--format", "text", "check", diamond_doc,
-        "--property", "d_space", "--fast",
+        "--property", "d_space",
     )
     assert code == 0
     assert "d_space" in out and "true" in out.lower()

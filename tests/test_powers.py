@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import mutants
 import oracles
 from t0lab import function_space, hofmann_mislove_report, hoare, parse_space, powers, random_space, smyth
 from t0lab.config import DEFAULT, Caps, RunConfig
@@ -105,6 +106,16 @@ def test_smyth_union_monad_unit_laws():
         # lifted base unit, then union, is the identity
         Pxi = smyth_map(xi_embed(X))
         assert Pxi.then(un).table == SpaceMap.identity(S1.space).table
+
+
+def test_a_wrong_union_table_is_an_internal_error():
+    # the union table is built, not passed in, so a wrong one breaks the
+    # preimage certificate rather than a caller's map check
+    X = parse_space({"points": ["a", "b"], "covers": []})
+    with pytest.MonkeyPatch.context() as mp:
+        mutants.CONSTRUCT_FAULTS["smyth_union misses the last member"](mp)
+        with pytest.raises(InternalError, match="union preimage identity failed"):
+            powers.smyth_union(X)
 
 
 def test_smyth_union_cap():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from t0lab import Caps, RunConfig, SubsetSystemId, as_system, h_member, random_space, rudin_minimal
+from t0lab import Caps, RunConfig, SubsetSystemId, as_system, check_all, h_member, parse_space, random_space, rudin_minimal, systems
 from t0lab.errors import (
     CapExceeded,
     EmptyFamily,
@@ -278,15 +278,37 @@ def test_scott_h_open_matches_oracle(all_posets):
 
 
 def test_scott_h_open_cap(diamond):
+    # the cap holds whatever the cache state, also over a member table
+    # that is already built
+    config = RunConfig(caps=Caps(subset_enum=2))
     with pytest.raises(CapExceeded):
-        scott_h_open("D", diamond, diamond.full, RunConfig(caps=Caps(subset_enum=2)))
+        scott_h_open("D", diamond, diamond.full, config)
+    for core in CORES:
+        assert systems._h_members(diamond, core)
+        with pytest.raises(CapExceeded):
+            scott_h_open(core, diamond, diamond.full, config)
+        with pytest.raises(CapExceeded):
+            scott_h_continuous(core, diamond, diamond, list(range(diamond.n)), config)
+
+
+def test_scott_checks_read_the_member_table_of_check_all(monkeypatch):
+    # check_all fills the table of every core, so neither check calls the
+    # membership predicate again
+    X = parse_space({"points": list("abcdef"), "covers": [["a", "c"], ["b", "c"], ["c", "d"], ["e", "f"]]})
+    check_all(X)
+    calls = []
+    member = systems._member
+    monkeypatch.setattr(systems, "_member", lambda *args: calls.append(args) or member(*args))
+    for core in CORES:
+        for U in (X.full, X.up[X.index("c")], X.up[X.index("a")]):
+            scott_h_open(core, X, U)
+        scott_h_continuous(core, X, X, list(range(X.n)))
+    assert calls == []
 
 
 def test_scott_h_continuous_examples(diamond):
     chain = random_space(random.Random(3), max_points=1)
     labels = ["a", "b"]
-    from t0lab import parse_space
-
     two = parse_space({"points": labels, "covers": [["a", "b"]]})
     assert scott_h_continuous("D", two, two, {"a": "a", "b": "b"})
     # the flip fails to preserve the sup of the whole chain
