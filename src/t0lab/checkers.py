@@ -235,13 +235,6 @@ def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: C
     return "sampled", _sampled_h_sets(X, H, rng(), count)
 
 
-def _compacts(X: FiniteSpace, config: RunConfig) -> list[int]:
-    cap = config.caps.family_listing
-    if X.n > cap:
-        raise CapExceeded(f"compact-family analysis needs carrier <= {cap}, got {X.n}")
-    return X.nonempty_upsets()
-
-
 def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[int, ...], str]]:
     """Families of compacts used as instances when the powerset of K(X) is
     out of reach: all singleton families, all principal superset-closed
@@ -273,9 +266,13 @@ def _build_generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[
 def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) -> tuple[str, list[tuple[int, ...]]]:
     """H-families of compacts to quantify over: the raw powerset of K(X)
     filtered by membership when it fits the cap, else the generator
-    instances filtered by shape."""
+    instances filtered by shape.  K(X) is listed within
+    ``caps.family_listing`` only."""
     core = systems._core_of(H)
-    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
+    cap = config.caps.family_listing
+    if X.n > cap:
+        raise CapExceeded(f"compact-family analysis needs carrier <= {cap}, got {X.n}")
+    if len(X.nonempty_upsets()) <= config.caps.compact_family_enum:
         return "raw", _raw_families(X, core)
     fams = []
     for fam, shape in _generator_instances(X, config):
@@ -289,8 +286,8 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
 
 def _raw_families(X: FiniteSpace, core: str) -> list[tuple[int, ...]]:
     """Every subfamily of K(X) in the S/C/D/R family system, from the raw
-    powerset; callers have listed K(X) through ``_compacts`` and keep
-    |K(X)| within ``caps.compact_family_enum``."""
+    powerset; its one caller, ``_families_for``, keeps |K(X)| within
+    ``caps.compact_family_enum``."""
 
     def build():
         ks = X.nonempty_upsets()
@@ -534,8 +531,8 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
     # 1: definitional filtered-family condition
-    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
-        fams = _raw_families(X, "D")
+    mode, fams = _families_for(X, systems.SubsetSystemId("D"), config)
+    if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
         paths.append(("filtered families (raw powerset)", value, ""))
@@ -556,8 +553,8 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
 def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     paths = []
     evidence = {}
-    if len(_compacts(X, config)) <= config.caps.compact_family_enum:
-        fams = _raw_families(X, "C")
+    mode, fams = _families_for(X, systems.SubsetSystemId("C"), config)
+    if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
         paths.append(("descending chains (raw powerset)", value, ""))
@@ -697,7 +694,7 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
     paths = []
     evidence = {}
     if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
-        filters = powers.open_filters(X)
+        filters = powers.open_filters(X, config)
         value = True
         table = {}
         for f in filters:

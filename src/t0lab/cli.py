@@ -102,6 +102,8 @@ def _cmd_inspect(args) -> int:
 def _cmd_check(args) -> int:
     X = _load_space(args.space)
     config = _config(args)
+    if args.cross and args.system is None:
+        raise UsageError("--cross needs --system")
     rc = 0
     payload = {}
     if args.property == "all":
@@ -115,8 +117,6 @@ def _cmd_check(args) -> int:
         if not (v.holds and v.characterizations_agreed):
             rc = 1
     if args.cross:
-        if args.system is None:
-            raise UsageError("--cross needs --system")
         r1 = checkers.crosscheck_h_sober(X, args.system, config)
         r2 = checkers.crosscheck_super(X, args.system, config)
         payload = {"verdict": payload, "crosschecks": [r1.to_json(), r2.to_json()]}

@@ -36,7 +36,8 @@ certificates is the first to raise under some injected fault of
 Open filters of the open-set lattice are represented properly (no filter
 contains the empty open); on a finite space they are exactly the principal
 filters at nonempty opens, which makes the compact-saturated/open-filter
-correspondence an honest bijection.
+correspondence an honest bijection.  A family is tested at its meet, and
+the open filters are listed under the Smyth carrier's caps.
 """
 from __future__ import annotations
 
@@ -396,26 +397,19 @@ class OpenFilter:
         fam = set(self.opens)
         if not fam:
             raise NotAFilter("a filter has at least one member")
-        all_opens = set(X.upsets())
-        for U in fam:
-            if U not in all_opens:
-                raise NotAFilter("filter members must be opens of the space")
+        if not all(X.is_up(U) for U in fam):
+            raise NotAFilter("filter members must be opens of the space")
         if 0 in fam:
             raise NotAFilter("a proper filter does not contain the empty open")
-        for U in fam:
-            for V in all_opens:
-                if U & ~V == 0 and V not in fam:
-                    raise NotAFilter(
-                        f"not upward closed: contains {list(X.labels_of(U))} but "
-                        f"not {list(X.labels_of(V))}"
-                    )
-        for U in fam:
-            for V in fam:
-                if (U & V) not in fam:
-                    raise NotAFilter(
-                        f"not meet closed: {list(X.labels_of(U))} and "
-                        f"{list(X.labels_of(V))}"
-                    )
+        # a proper filter of a finite lattice holds its meet and is the
+        # up-set of it; that up-set is a proper filter when the meet is
+        # not the empty open
+        m = self.least()
+        if m == 0:
+            raise NotAFilter("the members meet in the empty open")
+        for V in X.upsets():
+            if m & ~V == 0 and V not in fam:
+                raise NotAFilter(f"not upward closed: misses {list(X.labels_of(V))}, which contains the meet")
 
     def least(self) -> int:
         m = self.space.full
@@ -442,21 +436,23 @@ def phi(X: FiniteSpace, K) -> OpenFilter:
     return OpenFilter(X, members)
 
 
-def open_filters(X: FiniteSpace) -> list[OpenFilter]:
+def open_filters(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[OpenFilter]:
     """All open filters.  On a finite space every proper Scott-open filter
     is the principal filter at its (nonempty) least member, so the list is
-    indexed by the compact saturated sets; a brute-force oracle in the test
-    suite backs this up.  Built once per space (it reads no cap)."""
-    return X.memo("open_filters", lambda: [phi(X, k) for k in X.nonempty_upsets()])
+    indexed by the compact saturated sets, the Smyth points, under the
+    Smyth carrier's caps; a brute-force oracle in the test suite backs
+    this up.  Built once per space and caps."""
+    return X.memo(("open_filters", config.caps),
+                  lambda: [phi(X, k) for k in _nonempty_members(X, X.upsets, config.caps, "Smyth")])
 
 
 def filter_of_family(X: FiniteSpace, family) -> OpenFilter:
     """The filter of opens containing some member of the family.
 
     This is a filter exactly when the family is irreducible in the Smyth
-    power space.  A non-filter raises ``NotAFilter`` with the failing pair,
-    unless the family is irreducible, which breaks that equivalence and is
-    an ``InternalError``.
+    power space.  A non-filter raises ``NotAFilter`` naming the empty meet
+    or the first open above the meet that is missing, unless the family is
+    irreducible, which breaks that equivalence and is an ``InternalError``.
     """
     masks = systems.family_masks(X, family)
     members = tuple(U for U in X.upsets() if any(k & ~U == 0 for k in masks))
@@ -475,8 +471,8 @@ def hofmann_mislove_report(X: FiniteSpace, config: RunConfig = DEFAULT) -> dict:
     F -> least(F), and it reverses order on a sample of pairs (raw on all
     pairs for small carriers).
     """
+    filters = open_filters(X, config)
     ks = X.nonempty_upsets()
-    filters = open_filters(X)
     recovered = [f.least() for f in filters]
     bijective = recovered == ks and len({tuple(f.opens) for f in filters}) == len(ks)
     # order reversal: phi(K1) inside phi(K2) iff K2 inside K1

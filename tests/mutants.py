@@ -37,7 +37,10 @@ of construction calls where it is (``certificate_values``), and the
 ``"outcomes"`` key, per fault and per construction call, whether the call
 returned, raised a certificate or raised another exception, by class
 name (``outcome_values``), so that two commits' runs can be diffed call
-by call.
+by call.  ``python tests/mutants.py NEW.json --against OLD.json`` then
+prints every entry that differs from the older report OLD.json, one line
+each, with the ``"outcomes"`` counted per (fault, function, old -> new)
+(``report_diff``).
 ``tests/test_checkers.py`` asserts on the classes of at most 3 points that
 every verdict path changes under some fault, ``tests/test_zoo.py`` that
 every zoo fact kind does, and ``tests/test_construct.py`` that every
@@ -49,6 +52,7 @@ import inspect
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -610,9 +614,43 @@ def outcome_values() -> dict:
     return out
 
 
-if __name__ == "__main__":
-    import sys
+def _leaves(doc, prefix=()):
+    """(key path, value) for every non-dict value of nested dicts."""
+    if not isinstance(doc, dict):
+        yield prefix, doc
+        return
+    for key, value in doc.items():
+        yield from _leaves(value, prefix + (key,))
 
+
+def report_diff(old: dict, new: dict) -> list[str]:
+    """The entries of two reports that differ, one line each, with an
+    entry missing on one side read as "absent"; the ``"outcomes"`` entries
+    are counted per (fault, function, old outcome -> new outcome)."""
+    lines = []
+    a = dict(_leaves({k: v for k, v in old.items() if k != "outcomes"}))
+    b = dict(_leaves({k: v for k, v in new.items() if k != "outcomes"}))
+    for path in sorted(a.keys() | b.keys()):
+        if a.get(path, "absent") != b.get(path, "absent"):
+            lines.append(f"{' / '.join(path)}: {a.get(path, 'absent')} -> {b.get(path, 'absent')}")
+    a, b = dict(_leaves(old.get("outcomes", {}))), dict(_leaves(new.get("outcomes", {})))
+    moves = Counter()
+    for fault, call in a.keys() | b.keys():
+        was, now = a.get((fault, call), "absent"), b.get((fault, call), "absent")
+        if was != now:
+            moves[fault, call.split("(")[0], was, now] += 1
+    for (fault, fn, was, now), count in sorted(moves.items()):
+        lines.append(f"outcomes / {fault} / {fn}: {was} -> {now}: {count} calls")
+    return lines
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Write the fault report; with --against, print how it differs from an older one.")
+    parser.add_argument("out", metavar="NEW.json")
+    parser.add_argument("--against", metavar="OLD.json")
+    args = parser.parse_args()
     docs = corpus_docs()
     conditions = condition_values(docs)
     report = {"no fault": detections(conditions)}
@@ -628,6 +666,9 @@ if __name__ == "__main__":
     report["facts"] = kill_table(*fact_values())["facts"]
     report["certificates"] = certificate_values()
     report["outcomes"] = outcome_values()
-    with open(sys.argv[1], "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if args.against:
+        with open(args.against) as fh, open(args.out) as gh:
+            print("\n".join(report_diff(json.load(fh), json.load(gh))) or "no difference")

@@ -264,20 +264,23 @@ def scott_h_open(core: str, X: FiniteSpace, U: int) -> bool:
     return True
 
 
+def is_open_filter(X: FiniteSpace, fam) -> bool:
+    """Definitional: a nonempty family of nonempty opens, upward closed
+    among the opens and closed under pairwise meets."""
+    opens = upsets(X)
+    fs = set(fam)
+    if not fs or 0 in fs or not fs <= set(opens):
+        return False
+    if any(u & ~v == 0 and v not in fs for u in fs for v in opens):
+        return False
+    return all(u & v in fs for u in fs for v in fs)
+
+
 def open_filters(X: FiniteSpace) -> list[frozenset]:
     """All proper filters of nonempty opens, by powerset enumeration."""
     opens = [u for u in upsets(X) if u]
-    out = []
-    for r in range(1, len(opens) + 1):
-        for fam in combinations(opens, r):
-            fs = set(fam)
-            # upward closed among opens
-            if any(u & ~v == 0 and v not in fs for u in fs for v in opens):
-                continue
-            if any(u & v not in fs for u in fs for v in fs):
-                continue
-            out.append(frozenset(fs))
-    return out
+    return [frozenset(fam) for r in range(1, len(opens) + 1)
+            for fam in combinations(opens, r) if is_open_filter(X, fam)]
 
 
 def minimal_meeting_closed(X: FiniteSpace, fam: tuple[int, ...]) -> list[int]:

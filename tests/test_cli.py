@@ -102,6 +102,18 @@ def test_check_with_crosschecks(capsys, diamond_doc):
     assert code == 2  # --cross without --system
 
 
+def test_cross_without_system_fails_before_any_checker(capsys, monkeypatch, diamond_doc):
+    calls = []
+
+    def check_all(*args):
+        calls.append(args)
+        raise AssertionError("a checker ran before the usage error")
+
+    monkeypatch.setattr(checkers, "check_all", check_all)
+    code, _ = run(capsys, "check", diamond_doc, "--cross")
+    assert code == 2 and calls == []
+
+
 def test_check_h_property_needs_system(capsys, diamond_doc):
     code, _ = run(capsys, "check", diamond_doc, "--property", "h_sober")
     assert code == 2

@@ -277,6 +277,69 @@ def test_open_filter_validation(sier):
     assert f.to_json()["least"] == ["b"]
 
 
+def _is_open_filter(X, fam) -> bool:
+    try:
+        OpenFilter(X, tuple(fam))
+    except NotAFilter:
+        return False
+    return True
+
+
+def test_open_filter_test_matches_the_pairwise_definition(all_posets, corpus):
+    # every family of opens, the empty open included, on the small classes
+    for X in [X for n in (1, 2, 3) for X in all_posets[n]]:
+        opens = X.upsets()
+        for m in range(1 << len(opens)):
+            fam = [opens[i] for i in bits(m)]
+            assert _is_open_filter(X, fam) == oracles.is_open_filter(X, fam), (X.up, fam)
+    # seeded families: the opens above an open, then one member dropped,
+    # one open or any mask added, or left as they are
+    rng = random.Random(17)
+    verdicts = Counter()
+    for X in corpus[:60]:
+        opens = X.upsets()
+        for _ in range(20):
+            k = rng.choice(opens)
+            fam = [U for U in opens if k & ~U == 0]
+            edit = rng.randrange(4)
+            if edit == 0:
+                fam.remove(rng.choice(fam))
+            elif edit == 1:
+                fam.append(rng.choice(opens))
+            elif edit == 2:
+                fam.append(rng.getrandbits(X.n))
+            got = _is_open_filter(X, fam)
+            assert got == oracles.is_open_filter(X, fam), (X.up, fam)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_open_filters_share_the_smyth_caps(monkeypatch):
+    anti = lambda n: parse_space({"points": [f"a{i}" for i in range(n)], "covers": []})
+    built = []
+    post_init = OpenFilter.__post_init__
+    monkeypatch.setattr(OpenFilter, "__post_init__", lambda f: built.append(f) or post_init(f))
+    X = anti(12)
+    with pytest.raises(CapExceeded, match="Smyth carrier has 4095 members, cap is 2048"):
+        open_filters(X)
+    with pytest.raises(CapExceeded, match="Smyth carrier has 4095 members, cap is 2048"):
+        hofmann_mislove_report(X)
+    assert built == []
+    chain = parse_space({"points": [f"c{i}" for i in range(21)],
+                         "covers": [[f"c{i}", f"c{i + 1}"] for i in range(20)]})
+    for f in (open_filters, hofmann_mislove_report):
+        with pytest.raises(CapExceeded, match="Smyth power space: base carrier too large"):
+            f(chain)
+    assert built == []
+    # a list built under the default caps does not pass smaller ones
+    X = anti(6)
+    assert len(open_filters(X)) == 63
+    small = RunConfig(caps=Caps(smyth_carrier=10))
+    for f in (open_filters, hofmann_mislove_report):
+        with pytest.raises(CapExceeded, match="Smyth carrier has 63 members, cap is 10"):
+            f(X, small)
+
+
 def test_open_filters_match_powerset_oracle(all_posets, diamond):
     pool = [X for n in (1, 2, 3) for X in all_posets[n]] + [diamond]
     for X in pool:
