@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT, RunConfig
@@ -321,14 +322,29 @@ def _filtered(inter: int, fam: Sequence[int], opens: Iterable[int]) -> bool:
     return True
 
 
-def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Iterable[int], sat: Callable[[int], int]) -> bool:
+def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int], sat: Callable[[int], int],
+                  every_closed: bool = False) -> bool:
     """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
     over K in fam, for every C in ``closed_sets``; ``sat`` saturates the
-    cuts (``X.sat_mask``, or the table of ``_cut_sat``)."""
+    cuts (``X.sat_mask``, or the table of ``_cut_sat``).  A caller that
+    passes all of ``X.downsets()`` with the table of ``_cut_sat`` says so
+    by ``every_closed``, and the equation is then compared row by row:
+    the rows [sat(C meet k) for C in closed_sets], one per mask k and
+    space (``"cut_rows"``), of the members ANDed against the row of the
+    meet."""
     full = X.full
     inter = full
     for k in fam:
         inter &= k
+    if every_closed:
+        rows = X.memo("cut_rows", dict)
+        for k in (*fam, inter):
+            if k not in rows:
+                rows[k] = [sat(C & k) for C in closed_sets]
+        rhs = [full] * len(closed_sets)
+        for k in fam:
+            rhs = list(map(and_, rhs, rows[k]))
+        return rhs == rows[inter]
     for C in closed_sets:
         rhs = full
         for k in fam:
@@ -495,6 +511,10 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
         value = True
         sups = {}
         directed = systems._h_members(X, "D")
+        # the table is listed per point, so its members have sups by
+        # construction; the raw scan of the predicate is what can fail
+        if directed != [m for m in range(1, X.full + 1) if systems._member("D", X, m)]:
+            value = False
         for m in directed:
             s = systems._sup_of(X, m)
             c = X.closure_mask(m)
@@ -624,7 +644,7 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
             value = False
             continue
         cuts = closed if len(fams) * len(closed) <= 4096 else [closed[rngs.randrange(len(closed))] for _ in range(4)]
-        if not _cut_identity(X, fam, cuts, sat):
+        if not _cut_identity(X, fam, cuts, sat, cuts is closed):
             value = False
     paths.append(("equational cut identity over closed sets", value, ""))
     return paths, evidence
@@ -822,7 +842,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
             cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
         elif len(hc) * len(closed) > 4096:
             cs = [closed[rngq.randrange(len(closed))] for _ in range(4)]
-        if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat):
+        if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat, cs is closed):
             bounded_eq = False
 
     conds = [

@@ -441,9 +441,16 @@ def open_filters(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[OpenFilter
     is the principal filter at its (nonempty) least member, so the list is
     indexed by the compact saturated sets, the Smyth points, under the
     Smyth carrier's caps; a brute-force oracle in the test suite backs
-    this up.  Built once per space and caps."""
-    return X.memo(("open_filters", config.caps),
-                  lambda: [phi(X, k) for k in _nonempty_members(X, X.upsets, config.caps, "Smyth")])
+    this up.  Built once per space and caps.  Each filter is ``phi`` of
+    one of X's own compacts, so a refused filter is an ``InternalError``."""
+
+    def build():
+        try:
+            return [phi(X, k) for k in _nonempty_members(X, X.upsets, config.caps, "Smyth")]
+        except NotAFilter as e:
+            raise InternalError(f"the neighbourhoods of a compact are not an open filter: {e}") from None
+
+    return X.memo(("open_filters", config.caps), build)
 
 
 def filter_of_family(X: FiniteSpace, family) -> OpenFilter:

@@ -420,9 +420,10 @@ class FiniteSpace:
         depends on besides the space itself; a value whose build reads the
         caps has the caps in its key, so no cap is bypassed by a value
         built under other caps.  A value may be a table that its users fill
-        lazily after the build (the checkers' cut and sampled-member
-        tables); its key must still name everything an entry depends on,
-        and neither of those tables reads a cap."""
+        lazily after the build (the checkers' cut, cut-row and
+        sampled-member tables, the least upper bounds of ``systems``); its
+        key must still name everything an entry depends on, and none of
+        those tables reads a cap."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()

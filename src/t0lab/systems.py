@@ -204,12 +204,50 @@ def _member(core: str, X: FiniteSpace, m: int) -> bool:
     return is_irreducible(X, m)
 
 
+def _topped(X: FiniteSpace) -> Iterable[int]:
+    """Each point x with every subset of its strict down-set: on a finite
+    space the directed sets, and the irreducible sets, are exactly the
+    nonempty sets with a greatest element."""
+    for x, row in enumerate(X.down):
+        rest = row & ~(1 << x)
+        s = rest
+        while True:
+            yield 1 << x | s
+            if not s:
+                break
+            s = (s - 1) & rest
+
+
+def _chains(X: FiniteSpace) -> Iterable[int]:
+    """The nonempty chains, each walked down the order from its greatest
+    point.  A step keeps the points strictly below the point it adds,
+    dropping that point's own bit too, so the walk ends on any rows."""
+    down = X.down
+    for x in range(X.n):
+        stack = [(1 << x, down[x] & ~(1 << x))]
+        while stack:
+            m, allowed = stack.pop()
+            yield m
+            for y in bits(allowed):
+                stack.append((m | 1 << y, allowed & down[y] & ~(1 << y)))
+
+
+def _singletons(X: FiniteSpace) -> Iterable[int]:
+    return (1 << i for i in range(X.n))
+
+
+_LISTINGS = {"S": _singletons, "C": _chains, "D": _topped, "R": _topped}
+
+
 def _h_members(X: FiniteSpace, core: str) -> list[int]:
     """Every member of the system with this S/C/D/R core in ascending mask
-    order, by ``_member`` on all 2^n masks, built once per space and core:
-    the one table every exhaustive quantifier over H(X) reads.  Callers
-    keep X.n within ``caps.subset_enum``."""
-    return X.memo(("h_members", core), lambda: [m for m in range(1, X.full + 1) if _member(core, X, m)])
+    order, listed from the order at the cost of the list (D and R share
+    one), built once per space: the one table every exhaustive quantifier
+    over H(X) reads.  ``_member`` is not consulted; ``d_space`` compares
+    the D table with its raw 2^n scan.  Callers keep X.n within
+    ``caps.subset_enum``."""
+    listing = _LISTINGS[core]
+    return X.memo(("h_members", listing), lambda: sorted(set(listing(X))))
 
 
 def h_member(H, X: FiniteSpace, A) -> bool:
@@ -485,7 +523,15 @@ def property_q_instance(H, X: FiniteSpace, family, A, config: RunConfig = DEFAUL
 
 
 def _sup_of(X: FiniteSpace, m: int) -> int | None:
-    """Least upper bound of the set, as an index, if it exists."""
+    """Least upper bound of the set, as an index, if it exists, through
+    one per-space table (``"sup_of"``) filled by ``_find_sup``."""
+    table = X.memo("sup_of", dict)
+    if m not in table:
+        table[m] = _find_sup(X, m)
+    return table[m]
+
+
+def _find_sup(X: FiniteSpace, m: int) -> int | None:
     ubs = X.ubs_mask(m)
     if ubs == 0:
         return None

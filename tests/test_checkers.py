@@ -392,6 +392,16 @@ def test_corrupted_spaces_fail_the_paths_that_read_their_rows(monkeypatch):
     assert values("d_space") == ["false", "false", "false"]
 
 
+def test_d_space_compares_its_table_with_the_raw_scan(monkeypatch, diamond):
+    # a member table listed per point has sups by construction, so only
+    # the raw scan can see a member the listing lost
+    topped = systems._topped
+    monkeypatch.setitem(systems._LISTINGS, "D", lambda X: sorted(topped(X))[1:])
+    v = check(_fresh(diamond), "d_space")
+    assert [val for _, val in v.characterizations] == ["false", "true", "true"]
+    assert v.evidence["directed_sets"] == len(systems._h_members(_fresh(diamond), "R")) - 1
+
+
 # -- per-space tables ------------------------------------------------------
 
 
@@ -455,6 +465,39 @@ def test_cut_table_gives_the_kernels_cut_equation(corpus):
                 assert v == checkers._cut_identity(X, fam, [C], X.sat_mask), (X, fam, C)
                 values[v] += 1
     assert values[True] and values[False]
+
+
+def _cut_families(X: FiniteSpace) -> list:
+    """The families the two cut callers pass with every closed set as a
+    cut: a core's compact families, or the up-sets of the points of each
+    member closure, where there are at most 4096 (family, cut) pairs."""
+    out = []
+    for H in CORES:
+        fams = checkers._families_for(X, systems.as_system(H), RunConfig())[1]
+        closures = sorted({X.closure_mask(m) for m in systems._h_members(X, H)})
+        for fams in (fams, [[X.up[a] for a in bits(c)] for c in closures]):
+            if len(fams) * len(X.downsets()) <= 4096:
+                out += fams
+    return out
+
+
+def test_cut_rows_give_the_per_cut_equation(monkeypatch, all_posets, corpus):
+    # the crit-2 corpus, then the 3-point classes under a saturation fault,
+    # so that failing equations are compared too
+    spaces = [X for n in sorted(all_posets) for X in all_posets[n]] + corpus
+    values = Counter()
+    for faulty in (False, True):
+        if faulty:
+            mutants.FAULTS["non-monotone sat_mask"](monkeypatch)
+            spaces = [parse_space(X.to_doc()) for X in all_posets[3]]
+        for X in spaces:
+            P = _fresh(X)
+            sat, closed = checkers._cut_sat(P), P.downsets()
+            for fam in _cut_families(P):
+                v = checkers._cut_identity(P, fam, closed, sat, True)
+                assert v == checkers._cut_identity(P, fam, closed, sat), (X, fam)
+                values[faulty, v] += 1
+    assert values[False, True] and values[True, False] and not values[False, False]
 
 
 def test_super_cut_path_saturates_each_mask_once(monkeypatch, corpus):

@@ -340,6 +340,16 @@ def test_open_filters_share_the_smyth_caps(monkeypatch):
             f(X, small)
 
 
+def test_a_refused_neighbourhood_filter_is_an_internal_error(monkeypatch):
+    # open_filters builds each filter from one of the space's own compacts,
+    # so a NotAFilter there is a broken kernel, not a user error
+    doc = {"points": ["a", "b"], "covers": []}
+    mutants.FAULTS["is_up false on pairs"](monkeypatch)
+    for f in (open_filters, hofmann_mislove_report):
+        with pytest.raises(InternalError, match="the neighbourhoods of a compact are not an open filter"):
+            f(parse_space(doc))
+
+
 def test_open_filters_match_powerset_oracle(all_posets, diamond):
     pool = [X for n in (1, 2, 3) for X in all_posets[n]] + [diamond]
     for X in pool:

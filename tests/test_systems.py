@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mutants
 import oracles
 from t0lab import Caps, RunConfig, SubsetSystemId, as_system, check_all, h_member, parse_space, random_space, rudin_minimal, systems
 from t0lab.errors import (
@@ -263,6 +264,47 @@ def test_property_instances_validate_preconditions(diamond):
         property_m_instance("S", diamond, [left], 1 << diamond.index("bot"))
     with pytest.raises(UsageError):
         property_q_instance("S", diamond, [left], left)  # not closed
+
+
+# -- the member tables -----------------------------------------------------
+
+
+def _shape(kind: str, n: int):
+    p = [f"p{i}" for i in range(n)]
+    if kind == "chain":
+        covers = [[p[i], p[i + 1]] for i in range(n - 1)]
+    elif kind == "fence":
+        covers = [[p[i], p[i + 1]] if i % 2 == 0 else [p[i + 1], p[i]] for i in range(n - 1)]
+    elif kind == "tree":  # binary tree, root on top
+        covers = [[p[c], p[(c - 1) // 2]] for c in range(1, n)]
+    else:
+        covers = []
+    return parse_space({"points": p, "covers": covers})
+
+
+def test_member_tables_match_the_raw_scan(all_posets):
+    rng = random.Random(18)
+    spaces = [X for n in sorted(all_posets) for X in all_posets[n]]
+    spaces += [random_space(rng, max_points=10) for _ in range(200)]
+    spaces += [_shape(kind, n) for kind in ("chain", "fence", "tree", "antichain") for n in (9, 10, 12)]
+    assert len(spaces) == 299 and max(X.n for X in spaces) == 12
+    for X in spaces:
+        for core in CORES:
+            raw = [m for m in range(1, X.full + 1) if systems._member(core, X, m)]
+            assert systems._h_members(X, core) == raw, (X.to_doc(), core)
+
+
+@pytest.mark.parametrize("fault", ["rows not antisymmetric", "closure row not a down-set"])
+def test_member_tables_are_listed_on_corrupted_rows(monkeypatch, all_posets, fault):
+    docs = [X.to_doc() for n in (2, 3, 4) for X in all_posets[n]]
+    docs += [_shape(kind, 9).to_doc() for kind in ("chain", "fence", "tree")]
+    mutants.FAULTS[fault](monkeypatch)
+    # each walk drops the point it adds, so it ends whatever the rows say
+    for doc in docs:
+        X = parse_space(doc)
+        for core in CORES:
+            table = systems._h_members(X, core)
+            assert table == sorted(set(table)) and all(0 < m <= X.full for m in table)
 
 
 # -- the Scott-style open system -------------------------------------------
