@@ -354,12 +354,16 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     """Functorial action on Hoare power spaces: A -> cl(f(A)).
 
     ``which`` names both endpoints' carrier: ``closed`` or ``irr_closed``.
-    Checked natural in the point-closure units.
+    Checked natural in the point-closure units; both carriers hold every
+    point closure, so any usage error past ``which`` is an ``InternalError``.
     """
     if which not in ("closed", "irr_closed"):
         raise UsageError("hoare_map takes a named carrier: 'closed' or 'irr_closed'")
-    HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
-    return _lift(f, HX, HY, f.target.closure_mask, hoare_eta(HX), hoare_eta(HY))
+    try:
+        HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
+        return _lift(f, HX, HY, f.target.closure_mask, hoare_eta(HX), hoare_eta(HY))
+    except UsageError as e:
+        raise InternalError(f"a named Hoare carrier was refused: {e}") from None
 
 
 def hoare_eta(H: HoareSpace) -> SpaceMap:
@@ -442,12 +446,12 @@ def open_filters(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[OpenFilter
     indexed by the compact saturated sets, the Smyth points, under the
     Smyth carrier's caps; a brute-force oracle in the test suite backs
     this up.  Built once per space and caps.  Each filter is ``phi`` of
-    one of X's own compacts, so a refused filter is an ``InternalError``."""
+    one of X's own compacts, so refusing either is an ``InternalError``."""
 
     def build():
         try:
             return [phi(X, k) for k in _nonempty_members(X, X.upsets, config.caps, "Smyth")]
-        except NotAFilter as e:
+        except UsageError as e:
             raise InternalError(f"the neighbourhoods of a compact are not an open filter: {e}") from None
 
     return X.memo(("open_filters", config.caps), build)

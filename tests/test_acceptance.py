@@ -97,14 +97,23 @@ def test_criterion_3_rudin_oracle_equivalence():
     bad = []
     for n in range(1, 7):
         for X in enumerate_posets(n):
-            downs = [d for d in oracles.downsets(X) if d]
+            downs = sorted((d for d in oracles.downsets(X) if d), key=lambda d: (d.bit_count(), d))
             ks = oracles.compacts(X)
+            # the nonempty down-sets each compact meets, as a mask over downs
+            hits = {k: sum(1 << i for i, d in enumerate(downs) if d & k) for k in ks}
             for size in (1, 2, 3):
                 for fam in combinations(ks, size):
                     n_fam += 1
-                    meet = [d for d in downs if all(d & k for k in fam)]
-                    mins = {d for d in meet
-                            if not any(e != d and e & ~d == 0 for e in meet)}
+                    meet = hits[fam[0]]
+                    for k in fam[1:]:
+                        meet &= hits[k]
+                    # downs ascend by size, so a member of the meet is
+                    # minimal iff no minimal member found before lies in it
+                    mins = []
+                    for i in bits(meet):
+                        if not any(e & ~downs[i] == 0 for e in mins):
+                            mins.append(downs[i])
+                    mins = set(mins)
                     got = systems.rudin_minimal(X, fam, X.full).mask
                     if got not in mins:
                         bad.append((X.to_doc(), fam, "left the minimal class"))

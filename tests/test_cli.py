@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -337,12 +336,6 @@ def test_broken_product_projection_is_an_internal_error_exit_4(capsys, sier_doc,
     with pytest.raises(InternalError):
         construct.product(parse_space(SIER), parse_space(SIER))
     assert main(["construct", "product", sier_doc, sier_doc]) == 4
-    assert "internal error" in capsys.readouterr().err
-
-
-def test_reflection_failing_its_target_property_is_an_internal_error_exit_4(capsys, diamond_doc, monkeypatch):
-    monkeypatch.setattr(checkers, "check", lambda *a, **k: SimpleNamespace(holds=False, property="h_sober"))
-    assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, lambda Y: construct.reflect(Y, "R")) == 4
     assert "internal error" in capsys.readouterr().err
 
 

@@ -7,6 +7,7 @@ import mutants
 import oracles
 from t0lab import (
     FiniteSpace,
+    checkers,
     construct,
     continuous_maps,
     enumerate_posets,
@@ -277,6 +278,21 @@ def test_reflect_iso_is_the_unit():
     }
 
 
+def test_reflect_runs_no_checker(all_posets, monkeypatch):
+    # the reflection is the point-closure space, certified where it is
+    # built, so no checker decides its target property again
+    def refuse(*args, **kwargs):
+        raise AssertionError("reflect ran a checker")
+
+    monkeypatch.setattr(checkers, "check", refuse)
+    for X in all_posets[3]:
+        for kind in _KINDS:
+            refl = reflect(X, "R", kind)
+            assert set(refl.carrier) == set(X.down)
+            assert refl.unit is powers.hoare_eta(refl.hoare)
+            assert refl.iso is refl.unit
+
+
 def test_universal_property_against_small_targets(diamond):
     refl = reflect(diamond, "R")
     for Y in enumerate_posets(3):
@@ -348,6 +364,16 @@ def test_product_map_failing_its_certificate_raises(sier, diamond, monkeypatch):
     with pytest.raises(NoHomeomorphism, match=r"A -> \(cl pi1 A, cl pi2 A\)"):
         product_preservation(sier, diamond, "R")
     assert len(calls) == 2
+
+
+def test_a_refused_product_order_is_an_internal_error(monkeypatch):
+    # the componentwise order of two T0 orders is T0, so a NotT0 from the
+    # product's own space is a broken kernel, not a user error
+    mutants.FAULTS["rows not antisymmetric"](monkeypatch)
+    X = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
+    for build in (product, product_preservation):
+        with pytest.raises(InternalError, match="the product order is not T0"):
+            build(X, X)
 
 
 # -- certificates ------------------------------------------------------------

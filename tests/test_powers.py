@@ -222,6 +222,18 @@ def test_hoare_map_takes_only_a_named_carrier():
     assert hoare_map(f, "closed").table == hoare_map(f, "irr_closed").table == (0, 2)
 
 
+def test_a_refused_named_hoare_carrier_is_an_internal_error(monkeypatch):
+    # both named carriers hold every point closure, so an empty carrier
+    # (EmptyFamily) or one missing a closure (hoare_eta's UsageError) is a
+    # broken kernel, not a user error
+    mutants.FAULTS["rows not antisymmetric"](monkeypatch)
+    for doc in ({"points": ["a", "b"], "covers": [["a", "b"]]},
+                {"points": ["x", "y", "z"], "covers": [["y", "z"]]}):
+        X = parse_space(doc)
+        with pytest.raises(InternalError, match="a named Hoare carrier was refused"):
+            hoare_map(SpaceMap.identity(X), "closed")
+
+
 def test_lifts_certify_each_unit_once(monkeypatch):
     X = parse_space({"points": ["a", "b"], "covers": [["a", "b"]]})
     Y = parse_space({"points": ["x", "y", "z"], "covers": [["x", "z"], ["y", "z"]]})
@@ -340,14 +352,17 @@ def test_open_filters_share_the_smyth_caps(monkeypatch):
             f(X, small)
 
 
-def test_a_refused_neighbourhood_filter_is_an_internal_error(monkeypatch):
+def test_a_refused_neighbourhood_filter_is_an_internal_error():
     # open_filters builds each filter from one of the space's own compacts,
-    # so a NotAFilter there is a broken kernel, not a user error
+    # so a refused filter (NotAFilter) or compact (phi's CompactSat) there
+    # is a broken kernel, not a user error
     doc = {"points": ["a", "b"], "covers": []}
-    mutants.FAULTS["is_up false on pairs"](monkeypatch)
-    for f in (open_filters, hofmann_mislove_report):
-        with pytest.raises(InternalError, match="the neighbourhoods of a compact are not an open filter"):
-            f(parse_space(doc))
+    for fault in ("is_up false on pairs", "sat_mask drops the lowest point"):
+        with pytest.MonkeyPatch.context() as mp:
+            mutants.FAULTS[fault](mp)
+            for f in (open_filters, hofmann_mislove_report):
+                with pytest.raises(InternalError, match="the neighbourhoods of a compact are not an open filter"):
+                    f(parse_space(doc))
 
 
 def test_open_filters_match_powerset_oracle(all_posets, diamond):
