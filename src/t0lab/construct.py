@@ -56,15 +56,17 @@ class Product:
 def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Product:
     """Componentwise-ordered product with its projections.
 
+    Points are labelled ``(x,y)``, or ``(i,j)`` by index if those collide.
     The projections are continuous by construction (the order is
     componentwise, hence T0, so a refused order is an ``InternalError``);
     saturation of a sampled handful of sets is checked to commute with them.
     """
-    labels = []
+    labels = [f"({a},{b})" for a in X.labels for b in Y.labels]
+    if len(set(labels)) < len(labels):
+        labels = [f"({i},{j})" for i in range(X.n) for j in range(Y.n)]
     up = []
     for i in range(X.n):
         for j in range(Y.n):
-            labels.append(f"({X.labels[i]},{Y.labels[j]})")
             m = 0
             for a in bits(X.up[i]):
                 for b in bits(Y.up[j]):
@@ -437,7 +439,7 @@ def reflect(
     )
 
 
-def _extend_along_unit(refl: Reflection, f: SpaceMap, config: RunConfig) -> SpaceMap:
+def _extend_along_unit(refl: Reflection, f: SpaceMap) -> SpaceMap:
     """The unique continuous extension f* with f* . unit = f: a determined
     closed set goes to the generic point of the closure of its image."""
     Y = f.target
@@ -478,7 +480,7 @@ def universal_property_verify(
     for fmap in fs:
         if fmap.source is not X or fmap.target is not Y:
             raise EndpointMismatch("map endpoints do not match the reflection")
-        star = _extend_along_unit(refl, fmap, config)
+        star = _extend_along_unit(refl, fmap)
         checked += 1
         if refl.unit.then(star).table != fmap.table:
             commute = False
@@ -498,15 +500,16 @@ def universal_property_verify(
     }
 
 
-def reflection_functor(
-    refl_X: Reflection, refl_Y: Reflection, f: SpaceMap, config: RunConfig = DEFAULT
-) -> SpaceMap:
+def reflection_functor(refl_X: Reflection, refl_Y: Reflection, f: SpaceMap) -> SpaceMap:
     """The functorial lift of f between reflections (closure of the image,
-    member by member), checked to commute with the units: the one check on
-    the units a ``Reflection`` carries."""
+    member by member), checked to commute with the units: the one lift
+    whose units come from the caller, in its ``Reflection``s."""
     if f.source is not refl_X.base or f.target is not refl_Y.base:
         raise EndpointMismatch("map endpoints do not match the reflections")
-    return powers._lift(f, refl_X.hoare, refl_Y.hoare, f.target.closure_mask, refl_X.unit, refl_Y.unit)
+    Rf = powers._lift(f, refl_X.hoare, refl_Y.hoare, f.target.closure_mask)
+    if refl_X.unit.then(Rf).table != tuple(refl_Y.unit.table[y] for y in f.table):
+        raise InternalError("lift is not natural in the units")  # unreachable
+    return Rf
 
 
 def functor_laws(
@@ -515,15 +518,14 @@ def functor_laws(
     refl_Z: Reflection,
     f: SpaceMap,
     g: SpaceMap,
-    config: RunConfig = DEFAULT,
 ) -> dict:
     """Identity and composition laws for the reflection functor on a given
     composable pair."""
     idX = SpaceMap.identity(refl_X.base)
-    lid = reflection_functor(refl_X, refl_X, idX, config)
-    lf = reflection_functor(refl_X, refl_Y, f, config)
-    lg = reflection_functor(refl_Y, refl_Z, g, config)
-    lgf = reflection_functor(refl_X, refl_Z, f.then(g), config)
+    lid = reflection_functor(refl_X, refl_X, idX)
+    lf = reflection_functor(refl_X, refl_Y, f)
+    lg = reflection_functor(refl_Y, refl_Z, g)
+    lgf = reflection_functor(refl_X, refl_Z, f.then(g))
     return {
         "identity": lid.table == tuple(range(refl_X.space.n)),
         "composition": lf.then(lg).table == lgf.table,

@@ -25,13 +25,13 @@ instance:
 
 Below each caller's caps the raw family-vs-family comparison against
 ``generated_topology`` runs too.  One unit check (``_unit``) certifies the
-point embeddings x -> up(x) and x -> cl{x}, and one lift (``_lift``) gives
-the functorial action of a map on the Smyth and Hoare spaces and on the
-reflections built over Hoare spaces, checked to land in the target
-carrier and natural in the units (an ``InternalError`` either way).  The
-union map checks its box-preimage identity.  Each of these run-time
-certificates is the first to raise under some injected fault of
-``tests/mutants.py``, which a tier-1 test asserts.
+point embeddings x -> up(x) and x -> cl{x} once per space, and one lift
+(``_lift``) gives the functorial action of a map on the Smyth and Hoare
+spaces and on the reflections built over Hoare spaces, checked to land in
+the target carrier (else an ``InternalError``); it is natural in these
+units by theorem.  The union map checks its box-preimage identity.  Each
+of these run-time certificates is the first to raise under some injected
+fault of ``tests/mutants.py``, which a tier-1 test asserts.
 
 Open filters of the open-set lattice are represented properly (no filter
 contains the empty open); on a finite space they are exactly the principal
@@ -171,14 +171,12 @@ def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, ope
     return f
 
 
-def _lift(f: SpaceMap, PX, PY, hull, uX: SpaceMap, uY: SpaceMap) -> SpaceMap:
+def _lift(f: SpaceMap, PX, PY, hull) -> SpaceMap:
     """The functorial action of f between power spaces over its endpoints:
     each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
 
-    ``uX``, ``uY`` are the units into ``PX`` and ``PY``, and the lift is
-    checked natural in them: for ``reflection_functor`` the one check on
-    the units a ``Reflection`` carries.  A hull outside ``PY``'s carrier
-    is an internal break too: the named carriers hold every hull.
+    A hull outside ``PY``'s carrier is an internal break: the named
+    carriers hold every hull.
     """
     table = []
     for a in PX.carrier:
@@ -187,10 +185,7 @@ def _lift(f: SpaceMap, PX, PY, hull, uX: SpaceMap, uY: SpaceMap) -> SpaceMap:
             raise InternalError("image hull is not in the target carrier")
         table.append(j)
     # image and hull keep inclusion, so the lift is monotone in either order
-    Pf = SpaceMap._trusted(PX.space, PY.space, tuple(table))
-    if uX.then(Pf).table != tuple(uY.table[y] for y in f.table):
-        raise InternalError("lift is not natural in the units")  # unreachable
-    return Pf
+    return SpaceMap._trusted(PX.space, PY.space, tuple(table))
 
 
 @dataclass(frozen=True)
@@ -255,10 +250,8 @@ def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
 
 
 def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
-    """Functorial action on the Smyth power spaces: K -> sat(f(K)), checked
-    natural in the units."""
-    return _lift(f, smyth(f.source, config), smyth(f.target, config), f.target.sat_mask,
-                 xi_embed(f.source, config), xi_embed(f.target, config))
+    """Functorial action on the Smyth power spaces: K -> sat(f(K))."""
+    return _lift(f, smyth(f.source, config), smyth(f.target, config), f.target.sat_mask)
 
 
 def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -354,14 +347,14 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     """Functorial action on Hoare power spaces: A -> cl(f(A)).
 
     ``which`` names both endpoints' carrier: ``closed`` or ``irr_closed``.
-    Checked natural in the point-closure units; both carriers hold every
-    point closure, so any usage error past ``which`` is an ``InternalError``.
+    Both carriers hold every hull, so an empty named carrier (or any usage
+    error past ``which``) is an ``InternalError``.
     """
     if which not in ("closed", "irr_closed"):
         raise UsageError("hoare_map takes a named carrier: 'closed' or 'irr_closed'")
     try:
         HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
-        return _lift(f, HX, HY, f.target.closure_mask, hoare_eta(HX), hoare_eta(HY))
+        return _lift(f, HX, HY, f.target.closure_mask)
     except UsageError as e:
         raise InternalError(f"a named Hoare carrier was refused: {e}") from None
 

@@ -308,8 +308,8 @@ def _with_full(hoare, X, which, config):
     return hoare(X, [*carrier, X.full], config)
 
 
-def _constant_extension(extend, refl, f, config):
-    g = extend(refl, f, config)
+def _constant_extension(extend, refl, f):
+    g = extend(refl, f)
     return SpaceMap(g.source, g.target, (g.table[0],) * len(g.table))
 
 
@@ -320,7 +320,7 @@ CONSTRUCT_FAULTS = {
         mp, powers, "_inclusion_space", lambda f, X, carrier, reverse: f(X, carrier, reverse=not reverse)),
     "diamond_mask empty": _set(powers.HoareSpace, "diamond_mask", lambda H, U: 0),
     "_lift skips the hull": lambda mp: _wrap(
-        mp, powers, "_lift", lambda lift, f, PX, PY, hull, *rest: lift(f, PX, PY, lambda m: m, *rest)),
+        mp, powers, "_lift", lambda lift, f, PX, PY, hull: lift(f, PX, PY, lambda m: m)),
     "smyth_union misses the last member": _during(
         powers, "smyth_union", lambda mp, *a: mp.setattr(powers, "bits", _without_highest)),
     "xi_embed table constant": _during(
@@ -497,6 +497,10 @@ def certificate_sites() -> dict[str, re.Pattern]:
     return sites
 
 
+def _hoare_unit(X, which):
+    return powers.hoare_eta(powers.hoare(X, which))
+
+
 def _construction_corpus(attempt) -> None:
     """Run every construction on the classes of at most 3 points, parsed
     afresh; ``attempt(fn, *args)`` makes each call and returns its value, or
@@ -504,6 +508,10 @@ def _construction_corpus(attempt) -> None:
     base = [parse_space(X.to_doc()) for n in range(1, 4) for X in enumerate_posets(n)]
     refl = []
     for X in base:
+        # no lift reads a unit, so each is built here
+        attempt(powers.xi_embed, X)
+        for which in ("closed", "irr_closed"):
+            attempt(_hoare_unit, X, which)
         attempt(powers.smyth_union, X)
         for m in range(1, X.full + 1):
             attempt(spaces.chain_core, X, m)

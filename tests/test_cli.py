@@ -6,7 +6,6 @@ import pytest
 import mutants
 from t0lab import FiniteSpace, checkers, cli, construct, parse_space, powers, systems
 from t0lab.cli import main
-from t0lab.config import DEFAULT
 from t0lab.errors import InternalError
 from t0lab.spaces import SpaceMap, chain_core
 
@@ -381,7 +380,7 @@ def test_extension_without_a_generic_point_is_an_internal_error_exit_4(capsys, d
         r = construct.reflect(Y, "R")
         # every closed set of a finite space has a generic point; deny it
         monkeypatch.setattr(FiniteSpace, "top_of", lambda self, m: None)
-        return construct._extend_along_unit(r, SpaceMap.identity(Y), DEFAULT)
+        return construct._extend_along_unit(r, SpaceMap.identity(Y))
 
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
     assert "internal error" in capsys.readouterr().err

@@ -60,6 +60,15 @@ def test_product_order_is_componentwise(sier, diamond):
     assert P.right.table[P.pair_index(1, 2)] == 2
 
 
+def test_colliding_product_labels_fall_back_to_index_pairs():
+    # "(a,b,c)" joins both a with "b,c" and "a,b" with c
+    X = parse_space({"points": ["a", "a,b"], "covers": []})
+    Y = parse_space({"points": ["b,c", "c"], "covers": []})
+    P = product(X, Y)
+    assert P.space.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+    assert product_preservation(X, Y)["ok"]
+
+
 def test_product_with_a_point_is_the_factor(diamond):
     one = parse_space({"points": ["*"], "covers": []})
     P = product(one, diamond)
@@ -387,7 +396,8 @@ def test_every_construction_certificate_kills_some_fault():
     exempt = {
         # homeomorphic is the tests' reference implementation
         "backtracked isomorphism is not an order embedding",
-        # the only check on the units a caller passes in a Reflection
+        # reflection_functor's check on the units a caller passes in a
+        # Reflection; the package's own units are natural by theorem
         "lift is not natural in the units",
     }
     empty = {site for site, row in table.items() if not row}
