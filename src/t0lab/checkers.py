@@ -12,8 +12,11 @@ Enumerative paths run raw below the configured caps, and ``Caps`` holds
 every limit they obey: quantifiers over subsets read the memoized member
 table of one S/C/D/R core (``systems._h_members``) within
 ``caps.subset_enum`` and seeded samples above it (``_h_sets``),
-listings of closed and open sets run within ``caps.family_listing``, and
-families of compacts within ``caps.compact_family_enum``.  Above them,
+listings of closed and open sets run within ``caps.family_listing``,
+families of compacts within ``caps.compact_family_enum``, and cut
+equations over every closed set within ``caps.cut_equation`` (family,
+closed set) pairs.  An exhaustive path that reads H only through its
+core is computed once per core (``_per_core``).  Above the caps,
 each path switches to an exact reduced form whose justifying lemma
 (finite chains, directed sets and irreducible sets contain a greatest
 element; finite filtered families contain a least member; the smallest
@@ -236,6 +239,28 @@ def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: C
     return "sampled", _sampled_h_sets(X, H, rng(), count)
 
 
+def _per_core(X: FiniteSpace, path: str, H: systems.SubsetSystemId, config: RunConfig, build: Callable[[], object]):
+    """The value of an exhaustive path that reads H only through its
+    S/C/D/R core, built once per (path, core, config) and shared by the
+    systems with that core (C and Cω, D and Dω, R, Rω and the derived
+    systems).  A path drawn from a generator seeded by ``str(H)`` is
+    computed per system instead."""
+    return X.memo((path, systems._core_of(H), config), build)
+
+
+def _all_members(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, path: str,
+                 rng: Callable[[], random.Random], ok: Callable[[int], bool]) -> tuple[str, int, bool]:
+    """(mode, number of members, value) of "``ok`` holds on every member
+    of H(X)" over ``_h_sets``: exhaustive once per core (``_per_core``)
+    within ``caps.subset_enum``, on seeded members above it."""
+    mode, members = _h_sets(X, H, config, rng, config.caps.sample_count)
+
+    def value():
+        return all(ok(m) for m in members)
+
+    return mode, len(members), _per_core(X, path, H, config, value) if mode == "raw" else value()
+
+
 def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[int, ...], str]]:
     """Families of compacts used as instances when the powerset of K(X) is
     out of reach: all singleton families, all principal superset-closed
@@ -331,7 +356,8 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
     by ``every_closed``, and the equation is then compared row by row:
     the rows [sat(C meet k) for C in closed_sets], one per mask k and
     space (``"cut_rows"``), of the members ANDed against the row of the
-    meet."""
+    meet.  Cut by cut, the members' saturations stop at the first empty
+    AND, which gives the same value for any ``sat``."""
     full = X.full
     inter = full
     for k in fam:
@@ -349,6 +375,9 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
         rhs = full
         for k in fam:
             rhs &= sat(C & k)
+            if rhs == 0:
+                # ANDing on keeps 0, whatever ``sat`` returns
+                break
         if sat(C & inter) != rhs:
             return False
     return True
@@ -456,30 +485,42 @@ def _p_t0(X: FiniteSpace, H, config: RunConfig):
     return paths, {"points": X.n}
 
 
-def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config: RunConfig, name: str | None = None):
-    """Shared engine for sober/h_sober: every ``members``-closed set is a
-    point closure with a unique generic point.  ``name`` renames the
-    exhaustive path, computed or skipped."""
+def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[bool, dict, int]:
+    """The definitional family equality over the enumerated closed sets:
+    whether every nonempty ``members``-closed set is a point closure with
+    a unique generic point, the generic point of each by set label, and
+    the number of such closed sets."""
+    sc = {X.down[i] for i in range(X.n)}
+    hc = {d for d in X.downsets() if d and members(d)}
+    table = {}
+    value = hc <= sc
+    for d in sorted(hc, key=lambda m: (m.bit_count(), m)):
+        t = X.top_of(d)
+        if t is None or X.down[t] != d:
+            value = False
+        else:
+            table[powers._set_label(X, d)] = X.labels[t]
+    # uniqueness comes with T0: distinct points have distinct closures
+    value = value and len({X.down[i] for i in range(X.n)}) == X.n
+    return value, table, len(hc)
+
+
+def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], tag: str, config: RunConfig,
+                name: str | None = None):
+    """Shared engine for sober/h_sober: every member-closed set is a
+    point closure with a unique generic point, exhaustively by
+    ``generic()`` (``_generic_points``, called within
+    ``caps.family_listing`` only).  ``name`` renames the exhaustive path,
+    computed or skipped."""
     paths = []
     evidence = {}
     name = name or f"closed {tag}-members are point closures (exhaustive)"
     # 1: definitional family equality over enumerated closed sets
     if X.n <= config.caps.family_listing:
-        sc = {X.down[i] for i in range(X.n)}
-        hc = {d for d in X.downsets() if d and members(d)}
-        table = {}
-        value = hc <= sc
-        for d in sorted(hc, key=lambda m: (m.bit_count(), m)):
-            t = X.top_of(d)
-            if t is None or X.down[t] != d:
-                value = False
-            else:
-                table[powers._set_label(X, d)] = X.labels[t]
-        # uniqueness comes with T0: distinct points have distinct closures
-        value = value and len({X.down[i] for i in range(X.n)}) == X.n
+        value, table, count = generic()
         paths.append((name, value, ""))
         evidence["generic_points"] = _truncate(table)
-        evidence["closed_members"] = len(hc)
+        evidence["closed_members"] = count
     else:
         paths.append((name, None, "carrier above enumeration cap"))
     # 2: pair scan: no member-closure can have two maximal points
@@ -495,7 +536,7 @@ def _sober_like(X: FiniteSpace, members: Callable[[int], bool], tag: str, config
 
 def _p_sober(X: FiniteSpace, H, config: RunConfig):
     paths, evidence = _sober_like(
-        X, lambda d: X.top_of(d) is not None, "irreducible", config,
+        X, lambda: _generic_points(X, lambda d: X.top_of(d) is not None), "irreducible", config,
         "irreducible closed sets have unique generic points",
     )
     if "closed_members" in evidence:
@@ -593,7 +634,9 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
 
 def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     core = systems._core_of(H)
-    paths, evidence = _sober_like(X, lambda d: systems._member(core, X, d), str(H), config)
+    generic = lambda: _per_core(X, "generic points", H, config,
+                                lambda: _generic_points(X, lambda d: systems._member(core, X, d)))
+    paths, evidence = _sober_like(X, generic, str(H), config)
     # sampled neighborhood filtration: up-bounds inside opens find members
     rngh = _rng(config, "hsober", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngh, config.caps.sample_count)
@@ -624,28 +667,25 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     mode, fams = _families_for(X, H, config)
     if mode == "raw":
         opens = X.upsets()
-        value = True
-        for fam in fams:
-            inter = _meet(X, fam)
-            if inter == 0 or inter not in fam or not _filtered(inter, fam, opens):
-                value = False
+        value = _per_core(X, "compact filtration", H, config, lambda: all(
+            (inter := _meet(X, fam)) != 0 and inter in fam and _filtered(inter, fam, opens) for fam in fams))
         paths.append(("compact filtration (raw)", value, ""))
     else:
         paths.append(("compact filtration", None, "compact families above enumeration cap"))
     evidence["families"] = len(fams)
     paths.append(("meeting-families are principal ideals at the base", _psi_ok(X, config), ""))
-    # equational form on generator/raw families with closed cuts
-    value = True
-    rngs = _rng(config, "supereq", str(H), X.n, X.up[0])
+    # equational form on generator/raw families with closed cuts: every
+    # closed set within caps.cut_equation, else seeded ones per family
     closed = X.downsets()
     sat = _cut_sat(X)
-    for fam in fams[: 4 * config.caps.sample_count]:
-        if _meet(X, fam) == 0:
-            value = False
-            continue
-        cuts = closed if len(fams) * len(closed) <= 4096 else [closed[rngs.randrange(len(closed))] for _ in range(4)]
-        if not _cut_identity(X, fam, cuts, sat, cuts is closed):
-            value = False
+    heads = fams[: 4 * config.caps.sample_count]
+    if len(fams) * len(closed) <= config.caps.cut_equation:
+        value = _per_core(X, "cut equation", H, config, lambda: all(
+            _meet(X, fam) != 0 and _cut_identity(X, fam, closed, sat, True) for fam in heads))
+    else:
+        rngs = _rng(config, "supereq", str(H), X.n, X.up[0])
+        draw = lambda: [closed[rngs.randrange(len(closed))] for _ in range(4)]
+        value = all(_meet(X, fam) != 0 and _cut_identity(X, fam, draw(), sat) for fam in heads)
     paths.append(("equational cut identity over closed sets", value, ""))
     return paths, evidence
 
@@ -655,10 +695,10 @@ _MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
 
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     rngc = lambda: _rng(config, "hcomplete", str(H), X.n, X.up[0])
-    mode, members = _h_sets(X, H, config, rngc, config.caps.sample_count)
-    value = all(systems._sup_of(X, m) is not None for m in members)
+    mode, count, value = _all_members(X, H, config, "least upper bounds", rngc,
+                                      lambda m: systems._sup_of(X, m) is not None)
     paths = [(f"every member has a least upper bound ({_MODE_NAMES[mode]})", value, "")]
-    evidence = {"members" if mode == "raw" else "sampled_members": len(members)}
+    evidence = {"members" if mode == "raw" else "sampled_members": count}
     v = check(X, "h_sober", H, config)
     paths.append(("sobriety for the system (upper-topology biconditional)", v.holds and v.characterizations_agreed, ""))
     return paths, evidence
@@ -666,10 +706,9 @@ def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     rngb = lambda: _rng(config, "hbounded", str(H), X.n, X.up[0])
-    mode, members = _h_sets(X, H, config, rngb, config.caps.sample_count)
-    value = all(X.ubs_mask(m) != 0 for m in members)
+    mode, count, value = _all_members(X, H, config, "upper bounds", rngb, lambda m: X.ubs_mask(m) != 0)
     paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
-    evidence = {"members": len(members)} if mode == "raw" else {}
+    evidence = {"members": count} if mode == "raw" else {}
     # members carry a greatest element, which bounds them
     rngm = _rng(config, "hbounded2", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngm, config.caps.sample_count)
@@ -686,7 +725,7 @@ def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
     mode, fams = _families_for(X, H, config)
-    value = all(_meet(X, fam) != 0 for fam in fams)
+    value = _per_core(X, "family meets", H, config, lambda: all(_meet(X, fam) != 0 for fam in fams))
     paths.append((f"families have nonempty intersection ({mode})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_bounded", H, config)
@@ -698,11 +737,8 @@ def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConf
     paths = []
     evidence = {}
     mode, fams = _families_for(X, H, config)
-    value = True
-    for fam in fams:
-        inter = _meet(X, fam)
-        if inter == 0 or not X.is_up(inter):
-            value = False
+    value = _per_core(X, "compact meets", H, config, lambda: all(
+        (inter := _meet(X, fam)) != 0 and X.is_up(inter) for fam in fams))
     paths.append((f"family intersections are compact saturated ({mode})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_complete", H, config)
@@ -840,7 +876,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
         cs = closed
         if closed is None:
             cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-        elif len(hc) * len(closed) > 4096:
+        elif len(hc) * len(closed) > config.caps.cut_equation:
             cs = [closed[rngq.randrange(len(closed))] for _ in range(4)]
         if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat, cs is closed):
             bounded_eq = False

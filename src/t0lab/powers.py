@@ -123,16 +123,38 @@ def generated_topology(basics: Iterable[int], full: int) -> set[int]:
     return out
 
 
+def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
+    """For each point x < n, the mask of the carrier indices whose members
+    hold x."""
+    cols = [0] * n
+    bit = 1
+    for b in carrier:
+        while b:
+            low = b & -b
+            cols[low.bit_length() - 1] |= bit
+            b ^= low
+        bit <<= 1
+    return cols
+
+
 def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool) -> FiniteSpace:
     """The carrier of subsets of X ordered by inclusion, or by reverse
     inclusion when ``reverse``: member i lies below member j iff the
-    order relates their masks."""
+    order relates their masks.  Each row is an AND of ``_point_columns``:
+    the members holding every point of a, or when ``reverse`` the members
+    missing every point outside a."""
+    everything = (1 << len(carrier)) - 1
+    cols = _point_columns(X.n, carrier)
+    if reverse:
+        cols = [everything & ~c for c in cols]
     rows = []
     for a in carrier:
-        r = 0
-        for j, b in enumerate(carrier):
-            if (b & ~a if reverse else a & ~b) == 0:
-                r |= 1 << j
+        points = X.full & ~a if reverse else a
+        r = everything
+        while points:
+            low = points & -points
+            r &= cols[low.bit_length() - 1]
+            points ^= low
         rows.append(r)
     return FiniteSpace([_set_label(X, a) for a in carrier], rows)
 
@@ -196,13 +218,17 @@ class SmythSpace:
     carrier: tuple[int, ...]  # member masks, sorted by (size, mask)
     space: FiniteSpace  # carrier ordered by reverse inclusion
     index: dict
+    missing: tuple[int, ...]  # per base point, the members without it
 
     def box_mask(self, U: int) -> int:
-        """Members contained in the open U, as a mask over carrier indices."""
-        m = 0
-        for i, k in enumerate(self.carrier):
-            if k & ~U == 0:
-                m |= 1 << i
+        """Members contained in the open U, as a mask over carrier indices:
+        the AND of ``missing`` over the points outside U."""
+        m = self.space.full
+        outside = self.base.full & ~U
+        while outside:
+            low = outside & -outside
+            m &= self.missing[low.bit_length() - 1]
+            outside ^= low
         return m
 
 
@@ -227,7 +253,8 @@ def _nonempty_members(X: FiniteSpace, sets, caps, name: str) -> list[int]:
 def _smyth(X: FiniteSpace, caps) -> SmythSpace:
     carrier = tuple(_nonempty_members(X, X.upsets, caps, "Smyth"))
     space = _inclusion_space(X, carrier, reverse=True)
-    S = SmythSpace(X, carrier, space, {k: i for i, k in enumerate(carrier)})
+    missing = tuple(space.full & ~c for c in _point_columns(X.n, carrier))
+    S = SmythSpace(X, carrier, space, {k: i for i, k in enumerate(carrier)}, missing)
     # each member K is itself open, and its principal filter is box(K)
     boxes = [S.box_mask(U) for U in X.upsets()]
     raw = boxes if len(carrier) <= caps.topology_compare else None

@@ -199,6 +199,30 @@ def test_verdicts_are_cached_per_config(diamond):
     assert c is not a and c.holds == a.holds
 
 
+def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
+    # C and Cω share their exhaustive paths; the shared entries carry the
+    # config, so a warm cache built under other caps changes no mode and
+    # no value.  Under "family_base_ok accepts all" the raw families fail
+    # the meets that the generator families pass, so a value taken from
+    # the other caps would show too.
+    small = RunConfig(caps=Caps(subset_enum=2, compact_family_enum=1))
+    runs = (("C", RunConfig()), ("Cw", small))
+    for faulty in (False, True):
+        if faulty:
+            mutants.FAULTS["family_base_ok accepts all"](monkeypatch)
+        doc = anti3.to_doc()
+        cold = {(H, config): [check(parse_space(doc), prop, H, config).to_json() for prop in H_PROPS]
+                for H, config in runs}
+        assert cold[runs[0]] != cold[runs[1]]
+        for order in (runs, runs[::-1]):
+            X = parse_space(doc)
+            for H, config in order:
+                assert [check(X, prop, H, config).to_json() for prop in H_PROPS] == cold[H, config], (faulty, H)
+    hip = {H: cold[H, config][H_PROPS.index("hip")]["characterizations"][0] for H, config in runs}
+    assert hip == {"C": {"name": "families have nonempty intersection (raw)", "value": "false"},
+                   "Cw": {"name": "families have nonempty intersection (generators)", "value": "true"}}
+
+
 def test_filtration_paths_are_skipped_above_the_compact_family_cap(diamond):
     # a family built to hold its own meet passes the filtration whatever
     # the kernel does, so above the cap the path is skipped, not computed
@@ -498,6 +522,33 @@ def test_cut_rows_give_the_per_cut_equation(monkeypatch, all_posets, corpus):
                 assert v == checkers._cut_identity(P, fam, closed, sat), (X, fam)
                 values[faulty, v] += 1
     assert values[False, True] and values[True, False] and not values[False, False]
+
+
+def test_cut_identity_is_the_full_and_for_any_saturation():
+    # the per-cut form stops saturating members at an empty AND; against
+    # arbitrary tables (neither monotone nor idempotent) and in any member
+    # order it gives the naive AND over every member
+    rng = random.Random(11)
+    values = Counter()
+    for _ in range(400):
+        X = random_space(rng, max_points=6)
+        table = [rng.getrandbits(X.n) & rng.getrandbits(X.n) for _ in range(X.full + 1)]
+        fam = [rng.getrandbits(X.n) for _ in range(rng.randint(1, 5))]
+        cuts = [rng.getrandbits(X.n) for _ in range(rng.randint(1, 4))]
+        inter = checkers._meet(X, fam)
+        want = True
+        for C in cuts:
+            rhs = X.full
+            for k in fam:
+                rhs &= table[C & k]
+            if table[C & inter] != rhs:
+                want = False
+        for order in (fam, fam[::-1], rng.sample(fam, len(fam))):
+            assert checkers._cut_identity(X, order, cuts, table.__getitem__) == want, (X, fam, cuts)
+        # a member whose AND empties before the last member is the stop
+        early = any(table[C & fam[0]] == 0 for C in cuts) and len(fam) > 1
+        values[want, early] += 1
+    assert all(values[v] for v in ((True, True), (True, False), (False, True), (False, False))), values
 
 
 def test_super_cut_path_saturates_each_mask_once(monkeypatch, corpus):
