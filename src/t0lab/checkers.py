@@ -14,7 +14,7 @@ table of one S/C/D/R core (``systems._h_members``) within
 ``caps.subset_enum`` and seeded samples above it (``_h_sets``),
 listings of closed and open sets run within ``caps.family_listing``,
 families of compacts within ``caps.compact_family_enum``, and cut
-equations over every closed set within ``caps.cut_equation`` (family,
+equations over every closed set within ``_CUT_EQUATION_PAIRS`` (family,
 closed set) pairs.  An exhaustive path that reads H only through its
 core is computed once per core (``_per_core``).  Above the caps,
 each path switches to an exact reduced form whose justifying lemma
@@ -52,6 +52,10 @@ __all__ = [
     "upper_topology_report",
     "validate_evidence",
 ]
+
+# (family, closed set) pairs up to which a cut equation runs over every
+# closed set; above it each family meets 4 seeded closed sets
+_CUT_EQUATION_PAIRS = 4096
 
 _H_REQUIRED = {
     "h_sober",
@@ -675,11 +679,11 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     evidence["families"] = len(fams)
     paths.append(("meeting-families are principal ideals at the base", _psi_ok(X, config), ""))
     # equational form on generator/raw families with closed cuts: every
-    # closed set within caps.cut_equation, else seeded ones per family
+    # closed set within _CUT_EQUATION_PAIRS, else seeded ones per family
     closed = X.downsets()
     sat = _cut_sat(X)
     heads = fams[: 4 * config.caps.sample_count]
-    if len(fams) * len(closed) <= config.caps.cut_equation:
+    if len(fams) * len(closed) <= _CUT_EQUATION_PAIRS:
         value = _per_core(X, "cut equation", H, config, lambda: all(
             _meet(X, fam) != 0 and _cut_identity(X, fam, closed, sat, True) for fam in heads))
     else:
@@ -876,7 +880,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
         cs = closed
         if closed is None:
             cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-        elif len(hc) * len(closed) > config.caps.cut_equation:
+        elif len(hc) * len(closed) > _CUT_EQUATION_PAIRS:
             cs = [closed[rngq.randrange(len(closed))] for _ in range(4)]
         if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat, cs is closed):
             bounded_eq = False

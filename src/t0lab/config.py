@@ -32,9 +32,6 @@ class Caps:
     target_bound: int = 4
     # number of seeded spot-check samples used alongside reduced paths
     sample_count: int = 64
-    # (family, closed set) pairs up to which a cut equation runs over
-    # every closed set; above it each family meets 4 seeded closed sets
-    cut_equation: int = 4096
 
     def with_(self, **kw) -> "Caps":
         return replace(self, **kw)

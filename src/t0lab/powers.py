@@ -137,14 +137,17 @@ def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
     return cols
 
 
-def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool) -> FiniteSpace:
+def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool,
+                     cols: Sequence[int] | None = None) -> FiniteSpace:
     """The carrier of subsets of X ordered by inclusion, or by reverse
     inclusion when ``reverse``: member i lies below member j iff the
-    order relates their masks.  Each row is an AND of ``_point_columns``:
-    the members holding every point of a, or when ``reverse`` the members
-    missing every point outside a."""
+    order relates their masks.  Each row is an AND of ``_point_columns``
+    (``cols``, built here when not given): the members holding every
+    point of a, or when ``reverse`` the members missing every point
+    outside a."""
     everything = (1 << len(carrier)) - 1
-    cols = _point_columns(X.n, carrier)
+    if cols is None:
+        cols = _point_columns(X.n, carrier)
     if reverse:
         cols = [everything & ~c for c in cols]
     rows = []
@@ -252,8 +255,9 @@ def _nonempty_members(X: FiniteSpace, sets, caps, name: str) -> list[int]:
 
 def _smyth(X: FiniteSpace, caps) -> SmythSpace:
     carrier = tuple(_nonempty_members(X, X.upsets, caps, "Smyth"))
-    space = _inclusion_space(X, carrier, reverse=True)
-    missing = tuple(space.full & ~c for c in _point_columns(X.n, carrier))
+    cols = _point_columns(X.n, carrier)
+    space = _inclusion_space(X, carrier, reverse=True, cols=cols)
+    missing = tuple(space.full & ~c for c in cols)
     S = SmythSpace(X, carrier, space, {k: i for i, k in enumerate(carrier)}, missing)
     # each member K is itself open, and its principal filter is box(K)
     boxes = [S.box_mask(U) for U in X.upsets()]

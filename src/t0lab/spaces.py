@@ -423,15 +423,9 @@ class FiniteSpace:
         lazily after the build (the checkers' cut, cut-row and
         sampled-member tables, the least upper bounds of ``systems``); its
         key must still name everything an entry depends on, and none of
-        those tables reads a cap.  The checkers' per-core entries, keyed
-        (path, S/C/D/R core, run config), hold the value of an exhaustive
-        path that the systems with one core share: ``"generic points"``
-        (h_sober's closed members, with its evidence), ``"least upper
-        bounds"`` and ``"upper bounds"`` (h_complete's and h_bounded's
-        member quantifiers), ``"compact filtration"`` and ``"cut
-        equation"`` (super_h_sober's raw filtration and its cut equation
-        over every closed set), ``"family meets"`` (hip) and ``"compact
-        meets"`` (smyth_h_complete)."""
+        those tables reads a cap.  The checkers' per-core entries
+        (``checkers._per_core``) are keyed (path, S/C/D/R core, run
+        config), so a run under other caps never reuses them."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()

@@ -317,7 +317,7 @@ def _constant_extension(extend, refl, f):
 # and none in code that only a certificate reads
 CONSTRUCT_FAULTS = {
     "_inclusion_space ignores reverse": lambda mp: _wrap(
-        mp, powers, "_inclusion_space", lambda f, X, carrier, reverse: f(X, carrier, reverse=not reverse)),
+        mp, powers, "_inclusion_space", lambda f, X, carrier, reverse, **kw: f(X, carrier, reverse=not reverse, **kw)),
     "diamond_mask empty": _set(powers.HoareSpace, "diamond_mask", lambda H, U: 0),
     "_lift skips the hull": lambda mp: _wrap(
         mp, powers, "_lift", lambda lift, f, PX, PY, hull: lift(f, PX, PY, lambda m: m)),
