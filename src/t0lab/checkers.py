@@ -16,7 +16,8 @@ listings of closed and open sets run within ``caps.family_listing``,
 families of compacts within ``caps.compact_family_enum``, and cut
 equations over every closed set within ``_CUT_EQUATION_PAIRS`` (family,
 closed set) pairs.  An exhaustive path that reads H only through its
-core is computed once per core (``_per_core``).  Above the caps,
+core is computed once per core (``_per_core``), and a sampled path
+decides each drawn mask once per space (``_PerMask``).  Above the caps,
 each path switches to an exact reduced form whose justifying lemma
 (finite chains, directed sets and irreducible sets contain a greatest
 element; finite filtered families contain a least member; the smallest
@@ -147,34 +148,50 @@ def _scan_pairs(P: FiniteSpace) -> dict:
 
 def _split_samples(P: FiniteSpace, rng: random.Random, count: int) -> dict:
     """Seeded closed sets; each is either a point closure (generic point
-    verified) or splits into two proper closed parts (split verified)."""
+    verified) or splits into two proper closed parts (split verified).
+    Each mask is decided once per space (``("per mask", "split")``)."""
     checked = 0
     ok = True
+    split = P.memo(("per mask", "split"), lambda: _PerMask(lambda m: _generic_or_split(P, m)))
     for _ in range(count):
         m = rng.getrandbits(P.n)
         if m == 0:
             continue
-        C = P.closure_mask(m)
-        t = P.top_of(C)
-        if t is not None:
-            if P.down[t] != C:
-                ok = False
-        else:
-            mxm = P.max_mask(C)
-            u = mxm & -mxm
-            ui = u.bit_length() - 1
-            part1 = C & ~u
-            part2 = P.down[ui]
-            if not (
-                P.is_down(part1)
-                and part1 != C
-                and part2 & ~C == 0
-                and part2 != C
-                and (part1 | part2) == C
-            ):
-                ok = False
+        if not split[m]:
+            ok = False
         checked += 1
     return {"sampled_closed": checked, "ok": ok}
+
+
+def _generic_or_split(P: FiniteSpace, m: int) -> bool:
+    """The closure of ``m`` is a point closure, or it splits into two
+    proper closed parts."""
+    C = P.closure_mask(m)
+    t = P.top_of(C)
+    if t is not None:
+        return P.down[t] == C
+    mxm = P.max_mask(C)
+    u = mxm & -mxm
+    part1 = C & ~u
+    part2 = P.down[u.bit_length() - 1]
+    return P.is_down(part1) and part1 != C and part2 & ~C == 0 and part2 != C and (part1 | part2) == C
+
+
+class _PerMask(dict):
+    """The mask function ``f`` wrapped in a dict: ``table[m]`` is ``f(m)``,
+    computed on the first read of ``m`` and kept, so a read of a known
+    mask makes no Python call.  A sampled path reads every sample (a
+    list under ``all``), so a kernel that raises on a later sample still
+    raises."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable[[int], object]):
+        self.f = f
+
+    def __missing__(self, m: int):
+        v = self[m] = self.f(m)
+        return v
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -200,14 +217,14 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
 
     Memoized per space: the index tuples of each point's strict up-set
     (``"above_index"``) or down-set (``"below_index"``), built once, and
-    each sampled mask's membership (``("member", core)``), filled as masks
-    are drawn.  Neither changes the draws."""
+    each sampled mask's membership (``("member", core)``, a ``_PerMask``
+    table), filled as masks are drawn.  Neither changes the draws."""
     core = systems._core_of(H)
     if core == "C":
         walk = P.memo("above_index", lambda: [tuple(bits(r & ~(1 << i))) for i, r in enumerate(P.up)])
     elif core != "S":
         walk = P.memo("below_index", lambda: [tuple(bits(r)) for r in P.down])
-    member = P.memo(("member", core), dict)
+    member = P.memo(("member", core), lambda: _PerMask(lambda m: systems._member(core, P, m)))
     getrandbits = rng.getrandbits
     out = []
     for _ in range(count):
@@ -225,10 +242,7 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
             below = walk[x]
             for _ in range(min(4, len(below))):
                 m |= 1 << below[_randbelow(getrandbits, len(below))]
-        ok = member.get(m)
-        if ok is None:
-            ok = member[m] = systems._member(core, P, m)
-        if ok:
+        if member[m]:
             out.append(m)
     return out
 
@@ -355,7 +369,8 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
                   every_closed: bool = False) -> bool:
     """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
     over K in fam, for every C in ``closed_sets``; ``sat`` saturates the
-    cuts (``X.sat_mask``, or the table of ``_cut_sat``).  A caller that
+    cuts (``X.sat_mask`` read through a ``_PerMask`` table, the
+    per-space one of ``_cut_sat`` or one of the caller's).  A caller that
     passes all of ``X.downsets()`` with the table of ``_cut_sat`` says so
     by ``every_closed``, and the equation is then compared row by row:
     the rows [sat(C meet k) for C in closed_sets], one per mask k and
@@ -367,10 +382,7 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
     for k in fam:
         inter &= k
     if every_closed:
-        rows = X.memo("cut_rows", dict)
-        for k in (*fam, inter):
-            if k not in rows:
-                rows[k] = [sat(C & k) for C in closed_sets]
+        rows = X.memo("cut_rows", lambda: _PerMask(lambda k: [sat(C & k) for C in closed_sets]))
         rhs = [full] * len(closed_sets)
         for k in fam:
             rhs = list(map(and_, rhs, rows[k]))
@@ -389,17 +401,8 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
 
 def _cut_sat(X: FiniteSpace) -> Callable[[int], int]:
     """``X.sat_mask`` through one per-space table of cut masks
-    (``"cut_sat"``), filled from the kernel on each mask's first use."""
-    table = X.memo("cut_sat", dict)
-    sat_mask = X.sat_mask
-
-    def sat(m: int) -> int:
-        s = table.get(m)
-        if s is None:
-            s = table[m] = sat_mask(m)
-        return s
-
-    return sat
+    (``"cut_sat"``)."""
+    return X.memo("cut_sat", lambda: _PerMask(X.sat_mask)).__getitem__
 
 
 def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
@@ -576,12 +579,8 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     scan = _pair_scan(X)
     rngd = _rng(config, "dspace", X.n, X.up[0])
     sampled = _sampled_h_sets(X, systems.SubsetSystemId("D"), rngd, config.caps.sample_count)
-    s_ok = True
-    for m in sampled:
-        c = X.closure_mask(m)
-        t = X.top_of(c)
-        if t is None or X.down[t] != c:
-            s_ok = False
+    principal = X.memo(("per mask", "principal closure"), lambda: _PerMask(lambda m: _principal_closure(X, m)))
+    s_ok = all([principal[m] for m in sampled])
     paths.append(("incomparable-pair scan with sampled directed closures", scan["ok"] and s_ok, ""))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     evidence["sampled_directed"] = len(sampled)
@@ -590,6 +589,13 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
     value = all(X.top_of(X.closure_mask(m)) is not None for m in chains)
     paths.append(("chain closures are principal" + (" (sampled)" if mode == "sampled" else ""), value, ""))
     return paths, evidence
+
+
+def _principal_closure(X: FiniteSpace, m: int) -> bool:
+    """The closure of ``m`` is the closure of its greatest element."""
+    c = X.closure_mask(m)
+    t = X.top_of(c)
+    return t is not None and X.down[t] == c
 
 
 def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
@@ -644,19 +650,22 @@ def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     # sampled neighborhood filtration: up-bounds inside opens find members
     rngh = _rng(config, "hsober", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngh, config.caps.sample_count)
-    value = True
-    for m in samples:
-        cl = X.closure_mask(m)
-        ub = X.ubs_mask(m)
-        if cl & ub == 0:
-            value = False
-        # ub is the smallest open containing the saturation of the bounds
-        u1 = ub | X.sat_mask(rngh.getrandbits(X.n))
-        if not _filtered(ub, [X.up[a] for a in bits(m)], (ub, u1)):
-            value = False
+    filtration = X.memo(("per mask", "neighborhood filtration"),
+                        lambda: _PerMask(lambda m: _neighborhood_filtered(X, m)))
+    value = all([filtration[m] for m in samples])
     paths.append(("neighborhood filtration on sampled members", value, ""))
     evidence["sampled_members"] = len(samples)
     return paths, evidence
+
+
+def _neighborhood_filtered(X: FiniteSpace, m: int) -> bool:
+    """The upper bounds ub of ``m`` meet its closure, and the family
+    {up a : a in m}, whose meet is ub, is filtered at the open ub: some
+    up a lies in ub.  Any open containing ub then contains that up a, so
+    ub is the one open the filtration needs."""
+    cl = X.closure_mask(m)
+    ub = X.ubs_mask(m)
+    return cl & ub != 0 and _filtered(ub, [X.up[a] for a in bits(m)], (ub,))
 
 
 def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
@@ -716,13 +725,16 @@ def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     # members carry a greatest element, which bounds them
     rngm = _rng(config, "hbounded2", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngm, config.caps.sample_count)
-    value = True
-    for m in samples:
-        t = X.top_of(X.closure_mask(m))
-        if t is None or m & ~X.down[t] != 0:
-            value = False
+    under = X.memo(("per mask", "under the top"), lambda: _PerMask(lambda m: _under_top(X, m)))
+    value = all([under[m] for m in samples])
     paths.append(("members sit under the top of their closure (sampled)", value, ""))
     return paths, evidence
+
+
+def _under_top(X: FiniteSpace, m: int) -> bool:
+    """The closure of ``m`` has a greatest element, and ``m`` lies under it."""
+    t = X.top_of(X.closure_mask(m))
+    return t is not None and m & ~X.down[t] == 0
 
 
 def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
@@ -754,23 +766,10 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
     paths = []
     evidence = {}
     if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
-        filters = powers.open_filters(X, config)
-        value = True
-        table = {}
-        for f in filters:
-            k = f.least()
-            fam = (k,)
-            if not systems.h_family_member(H, X, [k]):
-                value = False
-                continue
-            realized = tuple(U for U in X.upsets() if any(m & ~U == 0 for m in fam))
-            if realized != f.opens:
-                value = False
-            elif len(table) < 12:
-                table[powers._set_label(X, k)] = len(f.opens)
+        value, count, table = _per_core(X, "filter realizations", H, config, lambda: _realize_filters(X, H, config))
         paths.append(("filters realized by one-member families", value, ""))
-        evidence["filters"] = len(filters)
-        evidence["realizations"] = table
+        evidence["filters"] = count
+        evidence["realizations"] = dict(table)
     else:
         paths.append(("filters realized by one-member families", None, "open-set lattice above cap"))
     v1 = check(X, "sober", None, config)
@@ -779,6 +778,27 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
         ("sobriety decomposition (sober = consonant + super-sober)", v1.holds and v2.holds, "")
     )
     return paths, evidence
+
+
+def _realize_filters(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) -> tuple[bool, int, dict]:
+    """(value, number of open filters, realizations by set label) of
+    "each open filter is the family of opens holding its least compact,
+    a one-member H-family"; H is read only through its core."""
+    filters = powers.open_filters(X, config)
+    value = True
+    table = {}
+    for f in filters:
+        k = f.least()
+        fam = (k,)
+        if not systems.h_family_member(H, X, [k]):
+            value = False
+            continue
+        realized = tuple(U for U in X.upsets() if any(m & ~U == 0 for m in fam))
+        if realized != f.opens:
+            value = False
+        elif len(table) < 12:
+            table[powers._set_label(X, k)] = len(f.opens)
+    return value, len(filters), table
 
 
 def _p_lhc(X: FiniteSpace, H, config: RunConfig):
@@ -927,11 +947,13 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     # equational form over principal closed families and sampled
     # Smyth-closed sets
     ok_eq_family = True
+    # a table for this call only: one kept per Smyth space costs memory
+    sat = _PerMask(sp.sat_mask).__getitem__
     for fam in fams:
         idxs = [S.index[k] for k in fam]
         cls = [sp.down[rngx.randrange(sp.n)] for _ in range(2)]
         cls.append(sp.closure_mask(1 << idxs[0]))
-        if not _cut_identity(sp, [sp.up[j] for j in idxs], cls, sp.sat_mask):
+        if not _cut_identity(sp, [sp.up[j] for j in idxs], cls, sat):
             ok_eq_family = False
     conds.append(("equational form over Smyth-closed families", ok_eq_family))
 

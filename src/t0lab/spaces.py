@@ -69,7 +69,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_CHUNK = 4  # bits of a mask answered by one table lookup
+_CHUNK = 4  # bits of a mask answered by one table lookup; two chunks per byte
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
@@ -94,14 +94,26 @@ def _join(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
 
     A mask reaching past 64 points with fewer than one set bit in 8 ORs
     the rows at its set bits, each read as the table's singleton entry;
-    any other mask reads one entry per chunk up to its highest bit.  So a
-    space of at most 64 points pays one comparison for the choice."""
+    any other such mask is read once as bytes, and each nonzero byte ORs
+    the entries of its two chunks.  A smaller mask reads one entry per
+    chunk up to its highest bit, so a space of at most 64 points pays one
+    comparison for the choice."""
     m = 0
-    if mask >= 1 << 64 and 8 * mask.bit_count() < mask.bit_length():
-        while mask:
-            i = mask.bit_length() - 1
-            m |= tables[i // _CHUNK][1 << (i % _CHUNK)]
-            mask ^= 1 << i
+    if mask >= 1 << 64:
+        if 8 * mask.bit_count() < mask.bit_length():
+            while mask:
+                i = mask.bit_length() - 1
+                m |= tables[i // _CHUNK][1 << (i % _CHUNK)]
+                mask ^= 1 << i
+            return m
+        # two chunks per byte; chunks past the last table are ignored
+        k = len(tables)
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        for c, b in zip(range(0, k - 1, 2), data):
+            if b:
+                m |= tables[c][b & _CHUNK_MASK] | tables[c + 1][b >> _CHUNK]
+        if k & 1:
+            m |= tables[k - 1][(mask >> (_CHUNK * (k - 1))) & _CHUNK_MASK]
         return m
     for t in tables:
         m |= t[mask & _CHUNK_MASK]
@@ -419,13 +431,16 @@ class FiniteSpace:
         ``build()`` on first use.  The key names everything the value
         depends on besides the space itself; a value whose build reads the
         caps has the caps in its key, so no cap is bypassed by a value
-        built under other caps.  A value may be a table that its users fill
-        lazily after the build (the checkers' cut, cut-row and
-        sampled-member tables, the least upper bounds of ``systems``); its
-        key must still name everything an entry depends on, and none of
-        those tables reads a cap.  The checkers' per-core entries
-        (``checkers._per_core``) are keyed (path, S/C/D/R core, run
-        config), so a run under other caps never reuses them."""
+        built under other caps.  A value may be a table filled lazily
+        after the build: the checkers' per-mask tables (saturated cuts,
+        sampled members' membership, and the sampled paths' split,
+        neighborhood-filtration, under-the-top and directed-closure
+        outcomes), their cut rows, and the least upper bounds of
+        ``systems``.  Its key must still name everything an entry depends
+        on, the path included, and none of those tables reads a cap.  The
+        checkers' per-core entries (``checkers._per_core``) are keyed
+        (path, S/C/D/R core, run config), so a run under other caps never
+        reuses them."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()

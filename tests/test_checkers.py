@@ -585,6 +585,67 @@ def test_super_cut_path_reads_a_faulty_kernel(monkeypatch):
     assert "false" in values
 
 
+def _system_json(X, H, config: RunConfig = RunConfig()) -> list:
+    """Every verdict for the system H, plain properties included, and the
+    super-H-sober battery; each on a fresh copy of X if X is a document."""
+    space = (lambda: parse_space(X)) if isinstance(X, dict) else (lambda: X)
+    out = [check(space(), p, H if p in H_PROPS else None, config).to_json() for p in PROPERTY_IDS]
+    return out + [crosscheck_super(space(), H, config).to_json()]
+
+
+_SAMPLED_PREDICATES = ("_generic_or_split", "_principal_closure", "_neighborhood_filtered", "_under_top")
+
+
+@pytest.mark.parametrize("fault", [None, "non-monotone sat_mask", *_SAMPLED_PREDICATES])
+def test_warm_mask_tables_change_no_verdict(monkeypatch, corpus, fault):
+    # a cold space per verdict against one whose per-mask tables were
+    # filled by a run under other caps and by the systems checked before;
+    # a sampled predicate made false shows a table shared across paths
+    if fault in _SAMPLED_PREDICATES:
+        monkeypatch.setattr(checkers, fault, lambda X, m: False)
+    elif fault:
+        mutants.FAULTS[fault](monkeypatch)
+    computed = Counter()
+    tables = {}
+    missing = checkers._PerMask.__missing__
+
+    def counting(table, m):
+        tables[id(table)] = table  # kept, so that no id is reused
+        computed[id(table), m] += 1
+        return missing(table, m)
+
+    monkeypatch.setattr(checkers._PerMask, "__missing__", counting)
+    for doc in [X.to_doc() for X in corpus[:40] if X.n >= 5][:3]:
+        warm = parse_space(doc)
+        check_all(warm, RunConfig(caps=Caps(subset_enum=2)))
+        for H in BASE_IDS[::-1]:
+            assert _system_json(warm, H) == _system_json(doc, H), (doc, H, fault)
+    # on one space the kernel decides each mask of a table once
+    assert computed and set(computed.values()) == {1}, fault
+
+
+def test_one_open_filtration_is_the_two_open_form():
+    # the neighbourhood filtration reads the open ub alone; a second open
+    # ub | sat(r) for any saturation table, monotone or not, gives the
+    # same value, since it holds whatever member ub holds
+    rng = random.Random(23)
+    values = Counter()
+    for _ in range(400):
+        X = random_space(rng, max_points=6)
+        table = [rng.getrandbits(X.n) for _ in range(X.full + 1)]
+        m = rng.getrandbits(X.n) or 1
+        ub = X.ubs_mask(m)
+        fam = [X.up[a] for a in bits(m)]
+        if rng.random() < 0.5:
+            fam += [rng.getrandbits(X.n) for _ in range(rng.randint(1, 3))]
+        u1 = ub | table[rng.getrandbits(X.n)]
+        one = checkers._filtered(ub, fam, (ub,))
+        assert one == checkers._filtered(ub, fam, (ub, u1)), (X, m, fam, u1)
+        assert checkers._neighborhood_filtered(X, m) == (X.closure_mask(m) & ub != 0 and one)
+        values[one, u1 != ub] += 1
+    assert all(values[v] for v in ((True, True), (True, False), (False, True), (False, False))), values
+
+
 def test_open_filters_are_built_once_per_space(monkeypatch, diamond):
     X = _fresh(diamond)
     phi = powers.phi

@@ -203,6 +203,35 @@ def test_join_kernel_gives_the_or_of_rows_on_both_sides_of_its_sparse_test(n):
         assert spaces._join(tables, m) == want, (n, m)
 
 
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 66, 67, 68, 129, 286, 1001, 2047])
+def test_join_kernel_reads_dense_masks_by_bytes(n):
+    # a dense mask reaching past 64 points is read as bytes, two chunks a
+    # byte, with an odd last chunk read alone; against the naive OR over
+    # rows, for sparse and dense masks on both sides of 2**64.  Each row
+    # has its own bit, so the OR of any rows shows which rows were read
+    rng = random.Random(n)
+    rows = [1 << i | 1 << rng.randrange(n) for i in rng.sample(range(n), n)]
+    tables = spaces._join_table(rows)
+    full = (1 << n) - 1
+    masks = [0, full, full >> 1, 1 << (n - 1)]
+    for _ in range(12):
+        masks += [rng.getrandbits(n), rng.getrandbits(n) | 1 << (n - 1)]
+        masks.append(mask_of_indices(rng.sample(range(n), min(n, 3))))
+    for k in (63, 64, 65, n - 4, n - 1):
+        if 0 <= k < n:
+            # the bits below k, all set or half of them, and k alone on top
+            masks += [(1 << k) - 1, ((1 << k) - 1) & rng.getrandbits(k) | 1 << k, 1 << k]
+    masks = [m & full for m in masks]
+    kinds = {(m >= 1 << 64, m >= 1 << 64 and 8 * m.bit_count() >= m.bit_length()) for m in masks}
+    assert kinds == ({(False, False), (True, False), (True, True)} if n > 64 else {(False, False)})
+    for m in masks:
+        want = 0
+        for i in range(n):
+            if m >> i & 1:
+                want |= rows[i]
+        assert spaces._join(tables, m) == want, (n, m)
+
+
 def test_downsets_upsets_match_powerset_scan(all_posets):
     for n in (1, 2, 3, 4):
         for X in all_posets[n]:
