@@ -7,7 +7,14 @@ an exact reduced evaluation and record that they did (checkers).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+
+def _hash_once(config) -> None:
+    """Store the hash of a frozen config's fields on it.  Memo keys hold
+    configs, and the generated ``__hash__`` would rehash every field on
+    each lookup."""
+    object.__setattr__(config, "_hash", hash(tuple(getattr(config, f.name) for f in fields(config))))
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,12 @@ class Caps:
     # number of seeded spot-check samples used alongside reduced paths
     sample_count: int = 64
 
+    def __post_init__(self):
+        _hash_once(self)
+
+    def __hash__(self):
+        return self._hash
+
     def with_(self, **kw) -> "Caps":
         return replace(self, **kw)
 
@@ -41,6 +54,12 @@ class Caps:
 class RunConfig:
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
+
+    def __post_init__(self):
+        _hash_once(self)
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT = RunConfig()

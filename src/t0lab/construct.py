@@ -96,8 +96,9 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
 def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[SpaceMap]:
     """All continuous (= monotone) maps X -> Y in lexicographic table order.
 
-    Backtracks along a linear extension of X so that each placement only
-    needs checking against already-placed lower points.
+    Backtracks along a linear extension of X.  At each position the
+    allowed values are the AND of ``Y.up`` at the values already placed
+    below the point, and each of them is placed in ascending order.
     """
     if Y.n ** X.n > config.caps.map_count:
         raise CapExceeded(
@@ -117,21 +118,19 @@ def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT)
                 table[i] = assign[q]
             out.append(tuple(table))
             return
-        i = order[pos]
-        for y in range(Y.n):
-            ok = True
-            for q in below[pos]:
-                if not (Y.up[assign[q]] >> y) & 1:
-                    ok = False
-                    break
-            if ok:
-                assign[pos] = y
-                place(pos + 1)
+        allowed = Y.full
+        for q in below[pos]:
+            allowed &= Y.up[assign[q]]
+        while allowed:
+            low = allowed & -allowed
+            assign[pos] = low.bit_length() - 1
+            place(pos + 1)
+            allowed ^= low
 
     place(0)
     out.sort()
-    # monotone by construction: each value was checked against the values
-    # already placed below it
+    # monotone by construction: each value lies above every value placed
+    # below its point
     return [SpaceMap._trusted(X, Y, t) for t in out]
 
 

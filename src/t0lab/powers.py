@@ -113,13 +113,18 @@ def _set_label_masks(X: FiniteSpace, key: str) -> list[int]:
 
 def generated_topology(basics: Iterable[int], full: int) -> set[int]:
     """The topology on the carrier ``full`` generated by the basic opens:
-    their finite meets (the empty meet is ``full``), closed under unions."""
+    their finite meets (the empty meet is ``full``), closed under unions.
+    The union closure adds the meets in ascending order and skips a meet
+    it already holds."""
     meets = {full}
     for b in basics:
         meets |= {s & b for s in meets}
     out = {0}
     for p in sorted(meets):
-        out |= {s | p for s in out}
+        # out is closed under unions after every step, since
+        # (a|p) | (b|p) = (a|b)|p; so a meet already in out adds nothing
+        if p not in out:
+            out |= {s | p for s in out}
     return out
 
 

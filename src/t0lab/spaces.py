@@ -714,8 +714,11 @@ class SpaceMap:
 
     def image_mask(self, mask: int) -> int:
         m = 0
-        for i in bits(mask):
-            m |= 1 << self.table[i]
+        table = self.table
+        while mask:
+            low = mask & -mask
+            m |= 1 << table[low.bit_length() - 1]
+            mask ^= low
         return m
 
     def preimage_mask(self, mask: int) -> int:

@@ -199,6 +199,27 @@ def test_verdicts_are_cached_per_config(diamond):
     assert c is not a and c.holds == a.holds
 
 
+def test_configs_hash_by_value_and_key_the_memo_by_value(diamond):
+    # a config's hash is stored when it is built; equal values hash equal
+    # however they were made, and one changed cap makes another memo key
+    small = Caps().with_(subset_enum=2)
+    assert Caps() == Caps() and hash(Caps()) == hash(Caps())
+    assert small == Caps(subset_enum=2) and hash(small) == hash(Caps(subset_enum=2))
+    assert small.with_(subset_enum=12) == Caps() and hash(small.with_(subset_enum=12)) == hash(Caps())
+    assert small != Caps() and repr(small).startswith("Caps(subset_enum=2, family_listing=14,")
+    assert RunConfig() == RunConfig(caps=Caps(), seed=0) and hash(RunConfig()) == hash(RunConfig(caps=Caps(), seed=0))
+    assert RunConfig(caps=small) != RunConfig() and RunConfig(seed=1) != RunConfig()
+    assert {Caps(): "default", small: "small"}[Caps(subset_enum=2)] == "small"
+    X = parse_space(diamond.to_doc())
+    assert X.memo(("key", small), lambda: "small") == "small"
+    assert X.memo(("key", Caps()), lambda: "default") == "default"
+    assert X.memo(("key", Caps(subset_enum=2)), lambda: "again") == "small"
+    # a verdict built under the small caps is not returned for the default
+    cold = check(parse_space(diamond.to_doc()), "d_space").to_json()
+    assert check(X, "d_space", None, RunConfig(caps=small)).to_json() != cold
+    assert check(X, "d_space").to_json() == cold
+
+
 def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
     # C and Cω share their exhaustive paths; the shared entries carry the
     # config, so a warm cache built under other caps changes no mode and

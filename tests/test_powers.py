@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 
@@ -131,6 +133,42 @@ def test_smyth_cap_holds_after_a_build_under_larger_caps():
     assert len(smyth(X).carrier) == 63
     with pytest.raises(CapExceeded):
         smyth(X, RunConfig(caps=Caps(smyth_carrier=10)))
+
+
+# -- generated topologies -------------------------------------------------
+
+
+def _finite_meets(basics, full):
+    # the empty meet is full
+    return {reduce(and_, sub, full) for r in range(len(basics) + 1) for sub in combinations(basics, r)}
+
+
+def test_generated_topology_is_every_union_of_finite_meets():
+    # against every union of every subfamily of the finite meets (the empty
+    # union is 0), over seeded basics on carriers of 0-6 points: arbitrary
+    # masks of three densities (not up-sets), duplicates, bits outside the
+    # carrier, the empty list and full = 0.  The union closure skips only
+    # the meets it already holds.  Cases with more than 12 distinct meets
+    # are left out, to keep the 2^|meets| unions of the oracle small.
+    rng = random.Random(23)
+    cases = [([], 0), ([], 1), ([], 0b111), ([0b101], 0), ([0, 0], 0b11), ([0b1, 0b10, 0b100], 0b111)]
+    while len(cases) < 200:
+        n = rng.randint(0, 6)
+        full = (1 << n) - 1
+        density = rng.choice((0.25, 0.5, 0.75))
+        width = n + 1 if rng.random() < 0.2 else n
+        basics = [sum(1 << i for i in range(width) if rng.random() < density) for _ in range(rng.randint(0, 6))]
+        if basics and rng.random() < 0.3:
+            basics.append(rng.choice(basics))
+        if len(_finite_meets(basics, full)) <= 12:
+            cases.append((basics, full))
+    sizes = set()
+    for basics, full in cases:
+        meets = sorted(_finite_meets(basics, full))
+        want = {reduce(or_, sub, 0) for r in range(len(meets) + 1) for sub in combinations(meets, r)}
+        assert powers.generated_topology(basics, full) == want, (basics, full)
+        sizes.add(len(want))
+    assert max(sizes) >= 20
 
 
 # -- Hoare power space -----------------------------------------------------

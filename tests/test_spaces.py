@@ -352,6 +352,28 @@ def test_identity_and_composition_laws(diamond, sier):
     assert f.preimage_mask(1 << sier.index("b")) == diamond.mask_of(["r", "top"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 129, 300])
+def test_image_kernel_is_the_or_of_the_point_images(n):
+    # against the naive OR of 1 << table[i] over the set bits i of the mask,
+    # from an antichain (every table is monotone) into antichains of up to
+    # 2,048 points, the largest Smyth carrier; masks and images on both
+    # sides of 2**64
+    rng = random.Random(n)
+    X = FiniteSpace([f"x{i}" for i in range(n)], [1 << i for i in range(n)])
+    masks = [0, X.full, 1 << (n - 1), mask_of_indices(rng.sample(range(n), min(n, 3)))]
+    masks += [rng.getrandbits(n) for _ in range(12)]
+    assert {m >= 1 << 64 for m in masks} == ({False, True} if n > 64 else {False})
+    for size in (1, 3, 64, 65, 2048):
+        Y = FiniteSpace([f"y{j}" for j in range(size)], [1 << j for j in range(size)])
+        f = SpaceMap(X, Y, tuple(rng.randrange(size) for _ in range(n)))
+        for m in masks:
+            want = 0
+            for i in range(n):
+                if m >> i & 1:
+                    want |= 1 << f.table[i]
+            assert f.image_mask(m) == want, (n, size, m)
+
+
 def test_maps_must_be_monotone(diamond, sier):
     with pytest.raises(UsageError):
         SpaceMap.from_labels(
