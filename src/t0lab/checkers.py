@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, MissingSystem, UsageError
-from .spaces import FiniteSpace, bits
+from .spaces import FiniteSpace, _PerMask, bits
 from . import powers, systems
 
 __all__ = [
@@ -175,23 +175,6 @@ def _generic_or_split(P: FiniteSpace, m: int) -> bool:
     part1 = C & ~u
     part2 = P.down[u.bit_length() - 1]
     return P.is_down(part1) and part1 != C and part2 & ~C == 0 and part2 != C and (part1 | part2) == C
-
-
-class _PerMask(dict):
-    """The mask function ``f`` wrapped in a dict: ``table[m]`` is ``f(m)``,
-    computed on the first read of ``m`` and kept, so a read of a known
-    mask makes no Python call.  A sampled path reads every sample (a
-    list under ``all``), so a kernel that raises on a later sample still
-    raises."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable[[int], object]):
-        self.f = f
-
-    def __missing__(self, m: int):
-        v = self[m] = self.f(m)
-        return v
 
 
 def _randbelow(getrandbits, n: int) -> int:

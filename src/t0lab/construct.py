@@ -17,7 +17,7 @@ from .errors import (
     NotT0,
     UsageError,
 )
-from .spaces import FiniteSpace, SpaceMap, bits
+from .spaces import FiniteSpace, SpaceMap, _PerMask, bits
 from . import checkers, powers, systems
 
 __all__ = [
@@ -440,12 +440,14 @@ def reflect(
 
 def _extend_along_unit(refl: Reflection, f: SpaceMap) -> SpaceMap:
     """The unique continuous extension f* with f* . unit = f: a determined
-    closed set goes to the generic point of the closure of its image."""
+    closed set goes to the generic point of the closure of its image.
+    Each image's generic point is read from a table kept in the target's
+    memo (``"extension tops"``), so it is computed once per target."""
     Y = f.target
+    tops = Y.memo("extension tops", lambda: _PerMask(lambda img: Y.top_of(Y.closure_mask(img))))
     table = []
     for m in refl.carrier:
-        img = Y.closure_mask(f.image_mask(m))
-        t = Y.top_of(img)
+        t = tops[f.image_mask(m)]
         if t is None:
             raise InternalError("target is not sober enough to extend along the unit")
         table.append(t)

@@ -61,6 +61,7 @@ from .spaces import (
     FiniteSpace,
     PointSet,
     SpaceMap,
+    _PerMask,
     _as_mask,
     bits,
 )
@@ -205,12 +206,23 @@ def _lift(f: SpaceMap, PX, PY, hull) -> SpaceMap:
     """The functorial action of f between power spaces over its endpoints:
     each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
 
-    A hull outside ``PY``'s carrier is an internal break: the named
-    carriers hold every hull.
+    The image of A is the OR of the bits at f's values on A's points,
+    read from a per-source list (``"member points"`` in the memo of
+    ``PX.space``).  Its carrier index is read from a table kept in the
+    memo of ``PY.space`` and keyed by ``hull``, so each image is hulled
+    once per target and hull, and a lift under another hull never reads
+    it.  A hull outside ``PY``'s carrier is an internal break, raised at
+    the first such member: the named carriers hold every hull.
     """
+    points = PX.space.memo("member points", lambda: [tuple(bits(a)) for a in PX.carrier])
+    lifted = PY.space.memo(("lift", hull), lambda: _PerMask(lambda img: PY.index.get(hull(img))))
+    at = [1 << v for v in f.table]
     table = []
-    for a in PX.carrier:
-        j = PY.index.get(hull(f.image_mask(a)))
+    for pts in points:
+        img = 0
+        for x in pts:
+            img |= at[x]
+        j = lifted[img]
         if j is None:
             raise InternalError("image hull is not in the target carrier")
         table.append(j)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ContinuityError,
@@ -166,26 +166,31 @@ class FiniteSpace:
                 raise MalformedDocument("order row mentions unknown points")
             if not (row >> i) & 1:
                 raise MalformedDocument("order must be reflexive")
-        # antisymmetry: a cycle would merge two points, violating T0
-        for i in range(n):
-            for j in bits(up[i]):
-                if j != i and (up[j] >> i) & 1:
-                    raise NotT0(
-                        f"points {labels[i]!r} and {labels[j]!r} lie in each "
-                        f"other's closure; the description is not T0"
-                    )
-        # transitivity is an internal contract of the constructors
-        for i in range(n):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                raise MalformedDocument("order table is not transitive")
         down = [0] * n
+        for i, row in enumerate(up):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= bit
+                row ^= low
+        # antisymmetry: a cycle would merge two points, violating T0; j lies
+        # in i's up-set and i in j's exactly when j is in up[i] & down[i]
         for i in range(n):
-            row = up[i]
-            for j in bits(row):
-                down[j] |= 1 << i
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise NotT0(
+                    f"points {labels[i]!r} and {labels[j]!r} lie in each "
+                    f"other's closure; the description is not T0"
+                )
+        # transitivity is an internal contract of the constructors
+        for row in up:
+            rest = row
+            while rest:
+                low = rest & -rest
+                if up[low.bit_length() - 1] & ~row:
+                    raise MalformedDocument("order table is not transitive")
+                rest ^= low
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", tuple(down))
@@ -432,15 +437,21 @@ class FiniteSpace:
         depends on besides the space itself; a value whose build reads the
         caps has the caps in its key, so no cap is bypassed by a value
         built under other caps.  A value may be a table filled lazily
-        after the build: the checkers' per-mask tables (saturated cuts,
-        sampled members' membership, and the sampled paths' split,
-        neighborhood-filtration, under-the-top and directed-closure
-        outcomes), their cut rows, and the least upper bounds of
-        ``systems``.  Its key must still name everything an entry depends
-        on, the path included, and none of those tables reads a cap.  The
-        checkers' per-core entries (``checkers._per_core``) are keyed
-        (path, S/C/D/R core, run config), so a run under other caps never
-        reuses them."""
+        after the build, most often a :class:`_PerMask`: the checkers'
+        per-mask tables (saturated cuts, sampled members' membership, and
+        the sampled paths' split, neighborhood-filtration, under-the-top
+        and directed-closure outcomes), their cut rows, the least upper
+        bounds of ``systems``, and the map tables of ``powers`` and
+        ``construct``.  On a power space's own space, ``"member points"``
+        lists each member's points, and a lift table ``("lift", hull)``
+        gives the carrier index of ``hull(image)`` per image mask, keyed by
+        its hull, so a lift under another hull never reads it.  On a
+        target space, ``"extension tops"`` gives the generic point of the
+        closure of each image mask.  A table's key must still name
+        everything an entry depends on, the path included, and none of
+        those tables reads a cap.  The checkers' per-core entries
+        (``checkers._per_core``) are keyed (path, S/C/D/R core, run
+        config), so a run under other caps never reuses them."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()
@@ -479,6 +490,24 @@ class FiniteSpace:
 
     def same_structure(self, other: "FiniteSpace") -> bool:
         return self.labels == other.labels and self.up == other.up
+
+
+class _PerMask(dict):
+    """The mask function ``f`` wrapped in a dict: ``table[m]`` is ``f(m)``,
+    computed on the first read of ``m`` and kept, so a read of a known
+    mask makes no Python call.  Kept in a space's memo, the table decides
+    each mask once per space; the checkers' sampled paths read every
+    sample (a list under ``all``), so a kernel that raises on a later
+    sample still raises."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable[[int], object]):
+        self.f = f
+
+    def __missing__(self, m: int):
+        v = self[m] = self.f(m)
+        return v
 
 
 # -- subset wrappers ------------------------------------------------------

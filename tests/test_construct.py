@@ -319,6 +319,48 @@ def test_universal_property_single_map(sier, diamond):
         universal_property_verify(refl, diamond, SpaceMap.identity(diamond))
 
 
+def _fresh(X):
+    return FiniteSpace(X.labels, X.up)
+
+
+def _per_member_extension(refl, f):
+    Y = f.target
+    return SpaceMap._trusted(refl.space, Y, tuple(Y.top_of(Y.closure_mask(f.image_mask(m))) for m in refl.carrier))
+
+
+def test_extension_tables_give_the_generic_point_per_member(all_posets):
+    # an extension reads each image's generic point from a table per
+    # target; on fresh spaces and after every map of every source has been
+    # extended into the same target (the reflections shared by every
+    # target), it is the top of each image's closure
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    reflections = [reflect(_fresh(X), "R") for X in pool]
+    for Y in pool:
+        warm = _fresh(Y)
+        cases = [(r, SpaceMap(r.base, warm, t)) for r in reflections for t in oracles.continuous_tables(r.base, warm)]
+        for refl, f in cases:
+            construct._extend_along_unit(refl, f)
+        for refl, f in cases:
+            want = _per_member_extension(refl, f).table
+            assert construct._extend_along_unit(refl, f).table == want
+            X = _fresh(f.source)
+            assert construct._extend_along_unit(reflect(X, "R"), SpaceMap(X, _fresh(warm), f.table)).table == want
+
+
+def test_universal_property_reports_are_the_per_member_ones(all_posets, monkeypatch):
+    # universal_property_verify over the extension tables returns what it
+    # returns with each extension computed member by member
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+
+    def reports():
+        return [universal_property_verify(reflect(_fresh(X), "R"), _fresh(Y)) for X in pool for Y in pool]
+
+    got = reports()
+    assert all(r["ok"] for r in got)
+    monkeypatch.setattr(construct, "_extend_along_unit", _per_member_extension)
+    assert reports() == got
+
+
 def test_reflection_functor_laws(sier, diamond, anti3):
     rX, rY, rZ = reflect(sier, "R"), reflect(diamond, "R"), reflect(anti3, "R")
     f = SpaceMap.from_labels(sier, diamond, {"a": "bot", "b": "top"})

@@ -19,7 +19,7 @@ from t0lab.errors import (
     NotDirected,
     UsageError,
 )
-from t0lab.spaces import SpaceMap, bits
+from t0lab.spaces import FiniteSpace, SpaceMap, bits
 from t0lab.powers import (
     OpenFilter,
     family_calculus,
@@ -303,6 +303,68 @@ def test_lifts_are_natural_in_the_units(all_posets):
                 for which in ("closed", "irr_closed"):
                     eta = lambda B: hoare_eta(hoare(B, which))
                     assert eta(X).then(hoare_map(f, which)).table == f.then(eta(Y)).table
+
+
+# each named lift with its power space and the hull it takes in the target
+_LIFTS = (
+    (smyth_map, smyth, "sat_mask"),
+    (lambda f: hoare_map(f, "closed"), lambda B: hoare(B, "closed"), "closure_mask"),
+    (lambda f: hoare_map(f, "irr_closed"), lambda B: hoare(B, "irr_closed"), "closure_mask"),
+)
+
+
+def _fresh(X):
+    return FiniteSpace(X.labels, X.up)
+
+
+def _per_member(f, PX, PY, hull):
+    return tuple(PY.index[hull(f.image_mask(a))] for a in PX.carrier)
+
+
+def test_lift_tables_give_the_per_member_hull(all_posets):
+    # a lift reads each image's hull from a table per target and hull; on
+    # fresh spaces and after every map of every source has been lifted
+    # into the same target (the sources shared by every target), it is the
+    # hull of each member's image
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    sources = [_fresh(X) for X in pool]
+    for Y in pool:
+        warm = _fresh(Y)
+        maps = [SpaceMap(X, warm, t) for X in sources for t in oracles.continuous_tables(X, warm)]
+        for f in maps:
+            for lift, _, _ in _LIFTS:
+                lift(f)
+        for f in maps:
+            cold = SpaceMap(_fresh(f.source), _fresh(warm), f.table)
+            for lift, power, hull in _LIFTS:
+                want = _per_member(f, power(f.source), power(warm), getattr(warm, hull))
+                assert lift(f).table == want
+                assert lift(cold).table == want
+
+
+def test_a_lift_under_another_hull_reads_its_own_table(all_posets):
+    # the identity hull of the "_lift skips the hull" fault, between two
+    # honest lifts into one target: it raises where a raw image is not a
+    # member, and the honest lift after it is still the per-member hull
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    raised = 0
+    for X in map(_fresh, pool):
+        for Y in map(_fresh, pool):
+            for t in oracles.continuous_tables(X, Y):
+                f = SpaceMap(X, Y, t)
+                for lift, power, hull in _LIFTS:
+                    PX, PY = power(X), power(Y)
+                    want = _per_member(f, PX, PY, getattr(Y, hull))
+                    assert lift(f).table == want
+                    raw = [f.image_mask(a) for a in PX.carrier]
+                    if all(img in PY.index for img in raw):
+                        assert powers._lift(f, PX, PY, lambda m: m).table == tuple(PY.index[img] for img in raw)
+                    else:
+                        with pytest.raises(InternalError, match="image hull is not in the target carrier"):
+                            powers._lift(f, PX, PY, lambda m: m)
+                        raised += 1
+                    assert lift(f).table == want
+    assert raised
 
 
 def test_hoare_explicit_carrier_validation(diamond):
