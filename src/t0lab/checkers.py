@@ -13,10 +13,12 @@ every limit they obey: quantifiers over subsets read the memoized member
 table of one S/C/D/R core (``systems._h_members``) within
 ``caps.subset_enum`` and seeded samples above it (``_h_sets``),
 listings of closed and open sets run within ``caps.family_listing``,
-families of compacts within ``caps.compact_family_enum``, and cut
-equations over every closed set within ``_CUT_EQUATION_PAIRS`` (family,
-closed set) pairs.  An exhaustive path that reads H only through its
-core is computed once per core (``_per_core``), and a sampled path
+families of compacts, the members of the Smyth space's table (an
+H-family of compacts is a point set of H(P_S(X))), within
+``caps.compact_family_enum``, and cut equations over every closed set
+within ``_CUT_EQUATION_PAIRS`` (family, closed set) pairs.  An
+exhaustive path that reads H only through its core is computed once
+per core (``_per_core``), and a sampled path
 decides each drawn mask once per space (``_PerMask``).  Above the caps,
 each path switches to an exact reduced form whose justifying lemma
 (finite chains, directed sets and irreducible sets contain a greatest
@@ -291,16 +293,19 @@ def _build_generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[
 
 
 def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) -> tuple[str, list[tuple[int, ...]]]:
-    """H-families of compacts to quantify over: the raw powerset of K(X)
-    filtered by membership when it fits the cap, else the generator
-    instances filtered by shape.  K(X) is listed within
-    ``caps.family_listing`` only."""
+    """H-families of compacts to quantify over: the H-members of the Smyth
+    space (``systems._h_members``) when K(X) fits the cap, each as the
+    tuple of its compacts, listed once per core in the Smyth space's memo
+    (``("families", core)``); else the generator instances filtered by
+    shape.  K(X) is listed within ``caps.family_listing`` only."""
     core = systems._core_of(H)
     cap = config.caps.family_listing
     if X.n > cap:
         raise CapExceeded(f"compact-family analysis needs carrier <= {cap}, got {X.n}")
     if len(X.nonempty_upsets()) <= config.caps.compact_family_enum:
-        return "raw", _raw_families(X, core)
+        S = powers.smyth(X, config)
+        return "raw", S.space.memo(("families", core), lambda: [
+            tuple(S.carrier[i] for i in bits(m)) for m in systems._h_members(S.space, core)])
     fams = []
     for fam, shape in _generator_instances(X, config):
         if core == "S" and shape != "singleton":
@@ -309,19 +314,6 @@ def _families_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) 
             continue
         fams.append(fam)
     return "generators", fams
-
-
-def _raw_families(X: FiniteSpace, core: str) -> list[tuple[int, ...]]:
-    """Every subfamily of K(X) in the S/C/D/R family system, from the raw
-    powerset; its one caller, ``_families_for``, keeps |K(X)| within
-    ``caps.compact_family_enum``."""
-
-    def build():
-        ks = X.nonempty_upsets()
-        fams = (tuple(ks[i] for i in bits(m)) for m in range(1, 1 << len(ks)))
-        return [fam for fam in fams if systems.family_base_ok(core, fam)]
-
-    return X.memo(("families", core), build)
 
 
 # -- the quantifiers every characterization reduces to ---------------------
@@ -765,15 +757,18 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
 
 def _realize_filters(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig) -> tuple[bool, int, dict]:
     """(value, number of open filters, realizations by set label) of
-    "each open filter is the family of opens holding its least compact,
-    a one-member H-family"; H is read only through its core."""
+    "each open filter is the family of opens holding its least compact k,
+    and {k} is an H-family", the point k an H-member of the Smyth space;
+    H is read only through its core."""
     filters = powers.open_filters(X, config)
+    S = powers.smyth(X, config)
+    core = systems._core_of(H)
     value = True
     table = {}
     for f in filters:
         k = f.least()
         fam = (k,)
-        if not systems.h_family_member(H, X, [k]):
+        if not systems._member(core, S.space, 1 << S.index[k]):
             value = False
             continue
         realized = tuple(U for U in X.upsets() if any(m & ~U == 0 for m in fam))

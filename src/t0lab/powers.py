@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .config import DEFAULT, RunConfig
 from .errors import (
@@ -63,6 +63,9 @@ from .spaces import (
     SpaceMap,
     _PerMask,
     _as_mask,
+    _inclusion_space,
+    _point_columns,
+    _set_label,
     bits,
 )
 from . import systems
@@ -84,10 +87,6 @@ __all__ = [
     "family_calculus",
     "hofmann_mislove_report",
 ]
-
-
-def _set_label(X: FiniteSpace, mask: int) -> str:
-    return "{" + ",".join(X.labels_of(mask)) + "}"
 
 
 def _set_label_masks(X: FiniteSpace, key: str) -> list[int]:
@@ -127,45 +126,6 @@ def generated_topology(basics: Iterable[int], full: int) -> set[int]:
         if p not in out:
             out |= {s | p for s in out}
     return out
-
-
-def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
-    """For each point x < n, the mask of the carrier indices whose members
-    hold x."""
-    cols = [0] * n
-    bit = 1
-    for b in carrier:
-        while b:
-            low = b & -b
-            cols[low.bit_length() - 1] |= bit
-            b ^= low
-        bit <<= 1
-    return cols
-
-
-def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool,
-                     cols: Sequence[int] | None = None) -> FiniteSpace:
-    """The carrier of subsets of X ordered by inclusion, or by reverse
-    inclusion when ``reverse``: member i lies below member j iff the
-    order relates their masks.  Each row is an AND of ``_point_columns``
-    (``cols``, built here when not given): the members holding every
-    point of a, or when ``reverse`` the members missing every point
-    outside a."""
-    everything = (1 << len(carrier)) - 1
-    if cols is None:
-        cols = _point_columns(X.n, carrier)
-    if reverse:
-        cols = [everything & ~c for c in cols]
-    rows = []
-    for a in carrier:
-        points = X.full & ~a if reverse else a
-        r = everything
-        while points:
-            low = points & -points
-            r &= cols[low.bit_length() - 1]
-            points ^= low
-        rows.append(r)
-    return FiniteSpace([_set_label(X, a) for a in carrier], rows)
 
 
 def _certify_topology(space: FiniteSpace, basics: Iterable[int], principal: Iterable[Iterable[int]], raw) -> None:
@@ -511,7 +471,7 @@ def filter_of_family(X: FiniteSpace, family) -> OpenFilter:
     try:
         return OpenFilter(X, members)
     except NotAFilter:
-        if systems.family_base_ok("R", masks):
+        if systems._family_member("R", X, masks):
             raise InternalError("irreducible family induced a non-filter")  # unreachable
         raise
 
@@ -584,7 +544,7 @@ def family_calculus(X: FiniteSpace, family, which: str, config: RunConfig = DEFA
                 closure_inter &= k
         return closure_inter == inter
     if which == "least":
-        if not systems.family_base_ok("D", masks):
+        if not systems._family_member("D", X, masks):
             raise NotDirected("the family is not filtered")
         if inter not in set(masks):
             raise InternalError("filtered family without least member")  # unreachable

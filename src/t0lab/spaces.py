@@ -436,19 +436,21 @@ class FiniteSpace:
         ``build()`` on first use.  The key names everything the value
         depends on besides the space itself; a value whose build reads the
         caps has the caps in its key, so no cap is bypassed by a value
-        built under other caps.  A value may be a table filled lazily
-        after the build, most often a :class:`_PerMask`: the checkers'
-        per-mask tables (saturated cuts, sampled members' membership, and
-        the sampled paths' split, neighborhood-filtration, under-the-top
-        and directed-closure outcomes), their cut rows, the least upper
-        bounds of ``systems``, and the map tables of ``powers`` and
+        built under other caps.  A value may be a table filled lazily after
+        the build, most often a :class:`_PerMask`: the checkers' per-mask
+        tables (saturated cuts, sampled members' membership, and the
+        sampled paths' split, neighborhood-filtration, under-the-top and
+        directed-closure outcomes), their cut rows, the least upper bounds
+        of ``systems`` and its family orders (``"family spaces"``, keyed by
+        a family's mask tuple), and the map tables of ``powers`` and
         ``construct``.  On a power space's own space, ``"member points"``
         lists each member's points, and a lift table ``("lift", hull)``
         gives the carrier index of ``hull(image)`` per image mask, keyed by
-        its hull, so a lift under another hull never reads it.  On a
-        target space, ``"extension tops"`` gives the generic point of the
-        closure of each image mask.  A table's key must still name
-        everything an entry depends on, the path included, and none of
+        its hull, so a lift under another hull never reads it.  On a target
+        space, ``"extension tops"`` gives the generic point of the closure
+        of each image mask.  A Smyth space lists its H-members as families
+        of compacts (``("families", core)``).  A table's key must still
+        name everything an entry depends on, the path included, and none of
         those tables reads a cap.  The checkers' per-core entries
         (``checkers._per_core``) are keyed (path, S/C/D/R core, run
         config), so a run under other caps never reuses them."""
@@ -494,11 +496,11 @@ class FiniteSpace:
 
 class _PerMask(dict):
     """The mask function ``f`` wrapped in a dict: ``table[m]`` is ``f(m)``,
-    computed on the first read of ``m`` and kept, so a read of a known
-    mask makes no Python call.  Kept in a space's memo, the table decides
-    each mask once per space; the checkers' sampled paths read every
-    sample (a list under ``all``), so a kernel that raises on a later
-    sample still raises."""
+    computed on the first read of ``m`` (a mask, or a tuple of masks) and
+    kept, so a read of a known mask makes no Python call.  Kept in a
+    space's memo, the table decides each mask once per space; the checkers'
+    sampled paths read every sample (a list under ``all``), so a kernel
+    that raises on a later sample still raises."""
 
     __slots__ = ("f",)
 
@@ -508,6 +510,53 @@ class _PerMask(dict):
     def __missing__(self, m: int):
         v = self[m] = self.f(m)
         return v
+
+
+# -- inclusion orders -----------------------------------------------------
+
+
+def _set_label(X: FiniteSpace, mask: int) -> str:
+    return "{" + ",".join(X.labels_of(mask)) + "}"
+
+
+def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
+    """For each point x < n, the mask of the carrier indices whose members
+    hold x."""
+    cols = [0] * n
+    bit = 1
+    for b in carrier:
+        while b:
+            low = b & -b
+            cols[low.bit_length() - 1] |= bit
+            b ^= low
+        bit <<= 1
+    return cols
+
+
+def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool,
+                     cols: Sequence[int] | None = None, labels: Sequence[str] | None = None) -> FiniteSpace:
+    """The carrier of subsets of X ordered by inclusion, or by reverse
+    inclusion when ``reverse``: member i lies below member j iff the
+    order relates their masks.  Each row is an AND of ``_point_columns``
+    (``cols``, built here when not given): the members holding every
+    point of a, or when ``reverse`` the members missing every point
+    outside a.  Members are labelled by ``labels``, else by their set
+    labels, which two members share when X's labels hold commas."""
+    everything = (1 << len(carrier)) - 1
+    if cols is None:
+        cols = _point_columns(X.n, carrier)
+    if reverse:
+        cols = [everything & ~c for c in cols]
+    rows = []
+    for a in carrier:
+        points = X.full & ~a if reverse else a
+        r = everything
+        while points:
+            low = points & -points
+            r &= cols[low.bit_length() - 1]
+            points ^= low
+        rows.append(r)
+    return FiniteSpace([_set_label(X, a) for a in carrier] if labels is None else labels, rows)
 
 
 # -- subset wrappers ------------------------------------------------------

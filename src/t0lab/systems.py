@@ -22,8 +22,9 @@ collapses to the irreducible sets; the collapse is a theorem about finite
 spaces, and the test suite pins it to the definitional predicates.
 
 Family-level membership (a family of compact saturated sets as a subset of
-the Smyth order, i.e. reverse inclusion) is also provided here so that
-power-space code and checkers share one implementation.
+the Smyth order, i.e. reverse inclusion) is the same predicate on the
+family's own order, so power-space code and checkers share one
+implementation.
 """
 from __future__ import annotations
 
@@ -48,7 +49,9 @@ from .spaces import (
     CompactSat,
     FiniteSpace,
     PointSet,
+    _PerMask,
     _as_mask,
+    _inclusion_space,
     bits,
     is_directed,
     is_irreducible,
@@ -243,9 +246,11 @@ def _h_members(X: FiniteSpace, core: str) -> list[int]:
     """Every member of the system with this S/C/D/R core in ascending mask
     order, listed from the order at the cost of the list (D and R share
     one), built once per space: the one table every exhaustive quantifier
-    over H(X) reads.  ``_member`` is not consulted; ``d_space`` compares
-    the D table with its raw 2^n scan.  Callers keep X.n within
-    ``caps.subset_enum``."""
+    over H(X) reads, and on a Smyth space the one listing of H-families of
+    compacts.  ``_member`` is not consulted; ``d_space`` compares the D
+    table with its raw 2^n scan.  Callers keep X.n within
+    ``caps.subset_enum``, or a Smyth carrier within
+    ``caps.compact_family_enum``."""
     listing = _LISTINGS[core]
     return X.memo(("h_members", listing), lambda: sorted(set(listing(X))))
 
@@ -320,41 +325,27 @@ def sample_family(rng, X: FiniteSpace, ks: Sequence[int], steps: int, chain: boo
     return sorted(set(fam))
 
 
-def family_base_ok(core: str, masks: Sequence[int]) -> bool:
-    """Family membership in the Smyth order (reverse inclusion), on raw
-    masks.  ``core`` is S, C, D or R."""
-    k = len(masks)
-    if core == "S":
-        return k == 1
-    if core == "C":
-        for a in range(k):
-            for b in range(a + 1, k):
-                x, y = masks[a], masks[b]
-                if x & ~y != 0 and y & ~x != 0:
-                    return False
-        return True
-    if core == "D":
-        for a in range(k):
-            for b in range(a + 1, k):
-                meet = masks[a] & masks[b]
-                if not any(c & ~meet == 0 for c in masks):
-                    return False
-        return True
-    # R: irreducible in the Smyth order iff the family has a least member
-    # under inclusion (equivalently the intersection is a member)
-    inter = masks[0]
-    for m in masks[1:]:
-        inter &= m
-    return inter in set(masks)
+def _family_member(core: str, X: FiniteSpace, masks: Sequence[int]) -> bool:
+    """Membership of the family, distinct masks sorted by (size, mask), in
+    the system with this S/C/D/R core over the Smyth order: ``_member`` of
+    the whole carrier of the family ordered by reverse inclusion, its
+    members labelled by position.  Each family's order is built once per
+    space, in one table of the memo (``"family spaces"``) keyed by the
+    mask tuple."""
+    table = X.memo("family spaces", lambda: _PerMask(
+        lambda fam: _inclusion_space(X, fam, reverse=True, labels=[str(i) for i in range(len(fam))])))
+    F = table[tuple(masks)]
+    return _member(core, F, F.full)
 
 
 def h_family_member(H, X: FiniteSpace, family) -> bool:
     """Is the family a member of H(P_S(X)), P_S being the Smyth power space?
 
-    Evaluated directly on the reverse-inclusion order, which is the
-    specialization order of the Smyth power space.
+    Decided by the one membership predicate, ``_member``, on the family's
+    own order, reverse inclusion, which is the specialization order of the
+    Smyth power space restricted to the family.
     """
-    return family_base_ok(_core_of(as_system(H)), family_masks(X, family))
+    return _family_member(_core_of(as_system(H)), X, family_masks(X, family))
 
 
 # -- the M(family) machinery ----------------------------------------------

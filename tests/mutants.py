@@ -2,20 +2,20 @@
 of name -> injector.
 
 Each injector takes a pytest ``monkeypatch`` (or ``pytest.MonkeyPatch``)
-and replaces one kernel method, family predicate or checker helper by a
-faulty version, or corrupts every space built after it: the last two
-faults of ``FAULTS`` let ``FiniteSpace.__init__`` validate as usual and
-then rewrite the rows, so that the order is not antisymmetric or a closure
-row is not a down-set.  Spaces parsed after the injection see the fault in
-every memoized table they build, so a fault check parses its spaces
-afresh.  ``ZOO_FAULTS`` holds one fault per branch or clause of the zoo's
-set algebra (``CofiniteSet``, ``CocountableSet`` with its ``_desc_*``
-helpers and ``_norm_tail``) and of the Johnstone order (``johnstone_leq``,
-``_tail_contains``, ``_johnstone_up_formula``), plus one per order
-comparison there that moves its bound by one.  ``CONSTRUCT_FAULTS`` holds
-one fault in each function that builds a value a construction of
-``powers`` or ``construct`` returns, and none in code that only a
-certificate reads.
+and replaces one kernel method, the membership predicate, the member table
+or a checker helper by a faulty version, or corrupts every space built
+after it: the last two faults of ``FAULTS`` let ``FiniteSpace.__init__``
+validate as usual and then rewrite the rows, so that the order is not
+antisymmetric or a closure row is not a down-set.  Spaces parsed after the
+injection see the fault in every memoized table they build, so a fault
+check parses its spaces afresh.  ``ZOO_FAULTS`` holds one fault per branch
+or clause of the zoo's set algebra (``CofiniteSet``, ``CocountableSet``
+with its ``_desc_*`` helpers and ``_norm_tail``) and of the Johnstone
+order (``johnstone_leq``, ``_tail_contains``, ``_johnstone_up_formula``),
+plus one per order comparison there that moves its bound by one.
+``CONSTRUCT_FAULTS`` holds one fault in each function that builds a value
+a construction of ``powers`` or ``construct`` returns, and none in code
+that only a certificate reads.
 
 Not collected by pytest.  ``PYTHONPATH=src python tests/mutants.py OUT.json``
 runs both characterization batteries on the fault corpus under no fault and
@@ -124,7 +124,8 @@ def _closure_not_down(up, down):
 FAULTS = {
     "non-monotone sat_mask": lambda mp: _wrap(
         mp, FiniteSpace, "sat_mask", lambda f, X, m: m if m.bit_count() == 2 else f(X, m)),
-    "family_base_ok accepts all": lambda mp: mp.setattr(systems, "family_base_ok", lambda core, masks: True),
+    "_h_members lists every mask": lambda mp: mp.setattr(
+        systems, "_h_members", lambda X, core: list(range(1, X.full + 1))),
     "_psi_ok false": lambda mp: mp.setattr(checkers, "_psi_ok", lambda X, config: False),
     "closure_mask ignores the last row": lambda mp: _wrap(
         mp, FiniteSpace, "closure_mask", _ignore_last_row),
@@ -135,8 +136,6 @@ FAULTS = {
     "_member C/D swapped": lambda mp: _wrap(
         mp, systems, "_member", lambda f, core, X, m: f(_SWAP_CD.get(core, core), X, m)),
     "_member accepts all": lambda mp: mp.setattr(systems, "_member", lambda core, X, m: True),
-    "family_base_ok C/D swapped": lambda mp: _wrap(
-        mp, systems, "family_base_ok", lambda f, core, masks: f(_SWAP_CD.get(core, core), masks)),
     "sat_mask drops the lowest point": lambda mp: _wrap(mp, FiniteSpace, "sat_mask", _drop_lowest),
     "sat_mask(full) empty": lambda mp: _wrap(
         mp, FiniteSpace, "sat_mask", lambda f, X, m: 0 if m == X.full else f(X, m)),

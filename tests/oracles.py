@@ -4,11 +4,15 @@ reduced/clever paths to the raw definitions.
 Everything here works by exhaustive enumeration straight from the
 definitions (powersets, all splits, all families) and deliberately avoids
 the package's own shortcuts: no top-of-closure criteria, no least-member
-reductions, no structural certifications.  Only usable on small spaces.
+reductions (``has_least_member`` states that criterion itself, for a test
+too large for ``family_h_member``), no structural certifications.  Only
+usable on small spaces.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from t0lab import systems
 from t0lab.errors import MalformedDocument, NotT0
@@ -260,6 +264,14 @@ def family_h_member(core: str, X: FiniteSpace, fam: tuple[int, ...]) -> bool:
     for k in fam:
         m |= 1 << idx[k]
     return h_member(core, S, m)
+
+
+def has_least_member(fam: tuple[int, ...]) -> bool:
+    """Does the family of compacts have a least member under inclusion,
+    i.e. is its meet one of its members?  That is the criterion for a
+    family to be irreducible in the Smyth order, stated on the masks with
+    no Smyth space; ``family_h_member`` is the definitional form."""
+    return reduce(and_, fam) in fam
 
 
 def super_h_sober(X: FiniteSpace, core: str, max_family_base: int = 12) -> bool:

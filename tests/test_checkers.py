@@ -223,14 +223,14 @@ def test_configs_hash_by_value_and_key_the_memo_by_value(diamond):
 def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
     # C and Cω share their exhaustive paths; the shared entries carry the
     # config, so a warm cache built under other caps changes no mode and
-    # no value.  Under "family_base_ok accepts all" the raw families fail
+    # no value.  Under "_h_members lists every mask" the raw families fail
     # the meets that the generator families pass, so a value taken from
     # the other caps would show too.
     small = RunConfig(caps=Caps(subset_enum=2, compact_family_enum=1))
     runs = (("C", RunConfig()), ("Cw", small))
     for faulty in (False, True):
         if faulty:
-            mutants.FAULTS["family_base_ok accepts all"](monkeypatch)
+            mutants.FAULTS["_h_members lists every mask"](monkeypatch)
         doc = anti3.to_doc()
         cold = {(H, config): [check(parse_space(doc), prop, H, config).to_json() for prop in H_PROPS]
                 for H, config in runs}
@@ -369,7 +369,7 @@ def test_batteries_read_their_verdicts_agreement(monkeypatch):
 
 @pytest.mark.parametrize("fault", [
     "non-monotone sat_mask",  # sat({x, y}) = {x, y}
-    "family_base_ok accepts all",
+    "_h_members lists every mask",
     "_psi_ok false",
     "is_up false on pairs",
 ])
@@ -415,12 +415,8 @@ def test_every_verdict_path_kills_some_fault():
             inject(mp)
             faulty[name] = mutants.path_values(docs)
     table = mutants.kill_table(mutants.path_values(docs), faulty)
-    # h_consonant's open-filter path kills none, but deleting it would
-    # leave that verdict one path, which changes the failures the
-    # benchmark pins as expected; it waits for a benchmark change
-    exempt = {("h_consonant", "filters realized by one-member families")}
     empty = [(prop, path) for prop, rows in table.items() for path, row in rows.items() if not row]
-    assert set(empty) == exempt, empty
+    assert empty == []
 
 
 def test_corrupted_spaces_fail_the_paths_that_read_their_rows(monkeypatch):
@@ -718,6 +714,25 @@ def test_upper_topology_report(all_posets, diamond):
         for H in ("D", "R"):
             v = upper_topology_report(X, H)
             assert v.holds and v.characterizations_agreed
+
+
+def test_listed_families_are_the_smyth_members_in_mask_order(all_posets):
+    # the raw listing reads the Smyth space's member table; the oracle
+    # takes every subfamily of K(X), sorted by (size, mask), in ascending
+    # index-mask order, and keeps the members of the raw Smyth space
+    # (``oracles.family_h_member``, with that space built once per X)
+    rng = random.Random(6)
+    sixes = [X for X in (random_space(rng, 6) for _ in range(2000)) if X.n == 6 and len(X.nonempty_upsets()) <= 8]
+    small = [X for n in (1, 2, 3, 4) for X in all_posets[n] if len(oracles.compacts(X)) <= 8]
+    assert len(small) == 20 and len(sixes) == 22
+    for X in small + sixes[:6]:
+        raw, S = oracles.smyth_space(X)
+        ks = sorted(raw, key=lambda m: (m.bit_count(), m))
+        point = [1 << raw.index(k) for k in ks]
+        for core in CORES:
+            expected = [tuple(ks[i] for i in bits(m)) for m in range(1, 1 << len(ks))
+                        if oracles.h_member(core, S, sum(point[i] for i in bits(m)))]
+            assert checkers._families_for(X, systems.SubsetSystemId(core), RunConfig()) == ("raw", expected), core
 
 
 def test_generator_instances_respect_the_callers_caps():

@@ -18,7 +18,7 @@ from t0lab.errors import (
     UnsupportedDepth,
     UsageError,
 )
-from t0lab.spaces import CompactSat, bits
+from t0lab.spaces import CompactSat, FiniteSpace, bits
 from t0lab.systems import (
     ALL_IDS,
     BASE_IDS,
@@ -144,9 +144,16 @@ def test_family_masks_validation(diamond):
 
 
 def test_h_family_member_matches_raw_smyth_membership(all_posets):
-    for n in (1, 2, 3):
+    # each family is decided warm, on a space whose memo holds the orders
+    # of the families before it, and cold, on a fresh copy.  The raw
+    # irreducibility oracle lists every subset of the Smyth carrier, so at
+    # four points it runs where |K(X)| <= 10
+    for n in (1, 2, 3, 4):
         for X in all_posets[n]:
             ks, S = oracles.smyth_space(X)
+            if len(ks) > 10:
+                continue
+            warm = FiniteSpace(X.labels, X.up)
             idx = {k: i for i, k in enumerate(ks)}
             for r in (1, 2, 3):
                 for fam in combinations(ks, r):
@@ -154,7 +161,8 @@ def test_h_family_member_matches_raw_smyth_membership(all_posets):
                     for k in fam:
                         fm |= 1 << idx[k]
                     for core in CORES:
-                        assert h_family_member(core, X, list(fam)) == \
+                        cold = h_family_member(core, FiniteSpace(X.labels, X.up), list(fam))
+                        assert h_family_member(core, warm, list(fam)) == cold == \
                             oracles.h_member(core, S, fm), (core, fam)
 
 
@@ -174,6 +182,16 @@ def test_family_membership_on_the_diamond(diamond):
     # least member under inclusion makes it Smyth-irreducible
     assert h_family_member("R", X, [left, right, top])
     assert h_family_member("D^d", X, [left, right, top])
+
+
+def test_family_membership_reads_no_set_labels():
+    # the points a and b and the point "a,b" have the same set label
+    # "{a,b}"; a family's order is labelled by position, so its
+    # membership is still decided
+    X = parse_space({"points": ["a", "b", "a,b"], "covers": []})
+    fam = [X.mask_of(["a", "b"]), X.mask_of(["a,b"])]
+    assert [h_family_member(core, X, fam) for core in CORES] == [False] * 4
+    assert [h_family_member(core, X, [fam[0], X.full]) for core in CORES] == [False, True, True, True]
 
 
 # -- minimal meeting closed sets -------------------------------------------
