@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, MissingSystem, UsageError
-from .spaces import FiniteSpace, _PerMask, bits
+from .spaces import FiniteSpace, _PerMask, _set_label, _set_mask, bits
 from . import powers, systems
 
 __all__ = [
@@ -481,7 +481,7 @@ def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[boo
         if t is None or X.down[t] != d:
             value = False
         else:
-            table[powers._set_label(X, d)] = X.labels[t]
+            table[_set_label(X, d)] = X.labels[t]
     # uniqueness comes with T0: distinct points have distinct closures
     value = value and len({X.down[i] for i in range(X.n)}) == X.n
     return value, table, len(hc)
@@ -545,7 +545,7 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
             if s is None or t is None or X.down[t] != c or s != t:
                 value = False
             elif len(sups) < 12:
-                sups[powers._set_label(X, m)] = X.labels[s]
+                sups[_set_label(X, m)] = X.labels[s]
         paths.append(("directed sets have sups with principal closures (pairwise)", value, ""))
         evidence["directed_sets"] = len(directed)
         evidence["sups"] = sups
@@ -775,7 +775,7 @@ def _realize_filters(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfi
         if realized != f.opens:
             value = False
         elif len(table) < 12:
-            table[powers._set_label(X, k)] = len(f.opens)
+            table[_set_label(X, k)] = len(f.opens)
     return value, len(filters), table
 
 
@@ -980,17 +980,19 @@ def upper_topology_report(P: FiniteSpace, H, config: RunConfig = DEFAULT) -> Ver
 
 def validate_evidence(X: FiniteSpace, verdict: Verdict) -> bool:
     """Re-check the re-checkable parts of a verdict's evidence against the
-    definitional predicates.  Keys are set labels as ``powers._set_label``
-    writes them, read against X's own labels."""
+    definitional predicates.  Keys are set labels as ``spaces._set_label``
+    writes them, each read back as its one mask by ``spaces._set_mask``."""
     ev = verdict.evidence
     ok = True
     for cset, point in ev.get("generic_points", {}).items():
-        if cset != "..." and cset != powers._set_label(X, X.closure_mask(1 << X.index(point))):
+        if cset != "..." and cset != _set_label(X, X.closure_mask(1 << X.index(point))):
             ok = False
     for dset, point in ev.get("sups", {}).items():
         t = X.index(point)
-        # least upper bound re-check, for any set the key can denote
-        ubs = [X.ubs_mask(m) for m in powers._set_label_masks(X, dset)]
-        if not any((u >> t) & 1 and u & ~X.up[t] == 0 for u in ubs):
+        # least upper bound re-check of the set the key denotes; a key
+        # that denotes no set has no upper bound
+        m = _set_mask(X, dset)
+        u = 0 if m is None else X.ubs_mask(m)
+        if not (u >> t) & 1 or u & ~X.up[t]:
             ok = False
     return ok

@@ -17,7 +17,7 @@ from .errors import (
     NotT0,
     UsageError,
 )
-from .spaces import FiniteSpace, SpaceMap, _PerMask, bits
+from .spaces import FiniteSpace, SpaceMap, _PerMask, _map_label, _pair_labels, _point_columns, bits
 from . import checkers, powers, systems
 
 __all__ = [
@@ -56,14 +56,12 @@ class Product:
 def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Product:
     """Componentwise-ordered product with its projections.
 
-    Points are labelled ``(x,y)``, or ``(i,j)`` by index if those collide.
-    The projections are continuous by construction (the order is
+    Points are labelled ``(x,y)``, the components escaped.  The
+    projections are continuous by construction (the order is
     componentwise, hence T0, so a refused order is an ``InternalError``);
     saturation of a sampled handful of sets is checked to commute with them.
     """
-    labels = [f"({a},{b})" for a in X.labels for b in Y.labels]
-    if len(set(labels)) < len(labels):
-        labels = [f"({i},{j})" for i in range(X.n) for j in range(Y.n)]
+    labels = _pair_labels(X, Y)
     up = []
     for i in range(X.n):
         for j in range(Y.n):
@@ -146,9 +144,6 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
     maps = continuous_maps(X, Y, config)
     if len(maps) > 4096:
         raise CapExceeded(f"{len(maps)} maps exceed the function-space bound")
-    label = lambda f: "[" + ",".join(
-        f"{X.labels[i]}>{Y.labels[f.table[i]]}" for i in range(X.n)
-    ) + "]"
     up = []
     for f in maps:
         m = 0
@@ -156,7 +151,7 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
             if all((Y.up[f.table[i]] >> g.table[i]) & 1 for i in range(X.n)):
                 m |= 1 << gi
         up.append(m)
-    F = FiniteSpace([label(f) for f in maps], up)
+    F = FiniteSpace([_map_label(X, Y, f.table) for f in maps], up)
 
     def subbasic(x: int, U: int) -> int:
         m = 0
@@ -192,7 +187,7 @@ def equalizer(f: SpaceMap, g: SpaceMap) -> Equalizer:
         return Equalizer(space=None, inclusion=None, is_empty=True)
     E = f.source.subspace(mask)
     # the subspace carries the induced order, so its inclusion is monotone
-    incl = SpaceMap._trusted(E, f.source, tuple(f.source.index(l) for l in E.labels))
+    incl = SpaceMap._trusted(E, f.source, tuple(bits(mask)))
     return Equalizer(space=E, inclusion=incl, is_empty=False)
 
 
@@ -249,11 +244,7 @@ def _canon_key(n: int, up: list[int]) -> tuple:
     """The least row tuple over the relabelings that keep each
     ``_wl_labels`` class in one block of slots: at most 7! = 5,040, as
     ``enumerate_posets`` stops at 7 points."""
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    labels = _wl_labels(n, down, up)
+    labels = _wl_labels(n, _point_columns(n, up), up)
     groups: dict = {}
     for i, l in enumerate(labels):
         groups.setdefault(l, []).append(i)

@@ -65,7 +65,6 @@ from .spaces import (
     _as_mask,
     _inclusion_space,
     _point_columns,
-    _set_label,
     bits,
 )
 from . import systems
@@ -87,28 +86,6 @@ __all__ = [
     "family_calculus",
     "hofmann_mislove_report",
 ]
-
-
-def _set_label_masks(X: FiniteSpace, key: str) -> list[int]:
-    """Every mask whose ``_set_label`` is ``key``.  Labels may hold commas
-    and braces, so the key is matched against X's labels in carrier order."""
-    if len(key) < 2 or key[0] != "{" or key[-1] != "}":
-        return []
-    body = key[1:-1]
-    out = []
-
-    def walk(pos: int, start: int, mask: int) -> None:
-        for i in range(start, X.n):
-            label = X.labels[i]
-            end = pos + len(label)
-            if body.startswith(label, pos):
-                if end == len(body):
-                    out.append(mask | 1 << i)
-                elif body[end] == ",":
-                    walk(end + 1, i + 1, mask | 1 << i)
-
-    walk(0, 0, 0)
-    return out
 
 
 def generated_topology(basics: Iterable[int], full: int) -> set[int]:

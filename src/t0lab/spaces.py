@@ -24,6 +24,7 @@ Useful finite facts (each pinned to definitional code by the test suite):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -141,6 +142,21 @@ def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
     return labels
 
 
+def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
+    """For each point x < n, the mask of the carrier indices whose members
+    hold x: the transpose of the rows ``carrier``, so the down rows of the
+    up rows."""
+    cols = [0] * n
+    bit = 1
+    for b in carrier:
+        while b:
+            low = b & -b
+            cols[low.bit_length() - 1] |= bit
+            b ^= low
+        bit <<= 1
+    return cols
+
+
 class FiniteSpace:
     """A finite T0 space, stored as its specialization poset.
 
@@ -166,13 +182,7 @@ class FiniteSpace:
                 raise MalformedDocument("order row mentions unknown points")
             if not (row >> i) & 1:
                 raise MalformedDocument("order must be reflexive")
-        down = [0] * n
-        for i, row in enumerate(up):
-            bit = 1 << i
-            while row:
-                low = row & -row
-                down[low.bit_length() - 1] |= bit
-                row ^= low
+        down = tuple(_point_columns(n, up))
         # antisymmetry: a cycle would merge two points, violating T0; j lies
         # in i's up-set and i in j's exactly when j is in up[i] & down[i]
         for i in range(n):
@@ -191,13 +201,17 @@ class FiniteSpace:
                 if up[low.bit_length() - 1] & ~row:
                     raise MalformedDocument("order table is not transitive")
                 rest ^= low
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
-        object.__setattr__(self, "_cache", {})
+        self._fill(labels, up, down)
+
+    def _fill(self, labels: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...]) -> "FiniteSpace":
+        """Set the slots, in slot order, and return the space: the one
+        writer of the slots.  ``__init__`` calls it once its checks pass,
+        ``_inclusion_space`` on a fresh instance and unchecked."""
+        n = len(labels)
+        index = {l: i for i, l in enumerate(labels)}
+        for slot, value in zip(self.__slots__, (labels, up, down, n, (1 << n) - 1, index, {})):
+            object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSpace is immutable")
@@ -442,13 +456,14 @@ class FiniteSpace:
         sampled paths' split, neighborhood-filtration, under-the-top and
         directed-closure outcomes), their cut rows, the least upper bounds
         of ``systems`` and its family orders (``"family spaces"``, keyed by
-        a family's mask tuple), and the map tables of ``powers`` and
-        ``construct``.  On a power space's own space, ``"member points"``
-        lists each member's points, and a lift table ``("lift", hull)``
-        gives the carrier index of ``hull(image)`` per image mask, keyed by
-        its hull, so a lift under another hull never reads it.  On a target
-        space, ``"extension tops"`` gives the generic point of the closure
-        of each image mask.  A Smyth space lists its H-members as families
+        a family's mask tuple), the map tables of ``powers`` and
+        ``construct``, and the escaped labels (``"escaped labels"``) that
+        every derived label reads.  On a power space's own space,
+        ``"member points"`` lists each member's points, and a lift table
+        ``("lift", hull)`` gives the carrier index of ``hull(image)`` per
+        image mask, keyed by its hull, so a lift under another hull never
+        reads it.  On a target space, ``"extension tops"`` gives the
+        generic point of the closure of each image mask.  A Smyth space lists its H-members as families
         of compacts (``("families", core)``).  A table's key must still
         name everything an entry depends on, the path included, and none of
         those tables reads a cap.  The checkers' per-core entries
@@ -512,51 +527,76 @@ class _PerMask(dict):
         return v
 
 
-# -- inclusion orders -----------------------------------------------------
+# -- derived labels -------------------------------------------------------
+
+# A derived label, of a set ``{a,b}``, a pair ``(x,y)`` or a map
+# ``[a>x,b>y]``, puts a backslash before each reserved character of its
+# components, so it splits one way only: distinct values, distinct labels.
+_ESCAPE = str.maketrans({c: "\\" + c for c in "\\,{}()[]>"})
+
+
+def _escaped(X: FiniteSpace) -> tuple[str, ...]:
+    """X's labels, escaped once per space (unchanged if none is reserved)."""
+    return X.memo("escaped labels", lambda: tuple(l.translate(_ESCAPE) for l in X.labels))
 
 
 def _set_label(X: FiniteSpace, mask: int) -> str:
-    return "{" + ",".join(X.labels_of(mask)) + "}"
+    e = _escaped(X)
+    return "{" + ",".join(e[i] for i in bits(mask)) + "}"
 
 
-def _point_columns(n: int, carrier: Sequence[int]) -> list[int]:
-    """For each point x < n, the mask of the carrier indices whose members
-    hold x."""
-    cols = [0] * n
-    bit = 1
-    for b in carrier:
-        while b:
-            low = b & -b
-            cols[low.bit_length() - 1] |= bit
-            b ^= low
-        bit <<= 1
-    return cols
+def _pair_labels(X: FiniteSpace, Y: FiniteSpace) -> list[str]:
+    return [f"({a},{b})" for a in _escaped(X) for b in _escaped(Y)]
+
+
+def _map_label(X: FiniteSpace, Y: FiniteSpace, table: Sequence[int]) -> str:
+    ex, ey = _escaped(X), _escaped(Y)
+    return "[" + ",".join(f"{ex[i]}>{ey[v]}" for i, v in enumerate(table)) + "]"
+
+
+_MEMBER = re.compile(r"(?:\\.|[^\\,])*")  # up to the next unescaped comma
+
+
+def _set_mask(X: FiniteSpace, label: str) -> int | None:
+    """The one mask whose ``_set_label`` is ``label``, or None; ``{}`` is
+    read as the set of a point labelled "" if X has one, else as 0."""
+    index = {e: 1 << i for i, e in enumerate(_escaped(X))}
+    mask, pos = 0, 1
+    while pos < len(label):
+        m = _MEMBER.match(label, pos, len(label) - 1)
+        mask |= index.get(m.group(), 0)
+        pos = m.end() + 1
+    return mask if _set_label(X, mask) == label else None
+
+
+# -- inclusion orders -----------------------------------------------------
 
 
 def _inclusion_space(X: FiniteSpace, carrier: Sequence[int], reverse: bool,
-                     cols: Sequence[int] | None = None, labels: Sequence[str] | None = None) -> FiniteSpace:
+                     cols: Sequence[int] | None = None) -> FiniteSpace:
     """The carrier of subsets of X ordered by inclusion, or by reverse
     inclusion when ``reverse``: member i lies below member j iff the
-    order relates their masks.  Each row is an AND of ``_point_columns``
-    (``cols``, built here when not given): the members holding every
-    point of a, or when ``reverse`` the members missing every point
-    outside a.  Members are labelled by ``labels``, else by their set
-    labels, which two members share when X's labels hold commas."""
-    everything = (1 << len(carrier)) - 1
+    order relates their masks.  The supersets of a are the members holding
+    every point of a, and its subsets the members missing every point
+    outside a: one AND per point over the ``_point_columns`` (``cols``,
+    built here when not given).  The two row families are each other's
+    transposes and the members' set labels are distinct, so the space is
+    built with no check."""
     if cols is None:
         cols = _point_columns(X.n, carrier)
-    if reverse:
-        cols = [everything & ~c for c in cols]
-    rows = []
+    supersets, subsets = [], []
     for a in carrier:
-        points = X.full & ~a if reverse else a
-        r = everything
-        while points:
-            low = points & -points
-            r &= cols[low.bit_length() - 1]
-            points ^= low
-        rows.append(r)
-    return FiniteSpace([_set_label(X, a) for a in carrier] if labels is None else labels, rows)
+        sup = sub = (1 << len(carrier)) - 1
+        for x, c in enumerate(cols):
+            if (a >> x) & 1:
+                sup &= c
+            else:
+                sub &= ~c
+        supersets.append(sup)
+        subsets.append(sub)
+    up, down = (subsets, supersets) if reverse else (supersets, subsets)
+    labels = tuple(_set_label(X, a) for a in carrier)
+    return FiniteSpace.__new__(FiniteSpace)._fill(labels, tuple(up), tuple(down))
 
 
 # -- subset wrappers ------------------------------------------------------
@@ -620,23 +660,15 @@ class CompactSat(PointSet):
 
     def smyth_leq(self, other: "CompactSat") -> bool:
         """Smyth order: K1 below K2 iff K2 is contained in K1."""
-        _same_space(self, other)
+        if self.space is not other.space:
+            raise SpaceMismatch("subsets belong to different spaces")
         return other.mask & ~self.mask == 0
-
-
-def _same_space(a: PointSet, b: PointSet) -> None:
-    if a.space is not b.space:
-        raise SpaceMismatch("subsets belong to different spaces")
-
-
-def _owns(space: FiniteSpace, A: PointSet) -> None:
-    if A.space is not space:
-        raise SpaceMismatch("subset does not belong to this space")
 
 
 def _as_mask(space: FiniteSpace, A) -> int:
     if isinstance(A, PointSet):
-        _owns(space, A)
+        if A.space is not space:
+            raise SpaceMismatch("subset does not belong to this space")
         return A.mask
     if isinstance(A, int):
         if not 0 <= A <= space.full:

@@ -41,6 +41,7 @@ from .errors import (
     MissingSystem,
     NotInM,
     PreconditionViolated,
+    SpaceMismatch,
     UnsupportedDepth,
     UsageError,
 )
@@ -295,8 +296,6 @@ def family_masks(X: FiniteSpace, family) -> list[int]:
     for K in family:
         if isinstance(K, CompactSat):
             if K.space is not X:
-                from .errors import SpaceMismatch
-
                 raise SpaceMismatch("family member belongs to a different space")
             masks.add(K.mask)
         else:
@@ -328,12 +327,10 @@ def sample_family(rng, X: FiniteSpace, ks: Sequence[int], steps: int, chain: boo
 def _family_member(core: str, X: FiniteSpace, masks: Sequence[int]) -> bool:
     """Membership of the family, distinct masks sorted by (size, mask), in
     the system with this S/C/D/R core over the Smyth order: ``_member`` of
-    the whole carrier of the family ordered by reverse inclusion, its
-    members labelled by position.  Each family's order is built once per
-    space, in one table of the memo (``"family spaces"``) keyed by the
-    mask tuple."""
-    table = X.memo("family spaces", lambda: _PerMask(
-        lambda fam: _inclusion_space(X, fam, reverse=True, labels=[str(i) for i in range(len(fam))])))
+    the whole carrier of the family ordered by reverse inclusion.  Each
+    family's order is built once per space, in one table of the memo
+    (``"family spaces"``) keyed by the mask tuple."""
+    table = X.memo("family spaces", lambda: _PerMask(lambda fam: _inclusion_space(X, fam, reverse=True)))
     F = table[tuple(masks)]
     return _member(core, F, F.full)
 

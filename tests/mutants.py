@@ -4,15 +4,16 @@ of name -> injector.
 Each injector takes a pytest ``monkeypatch`` (or ``pytest.MonkeyPatch``)
 and replaces one kernel method, the membership predicate, the member table
 or a checker helper by a faulty version, or corrupts every space built
-after it: the last two faults of ``FAULTS`` let ``FiniteSpace.__init__``
-validate as usual and then rewrite the rows, so that the order is not
-antisymmetric or a closure row is not a down-set.  Spaces parsed after the
-injection see the fault in every memoized table they build, so a fault
-check parses its spaces afresh.  ``ZOO_FAULTS`` holds one fault per branch
-or clause of the zoo's set algebra (``CofiniteSet``, ``CocountableSet``
-with its ``_desc_*`` helpers and ``_norm_tail``) and of the Johnstone
-order (``johnstone_leq``, ``_tail_contains``, ``_johnstone_up_formula``),
-plus one per order comparison there that moves its bound by one.
+after it: the last two faults of ``FAULTS`` let ``FiniteSpace`` build as
+usual (``__init__`` validating) and then rewrite the rows, so that the
+order is not antisymmetric or a closure row is not a down-set.  Spaces
+parsed after the injection see the fault in every memoized table they
+build, so a fault check parses its spaces afresh.  ``ZOO_FAULTS`` holds
+one fault per branch or clause of the zoo's set algebra (``CofiniteSet``,
+``CocountableSet`` with its ``_desc_*`` helpers and ``_norm_tail``) and
+of the Johnstone order (``johnstone_leq``, ``_tail_contains``,
+``_johnstone_up_formula``), plus one per order comparison there that
+moves its bound by one.
 ``CONSTRUCT_FAULTS`` holds one fault in each function that builds a value
 a construction of ``powers`` or ``construct`` returns, and none in code
 that only a certificate reads.
@@ -91,17 +92,21 @@ def _drop_lowest(f, X, m):
 
 
 def _corrupt_rows(corrupt):
-    """A fault that builds each space as usual and then rewrites its
-    validated rows: ``corrupt(up, down)`` edits the two lists in place."""
+    """A fault that builds each space as usual and then rewrites its rows:
+    ``corrupt(up, down)`` edits the two lists in place.  It wraps
+    ``FiniteSpace._fill``, the one writer of the rows, which ``__init__``
+    calls after its checks and ``_inclusion_space`` calls unchecked, so it
+    reaches validated and inclusion orders alike."""
 
-    def init(original, X, labels, up):
-        original(X, labels, up)
+    def fill(original, X, labels, up, down):
+        original(X, labels, up, down)
         rows = list(X.up), list(X.down)
         corrupt(*rows)
         object.__setattr__(X, "up", tuple(rows[0]))
         object.__setattr__(X, "down", tuple(rows[1]))
+        return X
 
-    return lambda mp: _wrap(mp, FiniteSpace, "__init__", init)
+    return lambda mp: _wrap(mp, FiniteSpace, "_fill", fill)
 
 
 def _not_antisymmetric(up, down):

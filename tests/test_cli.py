@@ -87,6 +87,15 @@ def test_check_all(capsys, diamond_doc):
     assert all(v["holds"] for v in doc["verdicts"])
 
 
+def test_check_accepts_labels_holding_reserved_characters(capsys, tmp_path):
+    # unescaped, the compacts {a, b} and {"a,b"} would share the set label {a,b}
+    p = tmp_path / "commas.json"
+    p.write_text(json.dumps({"points": ["a", "b", "a,b"], "covers": []}))
+    code, doc = run_json(capsys, "check", str(p))
+    assert code == 0
+    assert all(v["holds"] for v in doc["verdicts"])
+
+
 def test_check_with_crosschecks(capsys, diamond_doc):
     code, doc = run_json(
         capsys, "check", diamond_doc, "--property", "h_sober",

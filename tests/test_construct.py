@@ -60,13 +60,22 @@ def test_product_order_is_componentwise(sier, diamond):
     assert P.right.table[P.pair_index(1, 2)] == 2
 
 
-def test_colliding_product_labels_fall_back_to_index_pairs():
-    # "(a,b,c)" joins both a with "b,c" and "a,b" with c
+def test_colliding_product_labels_are_escaped():
+    # unescaped, "(a,b,c)" would join both a with "b,c" and "a,b" with c
     X = parse_space({"points": ["a", "a,b"], "covers": []})
     Y = parse_space({"points": ["b,c", "c"], "covers": []})
     P = product(X, Y)
-    assert P.space.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+    assert P.space.labels == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
     assert product_preservation(X, Y)["ok"]
+
+
+def test_function_space_labels_are_escaped():
+    # unescaped, a -> x, b -> "x,b>x" and a -> "x,b>x", b -> x would both
+    # read [a>x,b>x,b>x]
+    X = parse_space({"points": ["a", "b"], "covers": []})
+    Y = parse_space({"points": ["x", "x,b>x"], "covers": []})
+    F = function_space(X, Y)
+    assert F.labels == ("[a>x,b>x]", "[a>x,b>x\\,b\\>x]", "[a>x\\,b\\>x,b>x]", "[a>x\\,b\\>x,b>x\\,b\\>x]")
 
 
 def test_product_with_a_point_is_the_factor(diamond):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from t0lab import FiniteSpace, PointSet, parse_space, powers, random_space, spaces, to_dot
+from t0lab import FiniteSpace, PointSet, checkers, construct, parse_space, powers, random_space, spaces, to_dot
 from t0lab.errors import (
     DuplicateLabel,
     EmptySet,
@@ -396,6 +396,48 @@ def test_pointset_requires_known_labels(diamond, sier):
     A = PointSet.of(sier, ["a"])
     with pytest.raises(SpaceMismatch):
         closure(diamond, A)
+
+
+# -- derived labels --------------------------------------------------------
+
+# point labels drawn from every reserved character, and the empty label
+reserved_labels = st.lists(st.text("a\\,{}()[]>", max_size=3), min_size=1, max_size=3, unique=True)
+
+
+def _seeded_order(labels, seed):
+    rng = random.Random(seed)
+    n = len(labels)
+    return FiniteSpace.from_covers(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                                            if rng.random() < 0.4])
+
+
+@given(reserved_labels, reserved_labels, seeds)
+@settings(max_examples=8, deadline=None)
+def test_derived_labels_are_distinct_and_read_back(xs, ys, seed):
+    X, Y = _seeded_order(xs, seed), _seeded_order(ys, seed + 1)
+    inclusion = [powers.smyth(X).space, powers.hoare(X, "closed").space, powers.hoare(X, "irr_closed").space]
+    for P in inclusion + [construct.product(X, Y).space, construct.function_space(X, Y)]:
+        assert len(set(P.labels)) == P.n, P.labels
+    # the inclusion orders, built unchecked, are the orders the checked
+    # constructor builds from their up rows
+    for P in inclusion:
+        assert FiniteSpace(P.labels, P.up).down == P.down
+    for m in range(1, X.full + 1):
+        assert spaces._set_mask(X, spaces._set_label(X, m)) == m
+    for v in checkers.check_all(X):
+        assert checkers.validate_evidence(X, v), v.prop
+
+
+def test_set_labels_read_back_only_as_written():
+    X = parse_space({"points": ["a", "b", "a,b", "{", "\\"], "covers": []})
+    assert spaces._set_label(X, X.mask_of(["a,b", "{", "\\"])) == "{a\\,b,\\{,\\\\}"
+    for key in ["{a\\,b}", "{a,b}", "{\\{}", "{\\\\}"]:
+        assert spaces._set_label(X, spaces._set_mask(X, key)) == key
+    # not written by the encoder: unordered, repeated, unescaped, unknown
+    for key in ["{b,a}", "{a,a}", "{a,b", "a,b", "{{}", "{\\}", "{c}", "{a,}", "", "{"]:
+        assert spaces._set_mask(X, key) is None, key
+    assert spaces._set_mask(X, "{}") == 0
+    assert spaces._set_mask(parse_space({"points": ["", "a"], "covers": []}), "{}") == 1
 
 
 # -- maps ------------------------------------------------------------------

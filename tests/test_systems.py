@@ -185,9 +185,9 @@ def test_family_membership_on_the_diamond(diamond):
 
 
 def test_family_membership_reads_no_set_labels():
-    # the points a and b and the point "a,b" have the same set label
-    # "{a,b}"; a family's order is labelled by position, so its
-    # membership is still decided
+    # unescaped, the points a and b and the point "a,b" would have the
+    # same set label "{a,b}"; a family's order has escaped set labels, so
+    # its membership is decided
     X = parse_space({"points": ["a", "b", "a,b"], "covers": []})
     fam = [X.mask_of(["a", "b"]), X.mask_of(["a,b"])]
     assert [h_family_member(core, X, fam) for core in CORES] == [False] * 4
