@@ -91,12 +91,13 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
 # -- map enumeration and function spaces ----------------------------------
 
 
-def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[SpaceMap]:
-    """All continuous (= monotone) maps X -> Y in lexicographic table order.
+def _map_tables(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[tuple[int, ...]]:
+    """The tables of all continuous (= monotone) maps X -> Y, sorted;
+    ``CapExceeded`` above ``caps.map_count``, checked on every call.
 
     Backtracks along a linear extension of X.  At each position the
     allowed values are the AND of ``Y.up`` at the values already placed
-    below the point, and each of them is placed in ascending order.
+    below the point, so every table is monotone by construction.
     """
     if Y.n ** X.n > config.caps.map_count:
         raise CapExceeded(
@@ -127,9 +128,12 @@ def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT)
 
     place(0)
     out.sort()
-    # monotone by construction: each value lies above every value placed
-    # below its point
-    return [SpaceMap._trusted(X, Y, t) for t in out]
+    return out
+
+
+def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[SpaceMap]:
+    """All continuous (= monotone) maps X -> Y, one per ``_map_tables`` table."""
+    return [SpaceMap._trusted(X, Y, t) for t in _map_tables(X, Y, config)]
 
 
 def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> FiniteSpace:
@@ -141,27 +145,27 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
     values.  For very small map counts the generated family is also
     compared raw.
     """
-    maps = continuous_maps(X, Y, config)
+    maps = _map_tables(X, Y, config)
     if len(maps) > 4096:
         raise CapExceeded(f"{len(maps)} maps exceed the function-space bound")
     up = []
     for f in maps:
         m = 0
         for gi, g in enumerate(maps):
-            if all((Y.up[f.table[i]] >> g.table[i]) & 1 for i in range(X.n)):
+            if all((Y.up[f[i]] >> g[i]) & 1 for i in range(X.n)):
                 m |= 1 << gi
         up.append(m)
-    F = FiniteSpace([_map_label(X, Y, f.table) for f in maps], up)
+    F = FiniteSpace([_map_label(X, Y, f) for f in maps], up)
 
     def subbasic(x: int, U: int) -> int:
         m = 0
         for gi, g in enumerate(maps):
-            if (U >> g.table[x]) & 1:
+            if (U >> g[x]) & 1:
                 m |= 1 << gi
         return m
 
     basics = [subbasic(x, U) for x in range(X.n) for U in Y.upsets()]
-    principal = ([subbasic(x, Y.up[f.table[x]]) for x in range(X.n)] for f in maps)
+    principal = ([subbasic(x, Y.up[f[x]]) for x in range(X.n)] for f in maps)
     powers._certify_topology(F, basics, principal, basics if len(maps) <= config.caps.topology_compare else None)
     return F
 
@@ -429,21 +433,16 @@ def reflect(
     )
 
 
-def _extend_along_unit(refl: Reflection, f: SpaceMap) -> SpaceMap:
-    """The unique continuous extension f* with f* . unit = f: a determined
-    closed set goes to the generic point of the closure of its image.
-    Each image's generic point is read from a table kept in the target's
-    memo (``"extension tops"``), so it is computed once per target."""
-    Y = f.target
+def _extend_along_unit(refl: Reflection, Y: FiniteSpace, table: tuple[int, ...]) -> tuple[int, ...]:
+    """The table of the unique continuous extension f* with f* . unit = f,
+    for f given by its table into Y: a member goes to the generic point of
+    the closure of its image (``powers._member_table``), read from a table
+    kept in Y's memo (``"extension tops"``), so computed once per target."""
     tops = Y.memo("extension tops", lambda: _PerMask(lambda img: Y.top_of(Y.closure_mask(img))))
-    table = []
-    for m in refl.carrier:
-        t = tops[f.image_mask(m)]
-        if t is None:
-            raise InternalError("target is not sober enough to extend along the unit")
-        table.append(t)
-    # a larger closed set has a larger image closure, hence a larger top
-    return SpaceMap._trusted(refl.space, Y, tuple(table))
+    star = powers._member_table(refl.hoare, table, tops)
+    if star is None:
+        raise InternalError("target is not sober enough to extend along the unit")
+    return star
 
 
 def universal_property_verify(
@@ -457,34 +456,30 @@ def universal_property_verify(
 
     With ``f`` omitted, all continuous maps into the target are tried.
     Uniqueness is verified by grouping *all* continuous maps from the
-    reflected space by their restriction along the unit.
+    reflected space by their restriction along the unit.  Maps are read
+    as tables; both enumerations run before ``f``'s endpoints are checked.
     """
-    X = refl.base
-    fs = [f] if f is not None else continuous_maps(X, Y, config)
-    all_g = continuous_maps(refl.space, Y, config)
-    by_restriction: dict[tuple, list[SpaceMap]] = {}
+    all_f = _map_tables(refl.base, Y, config)
+    all_g = _map_tables(refl.space, Y, config)
+    if f is not None and (f.source is not refl.base or f.target is not Y):
+        raise EndpointMismatch("map endpoints do not match the reflection")
+    unit = refl.unit.table
+    by_restriction: dict[tuple, list[tuple]] = {}
     for g in all_g:
-        key = tuple(g.table[refl.unit.table[i]] for i in range(X.n))
-        by_restriction.setdefault(key, []).append(g)
-    checked = 0
-    unique = True
-    commute = True
-    for fmap in fs:
-        if fmap.source is not X or fmap.target is not Y:
-            raise EndpointMismatch("map endpoints do not match the reflection")
-        star = _extend_along_unit(refl, fmap)
-        checked += 1
-        if refl.unit.then(star).table != fmap.table:
+        by_restriction.setdefault(tuple([g[u] for u in unit]), []).append(g)
+    fs = all_f if f is None else [f.table]
+    unique = commute = True
+    for t in fs:
+        star = _extend_along_unit(refl, Y, t)
+        if tuple([star[u] for u in unit]) != t:
             commute = False
-        cls = by_restriction.get(fmap.table, [])
-        if len(cls) != 1 or cls[0].table != star.table:
+        if by_restriction.get(t) != [star]:
             unique = False
     # restriction along the unit is a bijection onto the continuous maps
-    all_f = fs if f is None else continuous_maps(X, Y, config)
     surj = all(len(v) == 1 for v in by_restriction.values()) and len(by_restriction) == len(all_f)
     return {
         "target_points": Y.n,
-        "maps_checked": checked,
+        "maps_checked": len(fs),
         "factorizations_commute": commute,
         "factorizations_unique": unique,
         "restriction_bijective": surj,

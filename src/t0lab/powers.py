@@ -139,32 +139,35 @@ def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, ope
     return f
 
 
+def _member_table(P, table: tuple[int, ...], entry) -> tuple[int, ...] | None:
+    """Per member of ``P.carrier``, ``entry[img]`` at its image ``img``, the
+    OR of ``1 << table[x]`` over its points (listed once per space, as
+    ``"member points"``); None if some member's entry is None."""
+    at = [1 << v for v in table]
+    out = []
+    for pts in P.space.memo("member points", lambda: [tuple(bits(a)) for a in P.carrier]):
+        img = 0
+        for x in pts:
+            img |= at[x]
+        out.append(entry[img])
+    return None if None in out else tuple(out)
+
+
 def _lift(f: SpaceMap, PX, PY, hull) -> SpaceMap:
     """The functorial action of f between power spaces over its endpoints:
     each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
 
-    The image of A is the OR of the bits at f's values on A's points,
-    read from a per-source list (``"member points"`` in the memo of
-    ``PX.space``).  Its carrier index is read from a table kept in the
-    memo of ``PY.space`` and keyed by ``hull``, so each image is hulled
-    once per target and hull, and a lift under another hull never reads
-    it.  A hull outside ``PY``'s carrier is an internal break, raised at
-    the first such member: the named carriers hold every hull.
+    ``_member_table`` reads each hull's carrier index from a table in the
+    memo of ``PY.space`` keyed by ``hull``, so each image is hulled once per
+    target and hull.  A hull outside ``PY``'s carrier is an internal break:
+    the named carriers hold every hull.
     """
-    points = PX.space.memo("member points", lambda: [tuple(bits(a)) for a in PX.carrier])
     lifted = PY.space.memo(("lift", hull), lambda: _PerMask(lambda img: PY.index.get(hull(img))))
-    at = [1 << v for v in f.table]
-    table = []
-    for pts in points:
-        img = 0
-        for x in pts:
-            img |= at[x]
-        j = lifted[img]
-        if j is None:
-            raise InternalError("image hull is not in the target carrier")
-        table.append(j)
+    table = _member_table(PX, f.table, lifted)
+    if table is None:
+        raise InternalError("image hull is not in the target carrier")
     # image and hull keep inclusion, so the lift is monotone in either order
-    return SpaceMap._trusted(PX.space, PY.space, tuple(table))
+    return SpaceMap._trusted(PX.space, PY.space, table)
 
 
 @dataclass(frozen=True)

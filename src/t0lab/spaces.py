@@ -459,14 +459,15 @@ class FiniteSpace:
         a family's mask tuple), the map tables of ``powers`` and
         ``construct``, and the escaped labels (``"escaped labels"``) that
         every derived label reads.  On a power space's own space,
-        ``"member points"`` lists each member's points, and a lift table
-        ``("lift", hull)`` gives the carrier index of ``hull(image)`` per
-        image mask, keyed by its hull, so a lift under another hull never
-        reads it.  On a target space, ``"extension tops"`` gives the
-        generic point of the closure of each image mask.  A Smyth space lists its H-members as families
-        of compacts (``("families", core)``).  A table's key must still
-        name everything an entry depends on, the path included, and none of
-        those tables reads a cap.  The checkers' per-core entries
+        ``"member points"`` lists each member's points for
+        ``powers._member_table``, which lifts and extensions along a unit
+        read, and ``("lift", hull)`` gives the carrier index of
+        ``hull(image)`` per image mask.  On a target space, ``"extension
+        tops"`` gives the generic point of the closure of each image mask.
+        A Smyth space lists its H-members as families of compacts
+        (``("families", core)``).  A table's key must still name everything
+        an entry depends on, the path included, and none of those tables
+        reads a cap.  The checkers' per-core entries
         (``checkers._per_core``) are keyed (path, S/C/D/R core, run
         config), so a run under other caps never reuses them."""
         cache = self._cache
@@ -798,12 +799,13 @@ class SpaceMap:
 
     @classmethod
     def _trusted(cls, source: FiniteSpace, target: FiniteSpace, table: tuple[int, ...]) -> "SpaceMap":
-        """A map whose table is monotone by construction, built without
-        re-running the check of ``__post_init__``."""
+        """A map whose table is monotone by construction, as a public function
+        returns it: no ``__post_init__`` check, the fields set in ``__dict__``."""
         f = object.__new__(cls)
-        object.__setattr__(f, "source", source)
-        object.__setattr__(f, "target", target)
-        object.__setattr__(f, "table", table)
+        d = f.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["table"] = table
         return f
 
     @classmethod

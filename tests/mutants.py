@@ -312,9 +312,9 @@ def _with_full(hoare, X, which, config):
     return hoare(X, [*carrier, X.full], config)
 
 
-def _constant_extension(extend, refl, f):
-    g = extend(refl, f)
-    return SpaceMap(g.source, g.target, (g.table[0],) * len(g.table))
+def _constant_extension(extend, refl, Y, table):
+    star = extend(refl, Y, table)
+    return (star[0],) * len(star)
 
 
 # one fault in each function that builds a value a construction returns,
@@ -333,8 +333,10 @@ CONSTRUCT_FAULTS = {
         powers, "hoare_eta", lambda mp, *a: _wrap(mp, powers, "_unit", _constant_unit)),
     "phi ignores its compact": lambda mp: _wrap(mp, powers, "phi", lambda f, X, K: f(X, X.full)),
     "product rows drop the first factor's order": _during(construct, "product", _first_factor_discrete),
+    # the table enumerator, which continuous_maps, function_space and
+    # universal_property_verify all read
     "continuous_maps drops the last map": lambda mp: _wrap(
-        mp, construct, "continuous_maps", lambda f, *a: f(*a)[:-1]),
+        mp, construct, "_map_tables", lambda f, *a: f(*a)[:-1]),
     "_extend_along_unit constant": lambda mp: _wrap(mp, construct, "_extend_along_unit", _constant_extension),
     "reflect's carrier gains the whole space": _during(
         construct, "reflect", lambda mp, *a: _wrap(mp, powers, "hoare", _with_full)),

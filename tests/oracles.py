@@ -14,9 +14,10 @@ from functools import reduce
 from itertools import combinations
 from operator import and_
 
-from t0lab import systems
-from t0lab.errors import MalformedDocument, NotT0
-from t0lab.spaces import FiniteSpace, bits
+from t0lab import construct, systems
+from t0lab.config import DEFAULT
+from t0lab.errors import EndpointMismatch, MalformedDocument, NotT0
+from t0lab.spaces import FiniteSpace, SpaceMap, bits
 
 
 def closure(X: FiniteSpace, m: int) -> int:
@@ -354,6 +355,43 @@ def continuous_tables(X: FiniteSpace, Y: FiniteSpace) -> list[tuple[int, ...]]:
         ):
             out.append(t)
     return sorted(out)
+
+
+def universal_property_records(refl, Y: FiniteSpace, f: SpaceMap | None = None, config=DEFAULT) -> dict:
+    """The report of ``construct.universal_property_verify``, computed over
+    ``SpaceMap`` records: the maps from ``continuous_maps``, each extension
+    built member by member as the greatest point of the closure of the
+    member's image, and the unit applied by ``then``."""
+    X = refl.base
+    fs = [f] if f is not None else construct.continuous_maps(X, Y, config)
+    all_g = construct.continuous_maps(refl.space, Y, config)
+    by_restriction: dict[tuple, list[SpaceMap]] = {}
+    for g in all_g:
+        key = tuple(g.table[refl.unit.table[i]] for i in range(X.n))
+        by_restriction.setdefault(key, []).append(g)
+    checked = 0
+    unique = True
+    commute = True
+    for fmap in fs:
+        if fmap.source is not X or fmap.target is not Y:
+            raise EndpointMismatch("map endpoints do not match the reflection")
+        star = SpaceMap(refl.space, Y, tuple(greatest(Y, closure(Y, fmap.image_mask(m))) for m in refl.carrier))
+        checked += 1
+        if refl.unit.then(star).table != fmap.table:
+            commute = False
+        cls = by_restriction.get(fmap.table, [])
+        if len(cls) != 1 or cls[0].table != star.table:
+            unique = False
+    all_f = fs if f is None else construct.continuous_maps(X, Y, config)
+    surj = all(len(v) == 1 for v in by_restriction.values()) and len(by_restriction) == len(all_f)
+    return {
+        "target_points": Y.n,
+        "maps_checked": checked,
+        "factorizations_commute": commute,
+        "factorizations_unique": unique,
+        "restriction_bijective": surj,
+        "ok": commute and unique and surj,
+    }
 
 
 def sampled_h_sets(P: FiniteSpace, H, rng, count: int) -> list[int]:

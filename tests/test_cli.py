@@ -389,7 +389,7 @@ def test_extension_without_a_generic_point_is_an_internal_error_exit_4(capsys, d
         r = construct.reflect(Y, "R")
         # every closed set of a finite space has a generic point; deny it
         monkeypatch.setattr(FiniteSpace, "top_of", lambda self, m: None)
-        return construct._extend_along_unit(r, SpaceMap.identity(Y))
+        return construct._extend_along_unit(r, Y, tuple(range(Y.n)))
 
     assert _exit_code_when_inspect_runs(monkeypatch, diamond_doc, site) == 4
     assert "internal error" in capsys.readouterr().err

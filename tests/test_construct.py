@@ -36,7 +36,7 @@ from t0lab.errors import (
     NoHomeomorphism,
     UsageError,
 )
-from t0lab.spaces import SpaceMap
+from t0lab.spaces import SpaceMap, bits, mask_of_indices
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -332,9 +332,17 @@ def _fresh(X):
     return FiniteSpace(X.labels, X.up)
 
 
-def _per_member_extension(refl, f):
-    Y = f.target
-    return SpaceMap._trusted(refl.space, Y, tuple(Y.top_of(Y.closure_mask(f.image_mask(m))) for m in refl.carrier))
+def _reversed(X):
+    # X with its points listed in the opposite order: on a chain the unit
+    # into the point closures, which are ordered by size, is then no
+    # identity table
+    rev = [X.n - 1 - i for i in range(X.n)]
+    return FiniteSpace(X.labels[::-1], [mask_of_indices(rev[j] for j in bits(X.up[i])) for i in rev])
+
+
+def _per_member_extension(refl, Y, table):
+    f = SpaceMap._trusted(refl.base, Y, table)
+    return tuple(Y.top_of(Y.closure_mask(f.image_mask(m))) for m in refl.carrier)
 
 
 def test_extension_tables_give_the_generic_point_per_member(all_posets):
@@ -346,28 +354,44 @@ def test_extension_tables_give_the_generic_point_per_member(all_posets):
     reflections = [reflect(_fresh(X), "R") for X in pool]
     for Y in pool:
         warm = _fresh(Y)
-        cases = [(r, SpaceMap(r.base, warm, t)) for r in reflections for t in oracles.continuous_tables(r.base, warm)]
-        for refl, f in cases:
-            construct._extend_along_unit(refl, f)
-        for refl, f in cases:
-            want = _per_member_extension(refl, f).table
-            assert construct._extend_along_unit(refl, f).table == want
-            X = _fresh(f.source)
-            assert construct._extend_along_unit(reflect(X, "R"), SpaceMap(X, _fresh(warm), f.table)).table == want
+        cases = [(r, SpaceMap(r.base, warm, t).table) for r in reflections for t in oracles.continuous_tables(r.base, warm)]
+        for refl, t in cases:
+            construct._extend_along_unit(refl, warm, t)
+        for refl, t in cases:
+            want = _per_member_extension(refl, warm, t)
+            assert construct._extend_along_unit(refl, warm, t) == want
+            assert construct._extend_along_unit(reflect(_fresh(refl.base), "R"), _fresh(warm), t) == want
 
 
 def test_universal_property_reports_are_the_per_member_ones(all_posets, monkeypatch):
-    # universal_property_verify over the extension tables returns what it
-    # returns with each extension computed member by member
+    # universal_property_verify over map tables returns what the verifier
+    # over SpaceMap records returns, and what it returns with each
+    # extension computed member by member: for all maps and for each map
+    # given, and with the same error for a map of other endpoints
     pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    tight = RunConfig(caps=Caps(map_count=2))
 
-    def reports():
-        return [universal_property_verify(reflect(_fresh(X), "R"), _fresh(Y)) for X in pool for Y in pool]
+    def reports(verify):
+        out = []
+        for X in pool + [_reversed(X) for X in pool]:
+            for Y in pool:
+                refl, Y = reflect(_fresh(X), "R"), _fresh(Y)
+                out.append(verify(refl, Y))
+                out += [verify(refl, Y, f) for f in continuous_maps(refl.base, Y)]
+                stray = SpaceMap.identity(Y)
+                with pytest.raises(EndpointMismatch):
+                    verify(refl, Y, stray)
+                if Y.n ** X.n > 2:
+                    # both enumerations are refused before the endpoints are read
+                    with pytest.raises(CapExceeded):
+                        verify(refl, Y, stray, tight)
+        return out
 
-    got = reports()
+    got = reports(universal_property_verify)
     assert all(r["ok"] for r in got)
+    assert reports(oracles.universal_property_records) == got
     monkeypatch.setattr(construct, "_extend_along_unit", _per_member_extension)
-    assert reports() == got
+    assert reports(universal_property_verify) == got
 
 
 def test_reflection_functor_laws(sier, diamond, anti3):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -481,6 +482,21 @@ def test_maps_must_be_monotone(diamond, sier):
         SpaceMap.from_labels(
             diamond, sier, {"bot": "b", "l": "a", "r": "a", "top": "a"}
         )
+
+
+def test_trusted_maps_are_the_checked_records(all_posets):
+    # a map built past the frozen __setattr__ is the record the checked
+    # constructor builds, for every map between the classes of <= 3 points
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    for X in pool:
+        for Y in pool:
+            for t in oracles.continuous_tables(X, Y):
+                f, g = SpaceMap._trusted(X, Y, t), SpaceMap(X, Y, t)
+                assert vars(f) == vars(g)
+                assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+                for name in ("source", "target", "table"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(f, name, getattr(g, name))
 
 
 def test_preimages_of_opens_are_open(diamond, sier):
