@@ -183,7 +183,8 @@ def _randbelow(getrandbits, n: int) -> int:
     """The draw of ``randrange(n)`` on the ``random.Random`` whose
     ``getrandbits`` this is, with the same state change but without its
     argument handling: ``n.bit_length()`` random bits, drawn again while
-    they reach ``n``."""
+    they reach ``n``.  One Python call per draw in place of
+    ``randrange``'s two; ``_sampled_h_sets`` inlines the same loop."""
     if n < 1:
         # getrandbits(0) is always 0, so the loop would never end
         raise ValueError(f"no index to draw below {n}")
@@ -200,10 +201,13 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
     principal down-set containing its point).  Membership is re-verified
     through the honest predicate, so a generation bug cannot slip by.
 
-    Memoized per space: the index tuples of each point's strict up-set
-    (``"above_index"``) or down-set (``"below_index"``), built once, and
-    each sampled mask's membership (``("member", core)``, a ``_PerMask``
-    table), filled as masks are drawn.  Neither changes the draws."""
+    Each index is drawn by ``_randbelow``'s rejection loop, inlined, so a
+    draw costs no Python call and reads the same words as
+    ``rng.randrange``.  Memoized per space: the index tuples of each
+    point's strict up-set (``"above_index"``) or down-set
+    (``"below_index"``), built once, and each sampled mask's membership
+    (``("member", core)``, a ``_PerMask`` table), filled as masks are
+    drawn.  Neither changes the draws."""
     core = systems._core_of(H)
     if core == "C":
         walk = P.memo("above_index", lambda: [tuple(bits(r & ~(1 << i))) for i, r in enumerate(P.up)])
@@ -211,9 +215,13 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
         walk = P.memo("below_index", lambda: [tuple(bits(r)) for r in P.down])
     member = P.memo(("member", core), lambda: _PerMask(lambda m: systems._member(core, P, m)))
     getrandbits = rng.getrandbits
+    # FiniteSpace refuses an empty carrier, so the first loop ends
+    n, k = P.n, P.n.bit_length()
     out = []
     for _ in range(count):
-        x = _randbelow(getrandbits, P.n)
+        x = getrandbits(k)
+        while x >= n:
+            x = getrandbits(k)
         m = 1 << x
         if core == "C":
             cur = x
@@ -221,12 +229,21 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
                 choices = walk[cur]
                 if not choices:
                     break
-                cur = choices[_randbelow(getrandbits, len(choices))]
+                c = len(choices)
+                j = getrandbits(c.bit_length())
+                while j >= c:
+                    j = getrandbits(c.bit_length())
+                cur = choices[j]
                 m |= 1 << cur
         elif core != "S":
             below = walk[x]
-            for _ in range(min(4, len(below))):
-                m |= 1 << below[_randbelow(getrandbits, len(below))]
+            c = len(below)
+            kb = c.bit_length()
+            for _ in range(min(4, c)):
+                j = getrandbits(kb)
+                while j >= c:
+                    j = getrandbits(kb)
+                m |= 1 << below[j]
         if member[m]:
             out.append(m)
     return out
@@ -344,10 +361,10 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
                   every_closed: bool = False) -> bool:
     """The cut equation sat(C meet the meet of fam) = meet of sat(C meet K)
     over K in fam, for every C in ``closed_sets``; ``sat`` saturates the
-    cuts (``X.sat_mask`` read through a ``_PerMask`` table, the
-    per-space one of ``_cut_sat`` or one of the caller's).  A caller that
-    passes all of ``X.downsets()`` with the table of ``_cut_sat`` says so
-    by ``every_closed``, and the equation is then compared row by row:
+    cuts (``X.sat_mask`` read through the per-space table of
+    ``_cut_sat``, which every caller passes, or a test's kernel).  A caller
+    that passes all of ``X.downsets()`` says so by ``every_closed``, and
+    the equation is then compared row by row:
     the rows [sat(C meet k) for C in closed_sets], one per mask k and
     space (``"cut_rows"``), of the members ANDed against the row of the
     meet.  Cut by cut, the members' saturations stop at the first empty
@@ -376,7 +393,8 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
 
 def _cut_sat(X: FiniteSpace) -> Callable[[int], int]:
     """``X.sat_mask`` through one per-space table of cut masks
-    (``"cut_sat"``)."""
+    (``"cut_sat"``), which the seven systems' ``crosscheck_super`` calls
+    on one Smyth space share, so each cut is saturated once."""
     return X.memo("cut_sat", lambda: _PerMask(X.sat_mask)).__getitem__
 
 
@@ -671,8 +689,8 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
         value = _per_core(X, "cut equation", H, config, lambda: all(
             _meet(X, fam) != 0 and _cut_identity(X, fam, closed, sat, True) for fam in heads))
     else:
-        rngs = _rng(config, "supereq", str(H), X.n, X.up[0])
-        draw = lambda: [closed[rngs.randrange(len(closed))] for _ in range(4)]
+        getrandbits = _rng(config, "supereq", str(H), X.n, X.up[0]).getrandbits
+        draw = lambda: [closed[_randbelow(getrandbits, len(closed))] for _ in range(4)]
         value = all(_meet(X, fam) != 0 and _cut_identity(X, fam, draw(), sat) for fam in heads)
     paths.append(("equational cut identity over closed sets", value, ""))
     return paths, evidence
@@ -879,7 +897,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
         if closed is None:
             cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
         elif len(hc) * len(closed) > _CUT_EQUATION_PAIRS:
-            cs = [closed[rngq.randrange(len(closed))] for _ in range(4)]
+            cs = [closed[_randbelow(rngq.getrandbits, len(closed))] for _ in range(4)]
         if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat, cs is closed):
             bounded_eq = False
 
@@ -910,7 +928,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     S = powers.smyth(X, config)
     sp = S.space
     mode, fams = _families_for(X, H, config)
-    rngx = _rng(config, "super", str(H), X.n, X.up[0])
+    getrandbits = _rng(config, "super", str(H), X.n, X.up[0]).getrandbits
 
     ok_compact = True  # intersections are compact saturated
     for fam in fams:
@@ -925,11 +943,11 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     # equational form over principal closed families and sampled
     # Smyth-closed sets
     ok_eq_family = True
-    # a table for this call only: one kept per Smyth space costs memory
-    sat = _PerMask(sp.sat_mask).__getitem__
+    # the Smyth space's own table, shared by the seven systems' calls
+    sat = _cut_sat(sp)
     for fam in fams:
         idxs = [S.index[k] for k in fam]
-        cls = [sp.down[rngx.randrange(sp.n)] for _ in range(2)]
+        cls = [sp.down[_randbelow(getrandbits, sp.n)] for _ in range(2)]
         cls.append(sp.closure_mask(1 << idxs[0]))
         if not _cut_identity(sp, [sp.up[j] for j in idxs], cls, sat):
             ok_eq_family = False

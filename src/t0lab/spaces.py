@@ -465,9 +465,10 @@ class FiniteSpace:
         ``hull(image)`` per image mask.  On a target space, ``"extension
         tops"`` gives the generic point of the closure of each image mask.
         A Smyth space lists its H-members as families of compacts
-        (``("families", core)``).  A table's key must still name everything
-        an entry depends on, the path included, and none of those tables
-        reads a cap.  The checkers' per-core entries
+        (``("families", core)``), and its cut table (``"cut_sat"``) serves
+        the seven systems' ``checkers.crosscheck_super``.  A table's key
+        must name everything an entry depends on, the path included, and
+        none of those tables reads a cap.  The checkers' per-core entries
         (``checkers._per_core``) are keyed (path, S/C/D/R core, run
         config), so a run under other caps never reuses them."""
         cache = self._cache

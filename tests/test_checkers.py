@@ -593,6 +593,29 @@ def test_super_cut_path_saturates_each_mask_once(monkeypatch, corpus):
             assert len(runs[0]) == len(counted[0].memo("cut_sat", dict)), (X, H)
 
 
+def test_super_battery_saturates_each_smyth_cut_once(monkeypatch, corpus):
+    sat = FiniteSpace.sat_mask
+    calls = Counter()
+    counted = [None]
+
+    def counting(self, m):
+        if self is counted[0]:
+            calls[m] += 1
+        return sat(self, m)
+
+    monkeypatch.setattr(FiniteSpace, "sat_mask", counting)
+    for X in corpus[:20]:
+        P = _fresh(X)
+        counted[0] = powers.smyth(P, RunConfig()).space
+        calls.clear()
+        for H in BASE_IDS:
+            got = crosscheck_super(P, H).to_json()
+            assert got == crosscheck_super(_fresh(X), H).to_json(), (X, H)
+        # the seven batteries share the Smyth space's table of cuts
+        assert calls and set(calls.values()) == {1}, X
+        assert len(calls) == len(counted[0].memo("cut_sat", dict)), X
+
+
 def test_super_cut_path_reads_a_faulty_kernel(monkeypatch):
     docs = [X.to_doc() for X in enumerate_posets(3)]
     mutants.FAULTS["non-monotone sat_mask"](monkeypatch)
