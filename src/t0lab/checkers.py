@@ -203,16 +203,21 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
 
     Each index is drawn by ``_randbelow``'s rejection loop, inlined, so a
     draw costs no Python call and reads the same words as
-    ``rng.randrange``.  Memoized per space: the index tuples of each
-    point's strict up-set (``"above_index"``) or down-set
-    (``"below_index"``), built once, and each sampled mask's membership
-    (``("member", core)``, a ``_PerMask`` table), filled as masks are
-    drawn.  Neither changes the draws."""
+    ``rng.randrange``.  Memoized per space: the walk tables, built once,
+    which hold for each point the index tuple of its strict up-set
+    (``"above_index"``, the chain walk's next steps) or of its down-set
+    (``"below_index"``), that tuple's length and the length's bit count,
+    and for the down-sets the range of ``min(4, length)`` picks, so a
+    sample calls no ``len``, ``bit_length`` or ``min``; and each sampled
+    mask's membership (``("member", core)``, a ``_PerMask`` table),
+    filled as masks are drawn.  Neither changes the draws."""
     core = systems._core_of(H)
     if core == "C":
-        walk = P.memo("above_index", lambda: [tuple(bits(r & ~(1 << i))) for i, r in enumerate(P.up)])
+        walk = P.memo("above_index", lambda: [
+            (t, len(t), len(t).bit_length()) for t in (tuple(bits(r & ~(1 << i))) for i, r in enumerate(P.up))])
     elif core != "S":
-        walk = P.memo("below_index", lambda: [tuple(bits(r)) for r in P.down])
+        walk = P.memo("below_index", lambda: [
+            (t, len(t), len(t).bit_length(), range(min(4, len(t)))) for t in (tuple(bits(r)) for r in P.down)])
     member = P.memo(("member", core), lambda: _PerMask(lambda m: systems._member(core, P, m)))
     getrandbits = rng.getrandbits
     # FiniteSpace refuses an empty carrier, so the first loop ends
@@ -226,20 +231,17 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
         if core == "C":
             cur = x
             for _ in range(3):
-                choices = walk[cur]
-                if not choices:
+                choices, c, kc = walk[cur]
+                if not c:
                     break
-                c = len(choices)
-                j = getrandbits(c.bit_length())
+                j = getrandbits(kc)
                 while j >= c:
-                    j = getrandbits(c.bit_length())
+                    j = getrandbits(kc)
                 cur = choices[j]
                 m |= 1 << cur
         elif core != "S":
-            below = walk[x]
-            c = len(below)
-            kb = c.bit_length()
-            for _ in range(min(4, c)):
+            below, c, kb, steps = walk[x]
+            for _ in steps:
                 j = getrandbits(kb)
                 while j >= c:
                     j = getrandbits(kb)
@@ -890,13 +892,17 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     # closure's family reaches a faulty saturation
     hc = sorted({X.closure_mask(m) for m in hs}, key=lambda m: (m.bit_count(), m))
     bounded_eq = all(X.ubs_mask(m) != 0 for m in hc)
-    rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
+    # cuts are drawn, and their generator seeded, only when the closed sets
+    # are not listed or the pairs exceed the budget
+    rngq = None
+    if closed is None or len(hc) * len(closed) > _CUT_EQUATION_PAIRS:
+        rngq = _rng(config, "hbeq", str(H), X.n, X.up[0])
     sat = _cut_sat(X)
     for m in hc:
         cs = closed
         if closed is None:
             cs = [X.closure_mask(rngq.getrandbits(X.n)) for _ in range(4)]
-        elif len(hc) * len(closed) > _CUT_EQUATION_PAIRS:
+        elif rngq is not None:
             cs = [closed[_randbelow(rngq.getrandbits, len(closed))] for _ in range(4)]
         if not _cut_identity(X, [X.up[a] for a in bits(m)], cs, sat, cs is closed):
             bounded_eq = False

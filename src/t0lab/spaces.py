@@ -466,11 +466,14 @@ class FiniteSpace:
         tops"`` gives the generic point of the closure of each image mask.
         A Smyth space lists its H-members as families of compacts
         (``("families", core)``), and its cut table (``"cut_sat"``) serves
-        the seven systems' ``checkers.crosscheck_super``.  A table's key
-        must name everything an entry depends on, the path included, and
-        none of those tables reads a cap.  The checkers' per-core entries
-        (``checkers._per_core``) are keyed (path, S/C/D/R core, run
-        config), so a run under other caps never reuses them."""
+        the seven systems' ``checkers.crosscheck_super``.  The walk tables
+        of ``checkers._sampled_h_sets`` (``"above_index"``,
+        ``"below_index"``) hold per point an index tuple, its length, the
+        length's bit count and, for the down-sets, the range of picks.  A
+        table's key must name everything an entry depends on, the path
+        included, and none of those tables reads a cap.  The checkers'
+        per-core entries (``checkers._per_core``) are keyed (path, S/C/D/R
+        core, run config), so a run under other caps never reuses them."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()
@@ -723,18 +726,38 @@ def closure(X: FiniteSpace, A) -> ClosedSet:
     return ClosedSet(X, X.closure_mask(_as_mask(X, A)))
 
 
+def _directed_mask(X: FiniteSpace, m: int) -> bool:
+    """Directedness of the nonempty mask ``m``, trusted, from the up rows:
+    ``m & up[a] & up[b] != 0`` for each pair a < b, save where b is above
+    a, which b itself settles (up rows are reflexive).  Its validating
+    fronts are ``is_directed`` and ``chain_core``."""
+    up = X.up
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ua = m & up[low.bit_length() - 1]
+        r = rest & ~ua
+        while r:
+            lb = r & -r
+            if ua & up[lb.bit_length() - 1] == 0:
+                return False
+            r ^= lb
+    return True
+
+
+def _irreducible_mask(X: FiniteSpace, m: int) -> bool:
+    """Irreducibility of the nonempty mask ``m``, trusted: the closure has
+    a greatest element.  ``is_irreducible`` is its validating front."""
+    return X.top_of(X.closure_mask(m)) is not None
+
+
 def is_directed(X: FiniteSpace, A) -> bool:
     """Every pair of elements has an upper bound *inside* the set."""
     m = _as_mask(X, A)
     if m == 0:
         raise EmptySet("directedness is about nonempty sets")
-    idxs = list(bits(m))
-    for a in range(len(idxs)):
-        ua = X.up[idxs[a]]
-        for b in range(a + 1, len(idxs)):
-            if m & ua & X.up[idxs[b]] == 0:
-                return False
-    return True
+    return _directed_mask(X, m)
 
 
 def chain_core(X: FiniteSpace, D) -> PointSet:
@@ -746,7 +769,7 @@ def chain_core(X: FiniteSpace, D) -> PointSet:
     m = _as_mask(X, D)
     if m == 0:
         raise EmptySet("directedness is about nonempty sets")
-    if not is_directed(X, m):
+    if not _directed_mask(X, m):
         raise NotDirected(f"{list(X.labels_of(m))} is not directed")
     t = X.top_of(m)
     if t is None:  # unreachable for finite directed sets; guards the claim
@@ -764,7 +787,7 @@ def is_irreducible(X: FiniteSpace, A) -> bool:
     m = _as_mask(X, A)
     if m == 0:
         raise EmptySet("irreducibility is about nonempty sets")
-    return X.top_of(X.closure_mask(m)) is not None
+    return _irreducible_mask(X, m)
 
 
 # -- maps -----------------------------------------------------------------

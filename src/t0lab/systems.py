@@ -52,10 +52,10 @@ from .spaces import (
     PointSet,
     _PerMask,
     _as_mask,
+    _directed_mask,
     _inclusion_space,
+    _irreducible_mask,
     bits,
-    is_directed,
-    is_irreducible,
 )
 
 __all__ = [
@@ -182,11 +182,20 @@ def as_system(H) -> SubsetSystemId:
 
 
 def _chain_mask(X: FiniteSpace, m: int) -> bool:
-    idxs = list(bits(m))
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if not (X.leq(idxs[a], idxs[b]) or X.leq(idxs[b], idxs[a])):
+    """Is the nonempty mask ``m`` a chain?  Trusted, from the up rows:
+    ``(up[i] >> j) & 1 or (up[j] >> i) & 1`` for each pair i < j, the
+    second test only where the first fails."""
+    up = X.up
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        r = rest & ~up[low.bit_length() - 1]
+        while r:
+            lb = r & -r
+            if not up[lb.bit_length() - 1] & low:
                 return False
+            r ^= lb
     return True
 
 
@@ -198,14 +207,16 @@ def _core_of(H: SubsetSystemId) -> str:
 
 def _member(core: str, X: FiniteSpace, m: int) -> bool:
     """Membership of the nonempty mask ``m`` of X in the system with this
-    S/C/D/R core; ``h_member`` is its validating front."""
+    S/C/D/R core, trusted.  Its validating fronts, ``h_member`` and
+    ``spaces.is_directed``, ``is_irreducible`` and ``chain_core``, check
+    their argument once and call the same forms."""
     if core == "S":
         return m & (m - 1) == 0
     if core == "C":
         return _chain_mask(X, m)
     if core == "D":
-        return is_directed(X, m)
-    return is_irreducible(X, m)
+        return _directed_mask(X, m)
+    return _irreducible_mask(X, m)
 
 
 def _topped(X: FiniteSpace) -> Iterable[int]:

@@ -470,6 +470,11 @@ def test_sampled_h_sets_keep_the_per_sample_draws(H):
     H = systems.as_system(H)
     spaces = _draw_spaces()
     assert len(spaces) == 31 and spaces[-1].n > 16
+    # both edge branches of the walk tables are met: a point with an empty
+    # strict up-set ends a chain walk, and one with more than 4 points
+    # below caps the down-set picks at 4
+    assert any(r & (r - 1) == 0 for X in spaces for r in X.up)
+    assert any(r.bit_count() > 5 for X in spaces for r in X.down)
     for X in spaces:
         P = _fresh(X)
         # the first call runs on a cold memo, the others on a warm one

@@ -13,12 +13,14 @@ from t0lab.errors import (
     EmptyMember,
     EmptySet,
     MissingSystem,
+    NotDirected,
     NotInM,
     PreconditionViolated,
+    SpaceMismatch,
     UnsupportedDepth,
     UsageError,
 )
-from t0lab.spaces import CompactSat, FiniteSpace, bits
+from t0lab.spaces import CompactSat, FiniteSpace, PointSet, bits, chain_core, is_directed, is_irreducible
 from t0lab.systems import (
     ALL_IDS,
     BASE_IDS,
@@ -114,6 +116,53 @@ def test_h_member_rejects_empty():
     X = random_space(random.Random(0), max_points=4)
     with pytest.raises(EmptySet):
         h_member("D", X, 0)
+
+
+@pytest.mark.parametrize("fault", [None, "rows not antisymmetric", "closure row not a down-set"])
+def test_member_forms_match_the_definitional_oracles(monkeypatch, all_posets, fault):
+    # the 87 classes of at most 5 points and three seeded 8-point spaces
+    docs = [X.to_doc() for n in sorted(all_posets) for X in all_posets[n]]
+    rng = random.Random(29)
+    while len(docs) < 90:
+        X = random_space(rng, max_points=8)
+        if X.n == 8:
+            docs.append(X.to_doc())
+    definitions = {"C": oracles.chain, "D": oracles.directed, "R": oracles.irreducible}
+    if fault is not None:
+        mutants.FAULTS[fault](monkeypatch)
+        # C and D read only the up rows, as the oracles do, so on corrupted
+        # rows they still agree; R reads the closure and greatest element
+        # of the kernel, whose down rows the faults corrupt
+        del definitions["R"]
+    for doc in docs:
+        X = parse_space(doc)
+        for core, definition in definitions.items():
+            for m in range(1, X.full + 1):
+                assert systems._member(core, X, m) == definition(X, m), (doc, core, m)
+
+
+def test_membership_fronts_validate_then_agree_with_the_member_forms(all_posets, diamond):
+    other = parse_space(diamond.to_doc())
+    for front in (is_directed, is_irreducible, chain_core, lambda X, A: h_member("C", X, A)):
+        for empty in (0, PointSet(diamond, 0)):
+            with pytest.raises(EmptySet):
+                front(diamond, empty)
+        with pytest.raises(UsageError):
+            front(diamond, diamond.full + 1)
+        with pytest.raises(SpaceMismatch):
+            front(diamond, PointSet(other, 1))
+    for X in [X for n in sorted(all_posets) for X in all_posets[n]]:
+        for m in range(1, X.full + 1):
+            A = PointSet(X, m)
+            assert is_directed(X, A) == systems._member("D", X, m)
+            assert is_irreducible(X, A) == systems._member("R", X, m)
+            for core in CORES:
+                assert h_member(core, X, A) == systems._member(core, X, m)
+            if systems._member("D", X, m):
+                assert chain_core(X, A).mask == 1 << X.top_of(m)
+            else:
+                with pytest.raises(NotDirected):
+                    chain_core(X, A)
 
 
 def test_h_closed_members_match_oracle(all_posets):
