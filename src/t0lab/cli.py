@@ -168,7 +168,7 @@ def _cmd_reflect(args) -> int:
         reports = []
         ok = True
         for n in range(1, config.caps.target_bound + 1):
-            for Y in construct.enumerate_posets(n, config=config):
+            for Y in construct.enumerate_posets(n):
                 rep = construct.universal_property_verify(refl, Y, None, config)
                 ok = ok and rep["ok"]
                 reports.append(rep)

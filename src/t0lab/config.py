@@ -23,7 +23,8 @@ class Caps:
     subset_enum: int = 12
     # carrier size cap for down-set (closed) and up-set (open) listings
     family_listing: int = 14
-    # |K(X)| up to which subfamilies of K(X) are enumerated raw (2^|K|)
+    # |K(X)| up to which H-families of compacts are listed raw, as the
+    # H-members of the Smyth space listed per point; above it, generator instances
     compact_family_enum: int = 8
     # carrier size cap for m_family / property_q ground enumeration
     m_family: int = 12

@@ -269,7 +269,7 @@ def _canon_key(n: int, up: list[int]) -> tuple:
     return best
 
 
-def enumerate_posets(n: int, prefix: str = "p", config: RunConfig = DEFAULT) -> list[FiniteSpace]:
+def enumerate_posets(n: int, prefix: str = "p") -> list[FiniteSpace]:
     """All T0 spaces on n points up to homeomorphism.
 
     Generates naturally labeled posets (strict relations pointing up a
@@ -315,7 +315,7 @@ def enumerate_posets(n: int, prefix: str = "p", config: RunConfig = DEFAULT) -> 
     return list(out)
 
 
-def homeomorphic(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap | None:
+def homeomorphic(X: FiniteSpace, Y: FiniteSpace) -> SpaceMap | None:
     """An order isomorphism X -> Y, or None.
 
     Prefilters on point count, relation size and refined degree classes,

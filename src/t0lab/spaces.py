@@ -453,8 +453,8 @@ class FiniteSpace:
         built under other caps.  A value may be a table filled lazily after
         the build, most often a :class:`_PerMask`: the checkers' per-mask
         tables (saturated cuts, sampled members' membership, and the
-        sampled paths' split, neighborhood-filtration, under-the-top and
-        directed-closure outcomes), their cut rows, the least upper bounds
+        sampled paths' split, neighborhood-filtration and under-the-top
+        outcomes), their cut rows, the least upper bounds
         of ``systems`` and its family orders (``"family spaces"``, keyed by
         a family's mask tuple), the map tables of ``powers`` and
         ``construct``, and the escaped labels (``"escaped labels"``) that

@@ -471,42 +471,42 @@ def rudin_witness(H, X: FiniteSpace, A) -> RudinWitness | None:
 # -- property M and property Q, per instance ------------------------------
 
 
-def property_m_instance(H, X: FiniteSpace, family, A) -> bool:
-    """Given an H-family and a closed set A meeting every member, is the
-    derived family {up(K meet A)} again an H-family?"""
-    H = as_system(H)
+def _meeting_instance(H, X: FiniteSpace, family, A) -> tuple[str, list[int], int]:
+    """The validated front of properties M and Q: the core of H, the
+    family's masks and the mask of the closed set A, once the family is an
+    H-family and A meets every member."""
+    core = _core_of(as_system(H))
     masks = family_masks(X, family)
     am = _as_mask(X, A)
     if not X.is_down(am):
         raise UsageError("A must be closed")
-    if not h_family_member(H, X, masks):
+    if not _family_member(core, X, masks):
         raise PreconditionViolated("the family is not an H-family")
     if not all(am & k for k in masks):
         raise NotInM("A does not meet every member of the family")
+    return core, masks, am
+
+
+def property_m_instance(H, X: FiniteSpace, family, A) -> bool:
+    """Given an H-family and a closed set A meeting every member, is the
+    derived family {up(K meet A)} again an H-family?"""
+    core, masks, am = _meeting_instance(H, X, family, A)
+    # distinct nonempty saturations in family order, so valid by construction
     derived = sorted({X.sat_mask(k & am) for k in masks}, key=lambda m: (m.bit_count(), m))
-    return h_family_member(H, X, derived)
+    return _family_member(core, X, derived)
 
 
 def property_q_instance(H, X: FiniteSpace, family, A, config: RunConfig = DEFAULT) -> bool:
     """Given an H-family and a closed set A meeting every member, does A
     contain a *closed H-set* that still meets every member?  A may have at
     most ``caps.m_family`` points."""
-    H = as_system(H)
-    masks = family_masks(X, family)
-    am = _as_mask(X, A)
-    if not X.is_down(am):
-        raise UsageError("A must be closed")
-    if not h_family_member(H, X, masks):
-        raise PreconditionViolated("the family is not an H-family")
-    if not all(am & k for k in masks):
-        raise NotInM("A does not meet every member of the family")
+    core, masks, am = _meeting_instance(H, X, family, A)
     cap = config.caps.m_family
     if am.bit_count() > cap:
         raise CapExceeded(f"property Q search needs |A| <= {cap}")
     # closed subsets of A are the down-sets of the induced poset on A
     sub = X.subspace(am)
     back = list(bits(am))
-    core = _core_of(H)
     for d in sub.downsets():
         if d == 0:
             continue

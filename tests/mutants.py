@@ -43,9 +43,11 @@ prints every entry that differs from the older report OLD.json, one line
 each, with the ``"outcomes"`` counted per (fault, function, old -> new)
 (``report_diff``).
 ``tests/test_checkers.py`` asserts on the classes of at most 3 points that
-every verdict path changes under some fault, ``tests/test_zoo.py`` that
-every zoo fact kind does, and ``tests/test_construct.py`` that every
-certificate site but two named ones is the first to raise under one.
+every verdict path changes under some fault, and that every battery
+condition after the first does, with a kill row no verdict path has;
+``tests/test_zoo.py`` that every zoo fact kind does, and
+``tests/test_construct.py`` that every certificate site but two named
+ones is the first to raise under one.
 """
 import ast
 import functools

@@ -333,7 +333,6 @@ def test_crosscheck_condition_batteries(diamond):
     # the verdict first, then only forms that no super_h_sober path computes
     common = [
         "super_h_sober",
-        "compact intersections",
         "equational form over Smyth-closed families",
     ]
     batteries = {
@@ -371,16 +370,21 @@ def test_batteries_read_their_verdicts_agreement(monkeypatch):
     "non-monotone sat_mask",  # sat({x, y}) = {x, y}
     "_h_members lists every mask",
     "_psi_ok false",
-    "is_up false on pairs",
 ])
-def test_super_battery_detects_injected_faults(monkeypatch, anti3, fault):
+def test_super_battery_detects_injected_faults(monkeypatch, fault):
     docs = [X.to_doc() for X in enumerate_posets(3)]
-    if fault == "is_up false on pairs":
-        # on the other 3-point spaces the Smyth certification raises first
-        docs = [anti3.to_doc()]
     mutants.FAULTS[fault](monkeypatch)
     # fresh spaces, so no verdict or family list cached before the fault
     assert any(not crosscheck_super(parse_space(doc), "D").agreed for doc in docs)
+
+
+def test_compact_meets_path_detects_unsaturated_meets(monkeypatch, anti3):
+    # the super battery does not restate smyth_h_complete's compact-meets
+    # path, so a meet misread as unsaturated is caught by that path; on
+    # the other 3-point spaces the Smyth certification raises first
+    mutants.FAULTS["is_up false on pairs"](monkeypatch)
+    v = check(parse_space(anti3.to_doc()), "smyth_h_complete", "D")
+    assert dict(v.characterizations)["family intersections are compact saturated (raw)"] == "false"
 
 
 def test_h_sober_battery_cuts_by_closures_of_members(monkeypatch):
@@ -404,19 +408,40 @@ def test_kill_table_names_the_paths_a_fault_changes(monkeypatch, diamond):
     assert "compact filtration" in table["super_h_sober"]
 
 
-def test_every_verdict_path_kills_some_fault():
-    # every property holds on every finite T0 space, so a path is worth
-    # the faults it catches; each must change its value under one of them
+@pytest.fixture(scope="module")
+def kill_tables():
+    """The kill tables of the verdict paths and of the battery conditions
+    under every fault on the classes of at most 3 points, from one loop."""
     docs = [X.to_doc() for n in range(1, 4) for X in enumerate_posets(n)]
     assert len(docs) == 8
-    faulty = {}
+    paths, conditions = {}, {}
     for name, inject in mutants.FAULTS.items():
         with pytest.MonkeyPatch.context() as mp:
             inject(mp)
-            faulty[name] = mutants.path_values(docs)
-    table = mutants.kill_table(mutants.path_values(docs), faulty)
+            paths[name] = mutants.path_values(docs)
+            conditions[name] = mutants.condition_values(docs)
+    return (mutants.kill_table(mutants.path_values(docs), paths),
+            mutants.kill_table(mutants.condition_values(docs), conditions))
+
+
+def test_every_verdict_path_kills_some_fault(kill_tables):
+    # every property holds on every finite T0 space, so a path is worth
+    # the faults it catches; each must change its value under one of them
+    table, _ = kill_tables
     empty = [(prop, path) for prop, rows in table.items() for path, row in rows.items() if not row]
     assert empty == []
+
+
+def test_no_battery_condition_restates_a_verdict_path(kill_tables):
+    # a battery's first condition is its verdict's agreement record; each
+    # later one must kill some fault, and by a kill row that no verdict
+    # path has, or it is a path computed again under a new name
+    paths, conditions = kill_tables
+    path_rows = [row for rows in paths.values() for path, row in rows.items() if path != "(raise)"]
+    assert all(list(rows)[0] in PROPERTY_IDS for rows in conditions.values())
+    restated = [(battery, name) for battery, rows in conditions.items() for name, row in list(rows.items())[1:]
+                if name != "(raise)" and (not row or row in path_rows)]
+    assert restated == []
 
 
 def test_corrupted_spaces_fail_the_paths_that_read_their_rows(monkeypatch):
