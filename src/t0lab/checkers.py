@@ -16,10 +16,17 @@ listings of closed and open sets run within ``caps.family_listing``,
 families of compacts, the members of the Smyth space's table (an
 H-family of compacts is a point set of H(P_S(X))), within
 ``caps.compact_family_enum``, and cut equations over every closed set
-within ``_CUT_EQUATION_PAIRS`` (family, closed set) pairs.  An
-exhaustive path that reads H only through its core is computed once
-per core (``_per_core``), and a sampled path
-decides each drawn mask once per space (``_PerMask``).  Above the caps,
+within ``_CUT_EQUATION_PAIRS`` (family, closed set) pairs.  On a
+finite carrier every subset is countable and every derived system is
+the irreducible sets, so Cω = C, Dω = D, Rω = R and each derived system
+is R: a checker reads H only through its S/C/D/R core, every generator
+it draws from is seeded by the core, and each H-parameterized verdict
+and battery is computed once per (property or battery, core, config).
+A system's record is its core's with ``system`` renamed; ``h_sober``
+also names its exhaustive path by the system and draws its split
+samples from a generator seeded by the system, the one per-system
+computation (``_h_sober_for``).  A sampled path decides each drawn
+mask once per space (``_PerMask``).  Above the caps,
 each path switches to an exact reduced form whose justifying lemma
 (finite chains, directed sets and irreducible sets contain a greatest
 element; finite filtered families contain a least member; the smallest
@@ -35,7 +42,8 @@ super_h_sober are skipped above ``caps.compact_family_enum``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import wraps
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
@@ -138,12 +146,10 @@ def _scan_pairs(P: FiniteSpace) -> dict:
             if (ui >> j) & 1 or (di >> j) & 1:
                 continue
             pairs += 1
-            both = (1 << i) | (1 << j)
-            if (ui & P.up[j]) & both:
-                ok = False
-            # split certificate for the smallest closed set with u, v maximal
-            dj = P.down[j]
-            if (dj >> i) & 1 or (di >> j) & 1 or (di | dj) != P.closure_mask(both):
+            # split certificate for the smallest closed set with u, v
+            # maximal; the pair is incomparable, so neither lies above or
+            # below the other and only the split can fail
+            if (di | P.down[j]) != P.closure_mask((1 << i) | (1 << j)):
                 ok = False
     return {"incomparable_pairs": pairs, "ok": ok}
 
@@ -261,26 +267,13 @@ def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: C
     return "sampled", _sampled_h_sets(X, H, rng(), count)
 
 
-def _per_core(X: FiniteSpace, path: str, H: systems.SubsetSystemId, config: RunConfig, build: Callable[[], object]):
-    """The value of an exhaustive path that reads H only through its
-    S/C/D/R core, built once per (path, core, config) and shared by the
-    systems with that core (C and Cω, D and Dω, R, Rω and the derived
-    systems).  A path drawn from a generator seeded by ``str(H)`` is
-    computed per system instead."""
-    return X.memo((path, systems._core_of(H), config), build)
-
-
-def _all_members(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, path: str,
+def _all_members(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig,
                  rng: Callable[[], random.Random], ok: Callable[[int], bool]) -> tuple[str, int, bool]:
     """(mode, number of members, value) of "``ok`` holds on every member
-    of H(X)" over ``_h_sets``: exhaustive once per core (``_per_core``)
-    within ``caps.subset_enum``, on seeded members above it."""
+    of H(X)" over ``_h_sets``: exhaustive within ``caps.subset_enum``, on
+    seeded members above it."""
     mode, members = _h_sets(X, H, config, rng, config.caps.sample_count)
-
-    def value():
-        return all(ok(m) for m in members)
-
-    return mode, len(members), _per_core(X, path, H, config, value) if mode == "raw" else value()
+    return mode, len(members), all(ok(m) for m in members)
 
 
 def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[int, ...], str]]:
@@ -395,8 +388,8 @@ def _cut_identity(X: FiniteSpace, fam: Sequence[int], closed_sets: Sequence[int]
 
 def _cut_sat(X: FiniteSpace) -> Callable[[int], int]:
     """``X.sat_mask`` through one per-space table of cut masks
-    (``"cut_sat"``), which the seven systems' ``crosscheck_super`` calls
-    on one Smyth space share, so each cut is saturated once."""
+    (``"cut_sat"``), which the four cores' ``crosscheck_super`` calls on
+    one Smyth space share, so each cut is saturated once."""
     return X.memo("cut_sat", lambda: _PerMask(X.sat_mask)).__getitem__
 
 
@@ -508,15 +501,14 @@ def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[boo
 
 
 def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], tag: str, config: RunConfig,
-                name: str | None = None):
+                name: str):
     """Shared engine for sober/h_sober: every member-closed set is a
     point closure with a unique generic point, exhaustively by
     ``generic()`` (``_generic_points``, called within
-    ``caps.family_listing`` only).  ``name`` renames the exhaustive path,
-    computed or skipped."""
+    ``caps.family_listing`` only), under ``name`` computed or skipped;
+    ``tag`` seeds the split samples."""
     paths = []
     evidence = {}
-    name = name or f"closed {tag}-members are point closures (exhaustive)"
     # 1: definitional family equality over enumerated closed sets
     if X.n <= config.caps.family_listing:
         value, table, count = generic()
@@ -530,10 +522,16 @@ def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], t
     paths.append(("incomparable-pair split certificates", scan["ok"], ""))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     # 3: seeded closed sets are point closures or split into proper parts
-    smp = _split_samples(X, _rng(config, "split", tag, X.n, X.up[0]), config.caps.sample_count)
-    paths.append(("sampled closed sets: generic point or split", smp["ok"], ""))
-    evidence["sampled_closed_sets"] = smp["sampled_closed"]
+    split, evidence["sampled_closed_sets"] = _split_path(X, tag, config)
+    paths.append(split)
     return paths, evidence
+
+
+def _split_path(X: FiniteSpace, tag: str, config: RunConfig) -> tuple[tuple[str, bool, str], int]:
+    """``_sober_like``'s third path, on closed sets drawn from the
+    generator seeded by ``tag``, and the number drawn."""
+    smp = _split_samples(X, _rng(config, "split", tag, X.n, X.up[0]), config.caps.sample_count)
+    return ("sampled closed sets: generic point or split", smp["ok"], ""), smp["sampled_closed"]
 
 
 def _p_sober(X: FiniteSpace, H, config: RunConfig):
@@ -638,11 +636,13 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     return paths, evidence
 
 
+_H_SOBER_EXHAUSTIVE = "closed {}-members are point closures (exhaustive)"
+
+
 def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     core = systems._core_of(H)
-    generic = lambda: _per_core(X, "generic points", H, config,
-                                lambda: _generic_points(X, lambda d: systems._member(core, X, d)))
-    paths, evidence = _sober_like(X, generic, str(H), config)
+    generic = lambda: _generic_points(X, lambda d: systems._member(core, X, d))
+    paths, evidence = _sober_like(X, generic, str(H), config, _H_SOBER_EXHAUSTIVE.format(H))
     # sampled neighborhood filtration: up-bounds inside opens find members
     rngh = _rng(config, "hsober", str(H), X.n, X.up[0])
     samples = _sampled_h_sets(X, H, rngh, config.caps.sample_count)
@@ -652,6 +652,16 @@ def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths.append(("neighborhood filtration on sampled members", value, ""))
     evidence["sampled_members"] = len(samples)
     return paths, evidence
+
+
+def _h_sober_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, paths: list, evidence: dict):
+    """H's h_sober paths and evidence from its core's: the exhaustive
+    path named by H, and the split samples drawn from the generator
+    seeded by ``str(H)``, whose count is evidence.  The only path a
+    system computes apart from its core."""
+    (_, value, note), scan, _, *rest = paths
+    split, count = _split_path(X, str(H), config)
+    return [(_H_SOBER_EXHAUSTIVE.format(H), value, note), scan, split, *rest], {**evidence, "sampled_closed_sets": count}
 
 
 def _neighborhood_filtered(X: FiniteSpace, m: int) -> bool:
@@ -676,8 +686,7 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     mode, fams = _families_for(X, H, config)
     if mode == "raw":
         opens = X.upsets()
-        value = _per_core(X, "compact filtration", H, config, lambda: all(
-            (inter := _meet(X, fam)) != 0 and inter in fam and _filtered(inter, fam, opens) for fam in fams))
+        value = all((inter := _meet(X, fam)) != 0 and inter in fam and _filtered(inter, fam, opens) for fam in fams)
         paths.append(("compact filtration (raw)", value, ""))
     else:
         paths.append(("compact filtration", None, "compact families above enumeration cap"))
@@ -689,8 +698,7 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     sat = _cut_sat(X)
     heads = fams[: 4 * config.caps.sample_count]
     if len(fams) * len(closed) <= _CUT_EQUATION_PAIRS:
-        value = _per_core(X, "cut equation", H, config, lambda: all(
-            _meet(X, fam) != 0 and _cut_identity(X, fam, closed, sat, True) for fam in heads))
+        value = all(_meet(X, fam) != 0 and _cut_identity(X, fam, closed, sat, True) for fam in heads)
     else:
         getrandbits = _rng(config, "supereq", str(H), X.n, X.up[0]).getrandbits
         draw = lambda: [closed[_randbelow(getrandbits, len(closed))] for _ in range(4)]
@@ -704,8 +712,7 @@ _MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
 
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     rngc = lambda: _rng(config, "hcomplete", str(H), X.n, X.up[0])
-    mode, count, value = _all_members(X, H, config, "least upper bounds", rngc,
-                                      lambda m: systems._sup_of(X, m) is not None)
+    mode, count, value = _all_members(X, H, config, rngc, lambda m: systems._sup_of(X, m) is not None)
     paths = [(f"every member has a least upper bound ({_MODE_NAMES[mode]})", value, "")]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     v = check(X, "h_sober", H, config)
@@ -715,7 +722,7 @@ def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     rngb = lambda: _rng(config, "hbounded", str(H), X.n, X.up[0])
-    mode, count, value = _all_members(X, H, config, "upper bounds", rngb, lambda m: X.ubs_mask(m) != 0)
+    mode, count, value = _all_members(X, H, config, rngb, lambda m: X.ubs_mask(m) != 0)
     paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     # members carry a greatest element, which bounds them
@@ -737,7 +744,7 @@ def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = []
     evidence = {}
     mode, fams = _families_for(X, H, config)
-    value = _per_core(X, "family meets", H, config, lambda: all(_meet(X, fam) != 0 for fam in fams))
+    value = all(_meet(X, fam) != 0 for fam in fams)
     paths.append((f"families have nonempty intersection ({mode})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_bounded", H, config)
@@ -749,8 +756,7 @@ def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConf
     paths = []
     evidence = {}
     mode, fams = _families_for(X, H, config)
-    value = _per_core(X, "compact meets", H, config, lambda: all(
-        (inter := _meet(X, fam)) != 0 and X.is_up(inter) for fam in fams))
+    value = all((inter := _meet(X, fam)) != 0 and X.is_up(inter) for fam in fams)
     paths.append((f"family intersections are compact saturated ({mode})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_complete", H, config)
@@ -762,7 +768,7 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
     paths = []
     evidence = {}
     if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
-        value, count, table = _per_core(X, "filter realizations", H, config, lambda: _realize_filters(X, H, config))
+        value, count, table = _realize_filters(X, H, config)
         paths.append(("filters realized by one-member families", value, ""))
         evidence["filters"] = count
         evidence["realizations"] = dict(table)
@@ -851,7 +857,10 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
     """Evaluate a property along its independent characterizations.
 
     ``system`` is required for the H-parameterized properties and must be
-    omitted for the rest.
+    omitted for the rest.  On a finite carrier a system is its S/C/D/R
+    core (``systems._core_of``), so an H-parameterized verdict is computed
+    once per (property, core, config) and each system's record is its
+    core's, rendered for the system (``_paths_for``).
     """
     if property not in _IMPLS:
         raise UsageError(f"unknown property {property!r}; choose from {PROPERTY_IDS}")
@@ -862,7 +871,22 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
     elif system is not None:
         raise UsageError(f"property {property!r} does not take a subset system")
     return X.memo(("verdict", property, str(system), config),
-                  lambda: _mk_verdict(property, system, *_IMPLS[property](X, system, config)))
+                  lambda: _mk_verdict(property, system, *_paths_for(X, property, system, config)))
+
+
+def _paths_for(X: FiniteSpace, property: str, H: systems.SubsetSystemId | None, config: RunConfig):
+    """The paths and evidence of ``property`` for ``H``: with no system,
+    its implementation's; else those of H's core, computed once per
+    (property, core, config), and for ``h_sober`` and a system that is
+    not its core, renamed and re-sampled by ``_h_sober_for``."""
+    if H is None:
+        return _IMPLS[property](X, None, config)
+    core = systems._core_of(H)
+    paths, evidence = X.memo(("paths", property, core, config),
+                             lambda: _IMPLS[property](X, systems.SubsetSystemId(core), config))
+    if property == "h_sober" and str(H) != core:
+        return _h_sober_for(X, H, config, paths, evidence)
+    return paths, evidence
 
 
 def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:
@@ -878,12 +902,27 @@ def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:
 # -- crosschecks ----------------------------------------------------------
 
 
+def _per_core_battery(battery: Callable[[FiniteSpace, systems.SubsetSystemId, RunConfig], CrossReport]):
+    """The battery for any system: H's report is that of H's S/C/D/R
+    core, built by ``battery`` once per (battery, core, config) in X's
+    memo, with ``system`` renamed."""
+
+    @wraps(battery)
+    def run(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
+        H = systems.as_system(H)
+        core = systems._core_of(H)
+        report = X.memo((battery.__name__, core, config), lambda: battery(X, systems.SubsetSystemId(core), config))
+        return replace(report, system=str(H))
+
+    return run
+
+
+@_per_core_battery
 def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
     """Evaluate the characterization battery for H-sobriety and assert the
     conditions agree: the verdict with its agreement record, and
     boundedness plus the cut equation over the closed members (the
     closures of members) against the closed sets."""
-    H = systems.as_system(H)
     base = check(X, "h_sober", H, config)
     rngs = lambda: _rng(config, "hsets", str(H), X.n, X.up[0])
     mode, hs = _h_sets(X, H, config, rngs, 4 * config.caps.sample_count)
@@ -922,16 +961,17 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     )
 
 
+@_per_core_battery
 def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossReport:
     """Characterization battery for super-H-sobriety: the verdict with its
     agreement record, then forms no verdict path computes: the cut
     equation over Smyth-closed families, and sobriety of the Smyth space
-    for the irreducible base.  That the families' meets are compact
-    saturated is ``smyth_h_complete``'s first path, so it is not
-    restated here.  Filtration forms over families that hold their own
-    meet (an open Smyth neighborhood of the meet, sampled descending
-    chains) are true by construction, so none is evaluated."""
-    H = systems.as_system(H)
+    for the irreducible core (R, which decides every derived system).
+    That the families' meets are compact saturated is
+    ``smyth_h_complete``'s first path, so it is not restated here.
+    Filtration forms over families that hold their own meet (an open
+    Smyth neighborhood of the meet, sampled descending chains) are true by
+    construction, so none is evaluated."""
     base = check(X, "super_h_sober", H, config)
     S = powers.smyth(X, config)
     sp = S.space
@@ -942,7 +982,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     # equational form over principal closed families and sampled
     # Smyth-closed sets
     ok_eq_family = True
-    # the Smyth space's own table, shared by the seven systems' calls
+    # the Smyth space's own table, shared by the four cores' batteries
     sat = _cut_sat(sp)
     for fam in fams:
         idxs = [S.index[k] for k in fam]
@@ -952,7 +992,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
             ok_eq_family = False
     conds.append(("equational form over Smyth-closed families", ok_eq_family))
 
-    if H.base_core == "R":
+    if systems._core_of(H) == "R":
         v = check(sp, "sober", None, config)
         conds.append(("Smyth power space is sober", v.holds and v.characterizations_agreed))
 

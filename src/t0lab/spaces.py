@@ -466,14 +466,18 @@ class FiniteSpace:
         tops"`` gives the generic point of the closure of each image mask.
         A Smyth space lists its H-members as families of compacts
         (``("families", core)``), and its cut table (``"cut_sat"``) serves
-        the seven systems' ``checkers.crosscheck_super``.  The walk tables
+        the four cores' ``checkers.crosscheck_super``.  The walk tables
         of ``checkers._sampled_h_sets`` (``"above_index"``,
         ``"below_index"``) hold per point an index tuple, its length, the
         length's bit count and, for the down-sets, the range of picks.  A
         table's key must name everything an entry depends on, the path
-        included, and none of those tables reads a cap.  The checkers'
-        per-core entries (``checkers._per_core``) are keyed (path, S/C/D/R
-        core, run config), so a run under other caps never reuses them."""
+        included, and none of those tables reads a cap.  The checkers keep
+        one record per S/C/D/R core: an H-parameterized verdict's paths and
+        evidence (``("paths", property, core, config)``) and a battery's
+        report (``(battery, core, config)``), from which every system with
+        that core renders its own; each per-system verdict is kept under
+        ``("verdict", property, system, config)``.  Each key holds the run
+        config, so a run under other caps never reuses them."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()

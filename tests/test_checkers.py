@@ -221,11 +221,11 @@ def test_configs_hash_by_value_and_key_the_memo_by_value(diamond):
 
 
 def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
-    # C and Cω share their exhaustive paths; the shared entries carry the
-    # config, so a warm cache built under other caps changes no mode and
-    # no value.  Under "_h_members lists every mask" the raw families fail
-    # the meets that the generator families pass, so a value taken from
-    # the other caps would show too.
+    # Cω's records are C's, computed once per (property, core, config);
+    # the config is in the key, so a warm cache built under other caps
+    # changes no mode and no value.  Under "_h_members lists every mask"
+    # the raw families fail the meets that the generator families pass,
+    # so a value taken from the other caps would show too.
     small = RunConfig(caps=Caps(subset_enum=2, compact_family_enum=1))
     runs = (("C", RunConfig()), ("Cw", small))
     for faulty in (False, True):
@@ -242,6 +242,110 @@ def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
     hip = {H: cold[H, config][H_PROPS.index("hip")]["characterizations"][0] for H, config in runs}
     assert hip == {"C": {"name": "families have nonempty intersection (raw)", "value": "false"},
                    "Cw": {"name": "families have nonempty intersection (generators)", "value": "true"}}
+
+
+def _core_rendered(record: dict, H: str) -> dict:
+    """A verdict's or battery's JSON as the system H renders it, with the
+    two per-system draws of ``h_sober`` (the split samples' value and
+    count) blanked."""
+    out = json.loads(json.dumps(record))
+    out["system"] = H
+    if out["property"] == "h_sober":
+        out["characterizations"][0]["name"] = f"closed {H}-members are point closures (exhaustive)"
+        out["characterizations"][2]["value"] = None
+        out["evidence"]["sampled_closed_sets"] = None
+    return out
+
+
+def _golden_corpus() -> list:
+    """The classes of at most 4 points, the six 8-point random spaces of
+    the golden records and the 13-point chain."""
+    out = [X for n in range(1, 5) for X in enumerate_posets(n)]
+    rng = random.Random(7)
+    out += [random_space(rng, 8) for _ in range(6)]
+    labels = [f"c{i}" for i in range(13)]
+    return out + [parse_space({"points": labels, "covers": [[a, b] for a, b in zip(labels, labels[1:])]})]
+
+
+def test_countable_records_are_their_cores_renamed():
+    # on a finite carrier Cω = C, Dω = D and Rω = R; each countable
+    # system's records, computed cold on a space of its own, are those
+    # check_all and the batteries give its core, with only the system
+    # renamed (and h_sober's exhaustive path name and split draws)
+    for X in _golden_corpus():
+        core = {}
+        for v in check_all(X):
+            core[v.property, v.system] = v.to_json()
+        for H in ("S", "C", "D", "R"):
+            for battery in (crosscheck_h_sober, crosscheck_super):
+                core[battery.__name__, H] = battery(X, H).to_json()
+        doc = X.to_doc()
+        for H, base in (("Cw", "C"), ("Dw", "D"), ("Rw", "R")):
+            for prop in H_PROPS:
+                got = check(parse_space(doc), prop, H).to_json()
+                assert _core_rendered(got, H) == _core_rendered(core[prop, base], H), (doc, prop, H)
+            for battery in (crosscheck_h_sober, crosscheck_super):
+                got = battery(parse_space(doc), H).to_json()
+                assert got == {**core[battery.__name__, base], "system": H}, (doc, battery, H)
+
+
+def test_each_h_verdict_is_computed_once_per_core(monkeypatch, diamond, corpus):
+    # check_all asks for seven systems over four S/C/D/R cores; each
+    # H-parameterized implementation runs once per core on the space,
+    # and the batteries and the derived systems add no run
+    for doc in (diamond.to_doc(), corpus[3].to_doc()):
+        X = parse_space(doc)
+        runs = Counter()
+        for prop in H_PROPS:
+            impl = checkers._IMPLS[prop]
+
+            def counted(Y, H, config, prop=prop, impl=impl):
+                if Y is X:
+                    runs[prop, str(H)] += 1
+                return impl(Y, H, config)
+
+            monkeypatch.setitem(checkers._IMPLS, prop, counted)
+        check_all(X)
+        for H in (*BASE_IDS, "D^d", "S^R"):
+            crosscheck_h_sober(X, H)
+            crosscheck_super(X, H)
+        assert runs == Counter({(prop, H): 1 for prop in H_PROPS for H in CORES}), doc
+        monkeypatch.undo()
+
+
+def test_derived_systems_run_the_irreducible_battery(diamond, anti3):
+    # every derived system is decided as R, so its battery is R's,
+    # "Smyth power space is sober" included, whatever its base
+    for X in (diamond, anti3):
+        R = [crosscheck_h_sober(X, "R"), crosscheck_super(X, "R")]
+        for H in ("D^d", "S^R", "Cw^D"):
+            got = [crosscheck_h_sober(X, H), crosscheck_super(X, H)]
+            assert got == [dataclasses.replace(r, system=H) for r in R]
+        assert [n for n, _ in R[1].conditions][-1] == "Smyth power space is sober"
+
+
+def test_h_sober_battery_draws_its_cuts_above_the_listing_and_the_budget(monkeypatch):
+    # 12 closed S-members against the 4,096 closed sets of a 12-point
+    # antichain exceed the cut budget, so each member meets 4 drawn closed
+    # sets; a 15-point chain is above family_listing, so its closed sets
+    # are not listed and the cuts are closures of drawn masks
+    anti = parse_space({"points": [f"a{i}" for i in range(12)], "covers": []})
+    labels = [f"c{i}" for i in range(15)]
+    chain = parse_space({"points": labels, "covers": [[a, b] for a, b in zip(labels, labels[1:])]})
+    assert 12 * len(anti.downsets()) > checkers._CUT_EQUATION_PAIRS
+    assert chain.n > RunConfig().caps.family_listing
+    draws = Counter()
+    randbelow = checkers._randbelow
+    monkeypatch.setattr(checkers, "_randbelow", lambda g, n: draws.update([n]) or randbelow(g, n))
+    for X, H in ((anti, "S"), (chain, "C")):
+        doc = X.to_doc()
+        reports = {h: crosscheck_h_sober(parse_space(doc), h) for h in (H, "C", "Cw")}
+        for r in reports.values():
+            assert r.agreed and all(v is True for _, v in r.conditions), r
+        assert reports["Cw"] == dataclasses.replace(reports["C"], system="Cw")
+    # the antichain's members drew their cuts from the listed closed sets;
+    # the chain's were not listed
+    assert set(draws) == {len(anti.downsets())}
 
 
 def test_filtration_paths_are_skipped_above_the_compact_family_cap(diamond):
