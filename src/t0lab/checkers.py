@@ -22,12 +22,12 @@ the irreducible sets, so Cω = C, Dω = D, Rω = R and each derived system
 is R: a checker reads H only through its S/C/D/R core, every generator
 it draws from is seeded by the core, and each H-parameterized verdict
 and battery is computed once per (property or battery, core, config).
-A system's record is its core's with ``system`` renamed; ``h_sober``
-also names its exhaustive path by the system and draws its split
-samples from a generator seeded by the system, the one per-system
-computation (``_h_sober_for``).  A sampled path decides each drawn
-mask once per space (``_PerMask``).  Above the caps,
-each path switches to an exact reduced form whose justifying lemma
+A system's record is its core's with ``system`` renamed.  The closures
+of every nonempty mask within ``caps.subset_enum``, or of seeded masks
+above it, are decided once per space and config and shared by
+``sober`` and every ``h_sober`` core (``_split_path``).  A path over
+members decides each member mask once per space (``_PerMask``).  Above
+the caps, each path switches to an exact reduced form whose justifying lemma
 (finite chains, directed sets and irreducible sets contain a greatest
 element; finite filtered families contain a least member; the smallest
 open containing an up-set is the set itself) is pinned to the raw code
@@ -154,27 +154,9 @@ def _scan_pairs(P: FiniteSpace) -> dict:
     return {"incomparable_pairs": pairs, "ok": ok}
 
 
-def _split_samples(P: FiniteSpace, rng: random.Random, count: int) -> dict:
-    """Seeded closed sets; each is either a point closure (generic point
-    verified) or splits into two proper closed parts (split verified).
-    Each mask is decided once per space (``("per mask", "split")``)."""
-    checked = 0
-    ok = True
-    split = P.memo(("per mask", "split"), lambda: _PerMask(lambda m: _generic_or_split(P, m)))
-    for _ in range(count):
-        m = rng.getrandbits(P.n)
-        if m == 0:
-            continue
-        if not split[m]:
-            ok = False
-        checked += 1
-    return {"sampled_closed": checked, "ok": ok}
-
-
-def _generic_or_split(P: FiniteSpace, m: int) -> bool:
-    """The closure of ``m`` is a point closure, or it splits into two
+def _generic_or_split(P: FiniteSpace, C: int) -> bool:
+    """The closed set ``C`` is a point closure, or it splits into two
     proper closed parts."""
-    C = P.closure_mask(m)
     t = P.top_of(C)
     if t is not None:
         return P.down[t] == C
@@ -255,6 +237,10 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
         if member[m]:
             out.append(m)
     return out
+
+
+# a quantifier's mode as its path name states it
+_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
 
 
 def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: Callable[[], random.Random], count: int):
@@ -500,13 +486,11 @@ def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[boo
     return value, table, len(hc)
 
 
-def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], tag: str, config: RunConfig,
-                name: str):
+def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], config: RunConfig, name: str):
     """Shared engine for sober/h_sober: every member-closed set is a
     point closure with a unique generic point, exhaustively by
     ``generic()`` (``_generic_points``, called within
-    ``caps.family_listing`` only), under ``name`` computed or skipped;
-    ``tag`` seeds the split samples."""
+    ``caps.family_listing`` only), under ``name`` computed or skipped."""
     paths = []
     evidence = {}
     # 1: definitional family equality over enumerated closed sets
@@ -521,22 +505,38 @@ def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], t
     scan = _pair_scan(X)
     paths.append(("incomparable-pair split certificates", scan["ok"], ""))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
-    # 3: seeded closed sets are point closures or split into proper parts
-    split, evidence["sampled_closed_sets"] = _split_path(X, tag, config)
+    # 3: closures of masks are point closures or split into proper parts
+    split, mode, count = _split_path(X, config)
     paths.append(split)
+    evidence["closures" if mode == "raw" else "sampled_closed_sets"] = count
     return paths, evidence
 
 
-def _split_path(X: FiniteSpace, tag: str, config: RunConfig) -> tuple[tuple[str, bool, str], int]:
-    """``_sober_like``'s third path, on closed sets drawn from the
-    generator seeded by ``tag``, and the number drawn."""
-    smp = _split_samples(X, _rng(config, "split", tag, X.n, X.up[0]), config.caps.sample_count)
-    return ("sampled closed sets: generic point or split", smp["ok"], ""), smp["sampled_closed"]
+def _split_path(X: FiniteSpace, config: RunConfig) -> tuple[tuple[str, bool, str], str, int]:
+    """``_sober_like``'s third path, its mode and its number of masks:
+    the closure of every nonempty mask within ``caps.subset_enum``, else
+    of each nonzero one of ``caps.sample_count`` seeded masks, is a point
+    closure or splits into two proper closed parts.  Computed once per
+    space and run config in X's memo (``"split"``), so ``sober`` and
+    every ``h_sober`` core share it; each distinct closure is decided
+    once."""
+
+    def build():
+        if X.n <= config.caps.subset_enum:
+            mode, masks = "raw", range(1, X.full + 1)
+        else:
+            getrandbits = _rng(config, "split", X.n, X.up[0]).getrandbits
+            draws = (getrandbits(X.n) for _ in range(config.caps.sample_count))
+            mode, masks = "sampled", [m for m in draws if m]
+        value = all([_generic_or_split(X, C) for C in set(map(X.closure_mask, masks))])
+        return (f"closures: generic point or split ({_MODE_NAMES[mode]})", value, ""), mode, len(masks)
+
+    return X.memo(("split", config), build)
 
 
 def _p_sober(X: FiniteSpace, H, config: RunConfig):
     paths, evidence = _sober_like(
-        X, lambda: _generic_points(X, lambda d: X.top_of(d) is not None), "irreducible", config,
+        X, lambda: _generic_points(X, lambda d: X.top_of(d) is not None), config,
         "irreducible closed sets have unique generic points",
     )
     if "closed_members" in evidence:
@@ -636,32 +636,19 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     return paths, evidence
 
 
-_H_SOBER_EXHAUSTIVE = "closed {}-members are point closures (exhaustive)"
-
-
 def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     core = systems._core_of(H)
     generic = lambda: _generic_points(X, lambda d: systems._member(core, X, d))
-    paths, evidence = _sober_like(X, generic, str(H), config, _H_SOBER_EXHAUSTIVE.format(H))
-    # sampled neighborhood filtration: up-bounds inside opens find members
-    rngh = _rng(config, "hsober", str(H), X.n, X.up[0])
-    samples = _sampled_h_sets(X, H, rngh, config.caps.sample_count)
+    paths, evidence = _sober_like(X, generic, config, "closed members are point closures (exhaustive)")
+    # neighborhood filtration: up-bounds inside opens find members
+    rngh = lambda: _rng(config, "hsober", str(H), X.n, X.up[0])
+    mode, members = _h_sets(X, H, config, rngh, config.caps.sample_count)
     filtration = X.memo(("per mask", "neighborhood filtration"),
                         lambda: _PerMask(lambda m: _neighborhood_filtered(X, m)))
-    value = all([filtration[m] for m in samples])
-    paths.append(("neighborhood filtration on sampled members", value, ""))
-    evidence["sampled_members"] = len(samples)
+    value = all([filtration[m] for m in members])
+    paths.append((f"neighborhood filtration on members ({_MODE_NAMES[mode]})", value, ""))
+    evidence["members" if mode == "raw" else "sampled_members"] = len(members)
     return paths, evidence
-
-
-def _h_sober_for(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, paths: list, evidence: dict):
-    """H's h_sober paths and evidence from its core's: the exhaustive
-    path named by H, and the split samples drawn from the generator
-    seeded by ``str(H)``, whose count is evidence.  The only path a
-    system computes apart from its core."""
-    (_, value, note), scan, _, *rest = paths
-    split, count = _split_path(X, str(H), config)
-    return [(_H_SOBER_EXHAUSTIVE.format(H), value, note), scan, split, *rest], {**evidence, "sampled_closed_sets": count}
 
 
 def _neighborhood_filtered(X: FiniteSpace, m: int) -> bool:
@@ -707,9 +694,6 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     return paths, evidence
 
 
-_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
-
-
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     rngc = lambda: _rng(config, "hcomplete", str(H), X.n, X.up[0])
     mode, count, value = _all_members(X, H, config, rngc, lambda m: systems._sup_of(X, m) is not None)
@@ -726,11 +710,11 @@ def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     # members carry a greatest element, which bounds them
-    rngm = _rng(config, "hbounded2", str(H), X.n, X.up[0])
-    samples = _sampled_h_sets(X, H, rngm, config.caps.sample_count)
+    rngm = lambda: _rng(config, "hbounded2", str(H), X.n, X.up[0])
+    mode, members = _h_sets(X, H, config, rngm, config.caps.sample_count)
     under = X.memo(("per mask", "under the top"), lambda: _PerMask(lambda m: _under_top(X, m)))
-    value = all([under[m] for m in samples])
-    paths.append(("members sit under the top of their closure (sampled)", value, ""))
+    value = all([under[m] for m in members])
+    paths.append((f"members sit under the top of their closure ({_MODE_NAMES[mode]})", value, ""))
     return paths, evidence
 
 
@@ -858,9 +842,9 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
 
     ``system`` is required for the H-parameterized properties and must be
     omitted for the rest.  On a finite carrier a system is its S/C/D/R
-    core (``systems._core_of``), so an H-parameterized verdict is computed
-    once per (property, core, config) and each system's record is its
-    core's, rendered for the system (``_paths_for``).
+    core (``systems._core_of``), so an H-parameterized verdict's paths are
+    computed once per (property, core, config) (``_paths_for``) and each
+    system's record is its core's with ``system`` renamed.
     """
     if property not in _IMPLS:
         raise UsageError(f"unknown property {property!r}; choose from {PROPERTY_IDS}")
@@ -877,16 +861,11 @@ def check(X: FiniteSpace, property: str, system=None, config: RunConfig = DEFAUL
 def _paths_for(X: FiniteSpace, property: str, H: systems.SubsetSystemId | None, config: RunConfig):
     """The paths and evidence of ``property`` for ``H``: with no system,
     its implementation's; else those of H's core, computed once per
-    (property, core, config), and for ``h_sober`` and a system that is
-    not its core, renamed and re-sampled by ``_h_sober_for``."""
+    (property, core, config)."""
     if H is None:
         return _IMPLS[property](X, None, config)
     core = systems._core_of(H)
-    paths, evidence = X.memo(("paths", property, core, config),
-                             lambda: _IMPLS[property](X, systems.SubsetSystemId(core), config))
-    if property == "h_sober" and str(H) != core:
-        return _h_sober_for(X, H, config, paths, evidence)
-    return paths, evidence
+    return X.memo(("paths", property, core, config), lambda: _IMPLS[property](X, systems.SubsetSystemId(core), config))
 
 
 def check_all(X: FiniteSpace, config: RunConfig = DEFAULT) -> list[Verdict]:

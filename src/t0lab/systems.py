@@ -234,17 +234,19 @@ def _topped(X: FiniteSpace) -> Iterable[int]:
 
 
 def _chains(X: FiniteSpace) -> Iterable[int]:
-    """The nonempty chains, each walked down the order from its greatest
-    point.  A step keeps the points strictly below the point it adds,
-    dropping that point's own bit too, so the walk ends on any rows."""
-    down = X.down
+    """The nonempty chains, each walked up the order from its least
+    point along the up rows, as the sampled chains are, so a closure row
+    that misses a point hides no chain from the paths that read closures.
+    A step keeps the points strictly above the point it adds, dropping
+    that point's own bit too, so the walk ends on any rows."""
+    up = X.up
     for x in range(X.n):
-        stack = [(1 << x, down[x] & ~(1 << x))]
+        stack = [(1 << x, up[x] & ~(1 << x))]
         while stack:
             m, allowed = stack.pop()
             yield m
             for y in bits(allowed):
-                stack.append((m | 1 << y, allowed & down[y] & ~(1 << y)))
+                stack.append((m | 1 << y, allowed & up[y] & ~(1 << y)))
 
 
 def _singletons(X: FiniteSpace) -> Iterable[int]:

@@ -244,19 +244,6 @@ def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
                    "Cw": {"name": "families have nonempty intersection (generators)", "value": "true"}}
 
 
-def _core_rendered(record: dict, H: str) -> dict:
-    """A verdict's or battery's JSON as the system H renders it, with the
-    two per-system draws of ``h_sober`` (the split samples' value and
-    count) blanked."""
-    out = json.loads(json.dumps(record))
-    out["system"] = H
-    if out["property"] == "h_sober":
-        out["characterizations"][0]["name"] = f"closed {H}-members are point closures (exhaustive)"
-        out["characterizations"][2]["value"] = None
-        out["evidence"]["sampled_closed_sets"] = None
-    return out
-
-
 def _golden_corpus() -> list:
     """The classes of at most 4 points, the six 8-point random spaces of
     the golden records and the 13-point chain."""
@@ -271,7 +258,7 @@ def test_countable_records_are_their_cores_renamed():
     # on a finite carrier Cω = C, Dω = D and Rω = R; each countable
     # system's records, computed cold on a space of its own, are those
     # check_all and the batteries give its core, with only the system
-    # renamed (and h_sober's exhaustive path name and split draws)
+    # renamed
     for X in _golden_corpus():
         core = {}
         for v in check_all(X):
@@ -283,7 +270,7 @@ def test_countable_records_are_their_cores_renamed():
         for H, base in (("Cw", "C"), ("Dw", "D"), ("Rw", "R")):
             for prop in H_PROPS:
                 got = check(parse_space(doc), prop, H).to_json()
-                assert _core_rendered(got, H) == _core_rendered(core[prop, base], H), (doc, prop, H)
+                assert got == {**core[prop, base], "system": H}, (doc, prop, H)
             for battery in (crosscheck_h_sober, crosscheck_super):
                 got = battery(parse_space(doc), H).to_json()
                 assert got == {**core[battery.__name__, base], "system": H}, (doc, battery, H)
@@ -390,13 +377,49 @@ def test_subset_quantifiers_are_sampled_above_the_subset_cap(diamond):
         assert v.holds and v.characterizations_agreed
 
 
+def test_sober_h_sober_and_h_bounded_draw_only_above_the_subset_cap(monkeypatch, diamond, corpus):
+    # within caps.subset_enum the split, neighbourhood filtration and
+    # under-the-top paths read every closure or member and seed no
+    # generator; above it they draw, and h_sober stays its core's record.
+    # The Smyth spaces that nested verdicts read fit the cap too
+    seeded = Counter()
+    rng = checkers._rng
+    monkeypatch.setattr(checkers, "_rng", lambda config, *parts: seeded.update([parts[0]]) or rng(config, *parts))
+    small = RunConfig(caps=Caps(subset_enum=2))
+    names = {
+        "sober": ["irreducible closed sets have unique generic points", "incomparable-pair split certificates",
+                  "closures: generic point or split (sampled)"],
+        "h_sober": ["closed members are point closures (exhaustive)", "incomparable-pair split certificates",
+                    "closures: generic point or split (sampled)", "neighborhood filtration on members (sampled)"],
+        "h_bounded": ["every member has an upper bound (sampled)",
+                      "members sit under the top of their closure (sampled)"],
+    }
+    five = next(X for X in corpus if X.n == 5 and len(X.nonempty_upsets()) <= Caps().subset_enum)
+    for doc in (diamond.to_doc(), five.to_doc()):
+        seeded.clear()
+        X = parse_space(doc)
+        check_all(X)
+        for H in BASE_IDS:
+            crosscheck_h_sober(X, H)
+            crosscheck_super(X, H)
+        assert not {"split", "hsober", "hbounded2"} & set(seeded), (doc, seeded)
+        for prop, want in names.items():
+            for H in ((None,) if prop == "sober" else BASE_IDS):
+                v = check(X, prop, H, small)
+                assert [n for n, _ in v.characterizations] == want, (doc, prop, H)
+                assert v.holds and v.characterizations_agreed
+        assert {"split", "hsober", "hbounded2"} <= set(seeded)
+        assert check(parse_space(doc), "h_sober", "Cw", small) == \
+            dataclasses.replace(check(X, "h_sober", "C", small), system="Cw")
+
+
 def test_listing_paths_are_skipped_above_the_family_listing_cap(diamond):
     # closed- and open-set listings obey caps.family_listing; a skipped
     # path keeps the name it has when computed
     config = RunConfig(caps=Caps(family_listing=0))
     expected = {
         ("sober", None): ["irreducible closed sets have unique generic points"],
-        ("h_sober", "D"): ["closed D-members are point closures (exhaustive)"],
+        ("h_sober", "D"): ["closed members are point closures (exhaustive)"],
         ("locally_hypercompact", None): [],
     }
     for (prop, H), names in expected.items():
@@ -560,6 +583,11 @@ def test_corrupted_spaces_fail_the_paths_that_read_their_rows(monkeypatch):
     mutants.FAULTS["closure row not a down-set"](monkeypatch)
     assert values("t0") == ["true", "true"]
     assert values("d_space") == ["false", "false", "false"]
+    # on a 2-point chain the fault drops a from b's closure row; the chain
+    # listing walks the up rows, so the exhaustive path still reads the
+    # chain {a, b}, which does not lie under b
+    v = check(parse_space({"points": ["a", "b"], "covers": [["a", "b"]]}), "h_bounded", "C")
+    assert v.characterizations[1] == ("members sit under the top of their closure (exhaustive)", "false")
 
 
 def test_d_space_compares_its_table_with_the_raw_scan(monkeypatch, diamond):

@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "3a11b1d215646fe66f9123d6b3097ca9f9e7b90a72c08e1cef19065eb1763239"
+GOLDEN_SHA256 = "c0fccf067fd242e1ecccf844aa0e2a99faa70d46f987da5a245f847db8438271"
 
 
 def _spaces():
