@@ -9,29 +9,32 @@ different characterization of the property on the instance, and
 ``characterizations_agreed`` reports whether they all concur.
 
 Enumerative paths run raw below the configured caps, and ``Caps`` holds
-every limit they obey: quantifiers over subsets read the memoized member
-table of one S/C/D/R core (``systems._h_members``) within
-``caps.subset_enum`` and seeded samples above it (``_h_sets``),
-listings of closed and open sets run within ``caps.family_listing``,
-families of compacts, the members of the Smyth space's table (an
-H-family of compacts is a point set of H(P_S(X))), within
-``caps.compact_family_enum``, and cut equations over every closed set
-within ``_CUT_EQUATION_PAIRS`` (family, closed set) pairs.  On a
-finite carrier every subset is countable and every derived system is
-the irreducible sets, so Cω = C, Dω = D, Rω = R and each derived system
-is R: a checker reads H only through its S/C/D/R core, every generator
-it draws from is seeded by the core, and each H-parameterized verdict
-and battery is computed once per (property or battery, core, config).
-A system's record is its core's with ``system`` renamed.  The closures
-of every nonempty mask within ``caps.subset_enum``, or of seeded masks
-above it, are decided once per space and config and shared by
-``sober`` and every ``h_sober`` core (``_split_path``).  A path over
-members decides each member mask once per space (``_PerMask``).  Above
-the caps, each path switches to an exact reduced form whose justifying lemma
-(finite chains, directed sets and irreducible sets contain a greatest
-element; finite filtered families contain a least member; the smallest
-open containing an up-set is the set itself) is pinned to the raw code
-by brute-force oracles in the test suite.  Reduced paths still compute
+every limit they obey; no path draws within them.  Quantifiers over H(X)
+read the memoized member table of one S/C/D/R core
+(``systems._h_members``) within ``caps.subset_enum`` and seeded members
+above it (``_h_sets``); quantifiers over all subsets read every nonempty
+mask within it and seeded masks above it (``_masks``); each helper seeds
+its generator only when it draws.  Listings of closed and open sets run
+within ``caps.family_listing``, families of compacts, the members of the
+Smyth space's table (an H-family of compacts is a point set of
+H(P_S(X))), within ``caps.compact_family_enum``, and cut equations over
+every closed set within ``_CUT_EQUATION_PAIRS`` (family, closed set)
+pairs.  On a finite carrier every subset is countable and every derived
+system is the irreducible sets, so Cω = C, Dω = D, Rω = R and each
+derived system is R: a checker reads H only through its S/C/D/R core,
+every generator it draws from is seeded by the core, and each
+H-parameterized verdict and battery is computed once per (property or
+battery, core, config).  A system's record is its core's with
+``system`` renamed.  The closures of ``_masks`` are decided once per
+space and config and shared by ``sober`` and every ``h_sober`` core
+(``_split_path``).  A path over members decides each member mask once
+per space (``_PerMask``); the three ``d_space`` paths share one table
+of principal-closure tops.  Above the caps, each path switches to an
+exact reduced form whose justifying lemma (finite chains, directed sets
+and irreducible sets contain a greatest element; finite filtered
+families contain a least member; the smallest open containing an up-set
+is the set itself) is pinned to the raw code by brute-force oracles in
+the test suite.  Reduced paths still compute
 on the instance: they evaluate the reduced quantifier exhaustively and
 the original quantifier on seeded samples.  A reduced form that would
 only restate its own lemma is skipped, not computed: a family built to
@@ -240,26 +243,38 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
 
 
 # a quantifier's mode as its path name states it
-_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled"}
+_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled", "generators": "generators"}
 
 
-def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, rng: Callable[[], random.Random], count: int):
+def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, count: int, tag: str):
     """(mode, member masks) for quantifying over H(X): ``"raw"`` and the
     member table within ``caps.subset_enum``, else ``"sampled"`` and
-    ``count`` seeded members drawn from the generator ``rng()`` returns,
-    called only then, so the raw path seeds no generator."""
+    ``count`` members drawn from a generator seeded by ``tag``, H and X,
+    seeded only then."""
     if X.n <= config.caps.subset_enum:
         return "raw", systems._h_members(X, systems._core_of(H))
-    return "sampled", _sampled_h_sets(X, H, rng(), count)
+    return "sampled", _sampled_h_sets(X, H, _rng(config, tag, str(H), X.n, X.up[0]), count)
 
 
-def _all_members(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig,
-                 rng: Callable[[], random.Random], ok: Callable[[int], bool]) -> tuple[str, int, bool]:
+def _all_members(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, tag: str,
+                 ok: Callable[[int], bool]) -> tuple[str, int, bool]:
     """(mode, number of members, value) of "``ok`` holds on every member
     of H(X)" over ``_h_sets``: exhaustive within ``caps.subset_enum``, on
     seeded members above it."""
-    mode, members = _h_sets(X, H, config, rng, config.caps.sample_count)
+    mode, members = _h_sets(X, H, config, config.caps.sample_count, tag)
     return mode, len(members), all(ok(m) for m in members)
+
+
+def _masks(X: FiniteSpace, config: RunConfig, tag: str) -> tuple[str, Sequence[int]]:
+    """(mode, masks) for quantifying over the nonempty subsets of X:
+    ``"raw"`` and every nonempty mask within ``caps.subset_enum``, else
+    ``"sampled"`` and the nonzero ones of ``caps.sample_count`` masks drawn
+    from a generator seeded by ``tag`` and X, seeded only then."""
+    if X.n <= config.caps.subset_enum:
+        return "raw", range(1, X.full + 1)
+    getrandbits = _rng(config, tag, X.n, X.up[0]).getrandbits
+    draws = (getrandbits(X.n) for _ in range(config.caps.sample_count))
+    return "sampled", [m for m in draws if m]
 
 
 def _generator_instances(X: FiniteSpace, config: RunConfig) -> list[tuple[tuple[int, ...], str]]:
@@ -514,20 +529,14 @@ def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], c
 
 def _split_path(X: FiniteSpace, config: RunConfig) -> tuple[tuple[str, bool, str], str, int]:
     """``_sober_like``'s third path, its mode and its number of masks:
-    the closure of every nonempty mask within ``caps.subset_enum``, else
-    of each nonzero one of ``caps.sample_count`` seeded masks, is a point
-    closure or splits into two proper closed parts.  Computed once per
+    the closure of each mask of ``_masks`` is a point closure or splits
+    into two proper closed parts.  Computed once per
     space and run config in X's memo (``"split"``), so ``sober`` and
     every ``h_sober`` core share it; each distinct closure is decided
     once."""
 
     def build():
-        if X.n <= config.caps.subset_enum:
-            mode, masks = "raw", range(1, X.full + 1)
-        else:
-            getrandbits = _rng(config, "split", X.n, X.up[0]).getrandbits
-            draws = (getrandbits(X.n) for _ in range(config.caps.sample_count))
-            mode, masks = "sampled", [m for m in draws if m]
+        mode, masks = _masks(X, config, "split")
         value = all([_generic_or_split(X, C) for C in set(map(X.closure_mask, masks))])
         return (f"closures: generic point or split ({_MODE_NAMES[mode]})", value, ""), mode, len(masks)
 
@@ -545,10 +554,10 @@ def _p_sober(X: FiniteSpace, H, config: RunConfig):
 
 
 def _p_d_space(X: FiniteSpace, H, config: RunConfig):
-    paths = []
     evidence = {}
-    enum = X.n <= config.caps.subset_enum
-    if enum:
+    # each member's closure is decided once, for all three paths
+    top = X.memo(("per mask", "principal top"), lambda: _PerMask(lambda m: _principal_top(X, m)))
+    if X.n <= config.caps.subset_enum:
         value = True
         sups = {}
         directed = systems._h_members(X, "D")
@@ -558,38 +567,35 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
             value = False
         for m in directed:
             s = systems._sup_of(X, m)
-            c = X.closure_mask(m)
-            t = X.top_of(c)
-            if s is None or t is None or X.down[t] != c or s != t:
+            if s is None or s != top[m]:
                 value = False
             elif len(sups) < 12:
                 sups[_set_label(X, m)] = X.labels[s]
-        paths.append(("directed sets have sups with principal closures (pairwise)", value, ""))
+        paths = [("directed sets have sups with principal closures (exhaustive)", value, "")]
         evidence["directed_sets"] = len(directed)
         evidence["sups"] = sups
     else:
-        paths.append(("directed sets have sups with principal closures", None, "carrier above enumeration cap"))
+        paths = [("directed sets have sups with principal closures", None, "carrier above enumeration cap")]
     scan = _pair_scan(X)
-    rngd = _rng(config, "dspace", X.n, X.up[0])
-    sampled = _sampled_h_sets(X, systems.SubsetSystemId("D"), rngd, config.caps.sample_count)
-    # the verdict is memoized per space, so its distinct draws are decided
-    # once each, in draw order, with no table kept
-    s_ok = all([_principal_closure(X, m) for m in dict.fromkeys(sampled)])
-    paths.append(("incomparable-pair scan with sampled directed closures", scan["ok"] and s_ok, ""))
+    mode, directed = _h_sets(X, systems.SubsetSystemId("D"), config, config.caps.sample_count, "dspace")
+    value = scan["ok"] and all([top[m] is not None for m in directed])
+    paths.append((f"incomparable-pair scan with directed closures ({_MODE_NAMES[mode]})", value, ""))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
-    evidence["sampled_directed"] = len(sampled)
+    if mode == "sampled":
+        evidence["sampled_directed"] = len(directed)
     # chain criterion: d-space iff chain closures are principal
-    mode, chains = _h_sets(X, systems.SubsetSystemId("C"), config, lambda: rngd, config.caps.sample_count)
-    value = all(X.top_of(X.closure_mask(m)) is not None for m in chains)
-    paths.append(("chain closures are principal" + (" (sampled)" if mode == "sampled" else ""), value, ""))
+    mode, chains = _h_sets(X, systems.SubsetSystemId("C"), config, config.caps.sample_count, "dspace")
+    value = all([top[m] is not None for m in chains])
+    paths.append((f"chain closures are principal ({_MODE_NAMES[mode]})", value, ""))
     return paths, evidence
 
 
-def _principal_closure(X: FiniteSpace, m: int) -> bool:
-    """The closure of ``m`` is the closure of its greatest element."""
+def _principal_top(X: FiniteSpace, m: int) -> int | None:
+    """The greatest element t of the closure of ``m`` when that closure is
+    the closure of t, else None."""
     c = X.closure_mask(m)
     t = X.top_of(c)
-    return t is not None and X.down[t] == c
+    return t if t is not None and X.down[t] == c else None
 
 
 def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
@@ -600,7 +606,7 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
-        paths.append(("filtered families (raw powerset)", value, ""))
+        paths.append(("filtered families (exhaustive)", value, ""))
         evidence["filtered_families"] = len(fams)
     else:
         paths.append(("filtered families", None, "compact families above enumeration cap"))
@@ -622,14 +628,14 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
-        paths.append(("descending chains (raw powerset)", value, ""))
+        paths.append(("descending chains (exhaustive)", value, ""))
         evidence["chains"] = len(fams)
     else:
         paths.append(("descending chains", None, "compact families above enumeration cap"))
     # every family over a finite carrier is countable, so the two notions
     # coincide here; evaluated through the full checker
     v = check(X, "well_filtered", None, config)
-    paths.append(("well-filteredness (countable collapse)", v.holds and v.characterizations_agreed, ""))
+    paths.append(("well-filteredness by countable collapse", v.holds and v.characterizations_agreed, ""))
     # chain-sobriety of the Smyth power space for the countable-chain tag
     v2 = check(powers.smyth(X, config).space, "h_sober", systems.SubsetSystemId("Cw"), config)
     paths.append(("chain-sobriety of the Smyth power space", v2.holds and v2.characterizations_agreed, ""))
@@ -641,8 +647,7 @@ def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     generic = lambda: _generic_points(X, lambda d: systems._member(core, X, d))
     paths, evidence = _sober_like(X, generic, config, "closed members are point closures (exhaustive)")
     # neighborhood filtration: up-bounds inside opens find members
-    rngh = lambda: _rng(config, "hsober", str(H), X.n, X.up[0])
-    mode, members = _h_sets(X, H, config, rngh, config.caps.sample_count)
+    mode, members = _h_sets(X, H, config, config.caps.sample_count, "hsober")
     filtration = X.memo(("per mask", "neighborhood filtration"),
                         lambda: _PerMask(lambda m: _neighborhood_filtered(X, m)))
     value = all([filtration[m] for m in members])
@@ -674,7 +679,7 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all((inter := _meet(X, fam)) != 0 and inter in fam and _filtered(inter, fam, opens) for fam in fams)
-        paths.append(("compact filtration (raw)", value, ""))
+        paths.append(("compact filtration (exhaustive)", value, ""))
     else:
         paths.append(("compact filtration", None, "compact families above enumeration cap"))
     evidence["families"] = len(fams)
@@ -695,23 +700,21 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
 
 
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    rngc = lambda: _rng(config, "hcomplete", str(H), X.n, X.up[0])
-    mode, count, value = _all_members(X, H, config, rngc, lambda m: systems._sup_of(X, m) is not None)
+    mode, count, value = _all_members(X, H, config, "hcomplete", lambda m: systems._sup_of(X, m) is not None)
     paths = [(f"every member has a least upper bound ({_MODE_NAMES[mode]})", value, "")]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     v = check(X, "h_sober", H, config)
-    paths.append(("sobriety for the system (upper-topology biconditional)", v.holds and v.characterizations_agreed, ""))
+    paths.append(("sobriety for the system by the upper-topology biconditional",
+                  v.holds and v.characterizations_agreed, ""))
     return paths, evidence
 
 
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    rngb = lambda: _rng(config, "hbounded", str(H), X.n, X.up[0])
-    mode, count, value = _all_members(X, H, config, rngb, lambda m: X.ubs_mask(m) != 0)
+    mode, count, value = _all_members(X, H, config, "hbounded", lambda m: X.ubs_mask(m) != 0)
     paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     # members carry a greatest element, which bounds them
-    rngm = lambda: _rng(config, "hbounded2", str(H), X.n, X.up[0])
-    mode, members = _h_sets(X, H, config, rngm, config.caps.sample_count)
+    mode, members = _h_sets(X, H, config, config.caps.sample_count, "hbounded2")
     under = X.memo(("per mask", "under the top"), lambda: _PerMask(lambda m: _under_top(X, m)))
     value = all([under[m] for m in members])
     paths.append((f"members sit under the top of their closure ({_MODE_NAMES[mode]})", value, ""))
@@ -729,7 +732,7 @@ def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     evidence = {}
     mode, fams = _families_for(X, H, config)
     value = all(_meet(X, fam) != 0 for fam in fams)
-    paths.append((f"families have nonempty intersection ({mode})", value, ""))
+    paths.append((f"families have nonempty intersection ({_MODE_NAMES[mode]})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_bounded", H, config)
     paths.append(("Smyth power space is H-bounded", v.holds and v.characterizations_agreed, ""))
@@ -741,7 +744,7 @@ def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConf
     evidence = {}
     mode, fams = _families_for(X, H, config)
     value = all((inter := _meet(X, fam)) != 0 and X.is_up(inter) for fam in fams)
-    paths.append((f"family intersections are compact saturated ({mode})", value, ""))
+    paths.append((f"family intersections are compact saturated ({_MODE_NAMES[mode]})", value, ""))
     evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_complete", H, config)
     paths.append(("Smyth power space is H-complete", v.holds and v.characterizations_agreed, ""))
@@ -761,7 +764,7 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
     v1 = check(X, "sober", None, config)
     v2 = check(X, "super_h_sober", H, config)
     paths.append(
-        ("sobriety decomposition (sober = consonant + super-sober)", v1.holds and v2.holds, "")
+        ("sobriety decomposition: sober = consonant + super-sober", v1.holds and v2.holds, "")
     )
     return paths, evidence
 
@@ -804,16 +807,11 @@ def _p_lhc(X: FiniteSpace, H, config: RunConfig):
                 if (U >> x) & 1 and X.up[x] & ~U != 0:
                     value = False
     paths.append(("least neighborhoods are principal filters", value, ""))
-    # sampled opens: saturations of seeded sets contain the principal
-    # filter of each of their points
-    rngl = _rng(config, "lhc", X.n, X.up[0])
-    value = True
-    for _ in range(config.caps.sample_count):
-        U = X.sat_mask(rngl.getrandbits(X.n))
-        for x in bits(U):
-            if X.up[x] & ~U != 0:
-                value = False
-    paths.append(("sampled opens contain principal filters", value, ""))
+    # saturations of masks contain the principal filter of each of their
+    # points, each distinct saturation checked once
+    mode, masks = _masks(X, config, "lhc")
+    value = all(X.up[x] & ~U == 0 for U in set(map(X.sat_mask, masks)) for x in bits(U))
+    paths.append((f"saturations contain principal filters ({_MODE_NAMES[mode]})", value, ""))
     return paths, evidence
 
 
@@ -903,8 +901,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
     boundedness plus the cut equation over the closed members (the
     closures of members) against the closed sets."""
     base = check(X, "h_sober", H, config)
-    rngs = lambda: _rng(config, "hsets", str(H), X.n, X.up[0])
-    mode, hs = _h_sets(X, H, config, rngs, 4 * config.caps.sample_count)
+    mode, hs = _h_sets(X, H, config, 4 * config.caps.sample_count, "hsets")
     closed = X.downsets() if X.n <= config.caps.family_listing else None
     # cuts by the closures of members: the family {up a : a in m} of a
     # singleton member meets the equation whatever sat_mask does, while a

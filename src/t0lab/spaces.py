@@ -452,10 +452,10 @@ class FiniteSpace:
         caps has the caps in its key, so no cap is bypassed by a value
         built under other caps.  A value may be a table filled lazily after
         the build, most often a :class:`_PerMask`: the checkers' per-mask
-        tables (saturated cuts, sampled members' membership, and the
-        sampled paths' split, neighborhood-filtration and under-the-top
-        outcomes), their cut rows, the least upper bounds
-        of ``systems`` and its family orders (``"family spaces"``, keyed by
+        tables (saturated cuts, sampled members' membership, the
+        neighborhood-filtration and under-the-top outcomes, and
+        ``d_space``'s principal tops), their cut rows, the least upper
+        bounds of ``systems`` and its family orders (``"family spaces"``, keyed by
         a family's mask tuple), the map tables of ``powers`` and
         ``construct``, and the escaped labels (``"escaped labels"``) that
         every derived label reads.  On a power space's own space,

@@ -396,7 +396,7 @@ def detections(values: dict) -> dict:
 
 # the mode suffixes a path name carries; the kill table keys paths without
 # them, so that one path in two modes is one row
-_MODES = (" (raw powerset)", " (raw)", " (generators)", " (sampled)", " (exhaustive)", " (pairwise)")
+_MODES = tuple(f" ({name})" for name in checkers._MODE_NAMES.values())
 
 
 def _path_key(name: str) -> str:

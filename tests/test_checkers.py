@@ -240,7 +240,7 @@ def test_paths_shared_per_core_follow_the_caps_in_force(monkeypatch, anti3):
             for H, config in order:
                 assert [check(X, prop, H, config).to_json() for prop in H_PROPS] == cold[H, config], (faulty, H)
     hip = {H: cold[H, config][H_PROPS.index("hip")]["characterizations"][0] for H, config in runs}
-    assert hip == {"C": {"name": "families have nonempty intersection (raw)", "value": "false"},
+    assert hip == {"C": {"name": "families have nonempty intersection (exhaustive)", "value": "false"},
                    "Cw": {"name": "families have nonempty intersection (generators)", "value": "true"}}
 
 
@@ -259,10 +259,14 @@ def test_countable_records_are_their_cores_renamed():
     # system's records, computed cold on a space of its own, are those
     # check_all and the batteries give its core, with only the system
     # renamed
+    modes = {f"({name})" for name in checkers._MODE_NAMES.values()}
     for X in _golden_corpus():
         core = {}
         for v in check_all(X):
             core[v.property, v.system] = v.to_json()
+            # a path name's trailing parenthesis names its mode, and only that
+            for name, _ in v.characterizations:
+                assert not name.endswith(")") or name[name.rindex(" (") + 1:] in modes, name
         for H in ("S", "C", "D", "R"):
             for battery in (crosscheck_h_sober, crosscheck_super):
                 core[battery.__name__, H] = battery(X, H).to_json()
@@ -355,7 +359,7 @@ def test_super_compact_filtration_is_skipped_above_the_compact_family_cap(diamon
         assert v.characterizations[1] == ("compact filtration", "skipped: compact families above enumeration cap")
         assert len(active_values(v)) == 3
         assert v.holds and v.characterizations_agreed
-    assert check(diamond, "super_h_sober", "D").characterizations[1] == ("compact filtration (raw)", "true")
+    assert check(diamond, "super_h_sober", "D").characterizations[1] == ("compact filtration (exhaustive)", "true")
 
 
 def test_subset_quantifiers_are_sampled_above_the_subset_cap(diamond):
@@ -377,11 +381,12 @@ def test_subset_quantifiers_are_sampled_above_the_subset_cap(diamond):
         assert v.holds and v.characterizations_agreed
 
 
-def test_sober_h_sober_and_h_bounded_draw_only_above_the_subset_cap(monkeypatch, diamond, corpus):
-    # within caps.subset_enum the split, neighbourhood filtration and
-    # under-the-top paths read every closure or member and seed no
-    # generator; above it they draw, and h_sober stays its core's record.
-    # The Smyth spaces that nested verdicts read fit the cap too
+def test_checker_paths_draw_only_above_the_subset_cap(monkeypatch, diamond, corpus):
+    # within caps.subset_enum the split, neighbourhood filtration,
+    # under-the-top, d_space and saturation paths read every closure,
+    # member or mask and seed no generator; above it they draw, and
+    # h_sober stays its core's record.  The Smyth spaces that nested
+    # verdicts read fit the cap too
     seeded = Counter()
     rng = checkers._rng
     monkeypatch.setattr(checkers, "_rng", lambda config, *parts: seeded.update([parts[0]]) or rng(config, *parts))
@@ -393,7 +398,13 @@ def test_sober_h_sober_and_h_bounded_draw_only_above_the_subset_cap(monkeypatch,
                     "closures: generic point or split (sampled)", "neighborhood filtration on members (sampled)"],
         "h_bounded": ["every member has an upper bound (sampled)",
                       "members sit under the top of their closure (sampled)"],
+        "d_space": ["directed sets have sups with principal closures",
+                    "incomparable-pair scan with directed closures (sampled)",
+                    "chain closures are principal (sampled)"],
+        "locally_hypercompact": ["least neighborhoods are principal filters",
+                                 "saturations contain principal filters (sampled)"],
     }
+    tags = {"split", "hsober", "hbounded2", "dspace", "lhc"}
     five = next(X for X in corpus if X.n == 5 and len(X.nonempty_upsets()) <= Caps().subset_enum)
     for doc in (diamond.to_doc(), five.to_doc()):
         seeded.clear()
@@ -402,13 +413,13 @@ def test_sober_h_sober_and_h_bounded_draw_only_above_the_subset_cap(monkeypatch,
         for H in BASE_IDS:
             crosscheck_h_sober(X, H)
             crosscheck_super(X, H)
-        assert not {"split", "hsober", "hbounded2"} & set(seeded), (doc, seeded)
+        assert not tags & set(seeded), (doc, seeded)
         for prop, want in names.items():
-            for H in ((None,) if prop == "sober" else BASE_IDS):
+            for H in (BASE_IDS if prop in H_PROPS else (None,)):
                 v = check(X, prop, H, small)
                 assert [n for n, _ in v.characterizations] == want, (doc, prop, H)
                 assert v.holds and v.characterizations_agreed
-        assert {"split", "hsober", "hbounded2"} <= set(seeded)
+        assert tags <= set(seeded)
         assert check(parse_space(doc), "h_sober", "Cw", small) == \
             dataclasses.replace(check(X, "h_sober", "C", small), system="Cw")
 
@@ -511,7 +522,7 @@ def test_compact_meets_path_detects_unsaturated_meets(monkeypatch, anti3):
     # the other 3-point spaces the Smyth certification raises first
     mutants.FAULTS["is_up false on pairs"](monkeypatch)
     v = check(parse_space(anti3.to_doc()), "smyth_h_complete", "D")
-    assert dict(v.characterizations)["family intersections are compact saturated (raw)"] == "false"
+    assert dict(v.characterizations)["family intersections are compact saturated (exhaustive)"] == "false"
 
 
 def test_h_sober_battery_cuts_by_closures_of_members(monkeypatch):
@@ -795,16 +806,18 @@ def _system_json(X, H, config: RunConfig = RunConfig()) -> list:
     return out + [crosscheck_super(space(), H, config).to_json()]
 
 
-_SAMPLED_PREDICATES = ("_generic_or_split", "_principal_closure", "_neighborhood_filtered", "_under_top")
+# each per-mask predicate of a path, with its failing value
+_SAMPLED_PREDICATES = {"_generic_or_split": False, "_principal_top": None, "_neighborhood_filtered": False,
+                       "_under_top": False}
 
 
 @pytest.mark.parametrize("fault", [None, "non-monotone sat_mask", *_SAMPLED_PREDICATES])
 def test_warm_mask_tables_change_no_verdict(monkeypatch, corpus, fault):
     # a cold space per verdict against one whose per-mask tables were
     # filled by a run under other caps and by the systems checked before;
-    # a sampled predicate made false shows a table shared across paths
+    # a per-mask predicate made to fail shows a table shared across paths
     if fault in _SAMPLED_PREDICATES:
-        monkeypatch.setattr(checkers, fault, lambda X, m: False)
+        monkeypatch.setattr(checkers, fault, lambda X, m: _SAMPLED_PREDICATES[fault])
     elif fault:
         mutants.FAULTS[fault](monkeypatch)
     computed = Counter()

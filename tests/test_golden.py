@@ -14,7 +14,7 @@ import random
 from t0lab import check_all, construct, crosscheck_h_sober, crosscheck_super, enumerate_posets, parse_space, powers, random_space
 from t0lab.systems import BASE_IDS
 
-GOLDEN_SHA256 = "c0fccf067fd242e1ecccf844aa0e2a99faa70d46f987da5a245f847db8438271"
+GOLDEN_SHA256 = "7868adc95d4dd43e8579e990fc1050b30a079e321c26395a8cb4ac75e2a993d7"
 
 
 def _spaces():
