@@ -31,7 +31,6 @@ from .construct import (
     reflect,
     universal_property_verify,
 )
-from .zoo import verify_claim, list_claims
 
 __version__ = "0.1.0"
 
@@ -71,3 +70,11 @@ __all__ = [
     "list_claims",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the zoo loads on first use: no check, sweep or construction reads it
+    if name in ("verify_claim", "list_claims"):
+        from . import zoo
+        return getattr(zoo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

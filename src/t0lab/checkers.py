@@ -63,7 +63,6 @@ __all__ = [
     "check_all",
     "crosscheck_h_sober",
     "crosscheck_super",
-    "upper_topology_report",
     "validate_evidence",
 ]
 
@@ -983,32 +982,6 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
 
 
 # -- auxiliary reports ----------------------------------------------------
-
-
-def upper_topology_report(P: FiniteSpace, H, config: RunConfig = DEFAULT) -> Verdict:
-    """For a finite poset carrying its upper topology: that topology equals
-    the up-set topology (each principal filter is a finite intersection of
-    complements of point closures — computed), and sobriety for the system
-    holds iff every member has a least upper bound (both sides evaluated).
-    """
-    H = systems.as_system(H)
-    upper_ok = True
-    for x in range(P.n):
-        comp = P.full & ~P.up[x]
-        acc = P.full
-        for m in bits(P.max_mask(comp)):
-            acc &= P.full & ~P.down[m]
-        if acc != P.up[x]:
-            upper_ok = False
-    v1 = check(P, "h_sober", H, config)
-    v2 = check(P, "h_complete", H, config)
-    paths = [
-        ("upper topology equals up-set topology", upper_ok, ""),
-        ("sobriety for the system", v1.holds, ""),
-        ("completeness for the system", v2.holds, ""),
-        ("biconditional", v1.holds == v2.holds, ""),
-    ]
-    return _mk_verdict("upper_topology_biconditional", H, paths, {"points": P.n})
 
 
 def validate_evidence(X: FiniteSpace, verdict: Verdict) -> bool:

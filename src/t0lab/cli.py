@@ -15,7 +15,7 @@ import sys
 from .config import Caps, DEFAULT, RunConfig
 from .errors import CapExceeded, InternalError, SpaceParseError, T0LabError, UsageError
 from .spaces import FiniteSpace, parse_space, random_space, to_dot
-from . import checkers, construct, powers, systems, zoo
+from . import checkers, construct, powers, systems
 
 _CAP_NAMES = [f.name for f in dataclasses.fields(Caps)]
 
@@ -184,6 +184,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
+    from . import zoo
     if args.zoo_space is None:
         _emit(args, {"spaces": sorted(zoo.SPACES), "claims": [
             f"{s}.{c}" for s, c in zoo.list_claims()

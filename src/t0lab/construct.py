@@ -1,6 +1,6 @@
 """Categorical constructions: products, map enumeration, function spaces,
-equalizers, retracts, poset enumeration up to isomorphism, and the
-sobriety-style reflections with their universal property."""
+poset enumeration up to isomorphism, and the sobriety-style reflections
+with their universal property."""
 from __future__ import annotations
 
 import random
@@ -18,23 +18,19 @@ from .errors import (
     UsageError,
 )
 from .spaces import FiniteSpace, SpaceMap, _PerMask, _map_label, _pair_labels, _point_columns, bits
-from . import checkers, powers, systems
+from . import powers, systems
 
 __all__ = [
     "Product",
     "product",
     "continuous_maps",
     "function_space",
-    "Equalizer",
-    "equalizer",
-    "retract_verify",
     "enumerate_posets",
     "homeomorphic",
     "Reflection",
     "reflect",
     "universal_property_verify",
     "reflection_functor",
-    "functor_laws",
     "product_preservation",
 ]
 
@@ -170,57 +166,6 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
     return F
 
 
-# -- equalizers and retracts ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class Equalizer:
-    space: FiniteSpace | None  # None when the equalizer is empty
-    inclusion: SpaceMap | None
-    is_empty: bool
-
-
-def equalizer(f: SpaceMap, g: SpaceMap) -> Equalizer:
-    if f.source is not g.source or f.target is not g.target:
-        raise EndpointMismatch("equalizer needs two parallel maps")
-    mask = 0
-    for i in range(f.source.n):
-        if f.table[i] == g.table[i]:
-            mask |= 1 << i
-    if mask == 0:
-        return Equalizer(space=None, inclusion=None, is_empty=True)
-    E = f.source.subspace(mask)
-    # the subspace carries the induced order, so its inclusion is monotone
-    incl = SpaceMap._trusted(E, f.source, tuple(bits(mask)))
-    return Equalizer(space=E, inclusion=incl, is_empty=False)
-
-
-def retract_verify(section: SpaceMap, retraction: SpaceMap, config: RunConfig = DEFAULT) -> dict:
-    """Check r . s = id and that the ambient space's properties transfer
-    to the retract (evaluated, not assumed)."""
-    if section.target is not retraction.source or section.source is not retraction.target:
-        raise EndpointMismatch("section and retraction endpoints do not match")
-    A, X = section.source, section.target
-    ident = section.then(retraction).table == tuple(range(A.n))
-    transfers = {}
-    ok = ident
-    for prop, sysid in [
-        ("sober", None),
-        ("d_space", None),
-        ("well_filtered", None),
-        ("h_sober", "D"),
-        ("h_sober", "R"),
-        ("super_h_sober", "R"),
-    ]:
-        vx = checkers.check(X, prop, sysid, config)
-        va = checkers.check(A, prop, sysid, config)
-        name = prop if sysid is None else f"{prop}[{sysid}]"
-        transfers[name] = {"ambient": vx.holds, "retract": va.holds}
-        if vx.holds and not va.holds:
-            ok = False
-    return {"identity": ident, "transfers": transfers, "ok": ok}
-
-
 # -- poset enumeration up to isomorphism ----------------------------------
 
 _POSET_CACHE: dict[tuple[int, str], list[FiniteSpace]] = {}
@@ -272,9 +217,12 @@ def _canon_key(n: int, up: list[int]) -> tuple:
 def enumerate_posets(n: int, prefix: str = "p") -> list[FiniteSpace]:
     """All T0 spaces on n points up to homeomorphism.
 
-    Generates naturally labeled posets (strict relations pointing up a
-    linear extension) by choosing, for each new point, a down-closed set
-    of predecessors, then dedupes by a canonical relabeling key.
+    Deleting a maximal point of a poset on n points leaves a poset on
+    n - 1 points, and the deleted point sat above a down-set of it.  So
+    each class one point smaller, extended by a new greatest-index point
+    above each of its down-sets (the empty one included), gives every
+    class; the candidates are deduped by a canonical relabeling key and
+    returned in key order.
     """
     if n < 1 or n > 7:
         raise CapExceeded("poset enumeration supports 1..7 points")
@@ -282,35 +230,16 @@ def enumerate_posets(n: int, prefix: str = "p") -> list[FiniteSpace]:
     if cached is not None:
         return list(cached)
     labels = [f"{prefix}{i}" for i in range(n)]
-    results: dict[tuple, list[int]] = {}
-    up: list[int] = []
-
-    def rec(k: int):
-        if k == n:
-            key = _canon_key(n, up)
-            if key not in results:
-                results[key] = list(up)
-            return
-        # choose the strict down-set of point k among 0..k-1; down-closure
-        # means a point outside m may not lie under any point of m
-        for m in range(1 << k):
-            ok = True
-            for i in range(k):
-                if not (m >> i) & 1 and up[i] & m & ~(1 << i):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for j in bits(m):
-                up[j] |= 1 << k
-            up.append(1 << k)
-            rec(k + 1)
-            up.pop()
-            for j in bits(m):
-                up[j] &= ~(1 << k)
-
-    rec(0)
-    out = [FiniteSpace(labels, list(key)) for key in sorted(results)]
+    top = 1 << (n - 1)
+    if n == 1:
+        keys = {(top,)}
+    else:
+        keys = {
+            _canon_key(n, [row | top if (d >> i) & 1 else row for i, row in enumerate(R.up)] + [top])
+            for R in enumerate_posets(n - 1, prefix)
+            for d in R.downsets()
+        }
+    out = [FiniteSpace(labels, list(key)) for key in sorted(keys)]
     _POSET_CACHE[(n, prefix)] = out
     return list(out)
 
@@ -497,26 +426,6 @@ def reflection_functor(refl_X: Reflection, refl_Y: Reflection, f: SpaceMap) -> S
     if refl_X.unit.then(Rf).table != tuple(refl_Y.unit.table[y] for y in f.table):
         raise InternalError("lift is not natural in the units")  # unreachable
     return Rf
-
-
-def functor_laws(
-    refl_X: Reflection,
-    refl_Y: Reflection,
-    refl_Z: Reflection,
-    f: SpaceMap,
-    g: SpaceMap,
-) -> dict:
-    """Identity and composition laws for the reflection functor on a given
-    composable pair."""
-    idX = SpaceMap.identity(refl_X.base)
-    lid = reflection_functor(refl_X, refl_X, idX)
-    lf = reflection_functor(refl_X, refl_Y, f)
-    lg = reflection_functor(refl_Y, refl_Z, g)
-    lgf = reflection_functor(refl_X, refl_Z, f.then(g))
-    return {
-        "identity": lid.table == tuple(range(refl_X.space.n)),
-        "composition": lf.then(lg).table == lgf.table,
-    }
 
 
 def product_preservation(

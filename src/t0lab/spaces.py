@@ -167,7 +167,7 @@ class FiniteSpace:
     # the ``_t_*`` slots hold the kernel's join tables, each set on first use
     __slots__ = (
         "labels", "up", "down", "n", "full", "_index", "_cache",
-        "_t_down", "_t_up", "_t_not_up", "_t_not_down", "_t_below", "_t_above",
+        "_t_down", "_t_up", "_t_not_up", "_t_below", "_t_above",
     )
 
     def __init__(self, labels: Sequence[str], up: Sequence[int]):
@@ -365,13 +365,6 @@ class FiniteSpace:
             t = self._keep("_t_not_up", [self.full ^ r for r in self.up])
         return self.full & ~_join(t, mask)
 
-    def lbs_mask(self, mask: int) -> int:
-        try:
-            t = self._t_not_down
-        except AttributeError:
-            t = self._keep("_t_not_down", [self.full ^ r for r in self.down])
-        return self.full & ~_join(t, mask)
-
     def max_mask(self, mask: int) -> int:
         # a point of mask is maximal iff it lies strictly below no point of it
         try:
@@ -513,9 +506,6 @@ class FiniteSpace:
                 r |= 1 << pos[j]
             rows.append(r)
         return FiniteSpace(tuple(self.labels[i] for i in keep), rows)
-
-    def same_structure(self, other: "FiniteSpace") -> bool:
-        return self.labels == other.labels and self.up == other.up
 
 
 class _PerMask(dict):
@@ -666,12 +656,6 @@ class CompactSat(PointSet):
                 f"{list(self.space.labels_of(self.mask))} is not saturated "
                 f"(not an up-set)"
             )
-
-    def smyth_leq(self, other: "CompactSat") -> bool:
-        """Smyth order: K1 below K2 iff K2 is contained in K1."""
-        if self.space is not other.space:
-            raise SpaceMismatch("subsets belong to different spaces")
-        return other.mask & ~self.mask == 0
 
 
 def _as_mask(space: FiniteSpace, A) -> int:
@@ -839,15 +823,6 @@ class SpaceMap:
     @classmethod
     def identity(cls, X: FiniteSpace) -> "SpaceMap":
         return cls(X, X, tuple(range(X.n)))
-
-    @classmethod
-    def from_labels(cls, X: FiniteSpace, Y: FiniteSpace, mapping: dict) -> "SpaceMap":
-        table = []
-        for l in X.labels:
-            if l not in mapping:
-                raise UsageError(f"map does not cover point {l!r}")
-            table.append(Y.index(mapping[l]))
-        return cls(X, Y, tuple(table))
 
     def __call__(self, i: int) -> int:
         return self.table[i]

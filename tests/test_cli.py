@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,50 @@ def test_zoo_claim_verification(capsys):
 def test_zoo_unknown_claim(capsys):
     code, _ = run(capsys, "zoo", "johnstone", "is_a_lattice")
     assert code == 2
+
+
+# a fresh interpreter: import t0lab, run ``check`` and then ``zoo`` through
+# runpy as ``python -m t0lab`` would, noting after each step whether the zoo
+# module is loaded
+_FRESH_PROCESS = """
+import contextlib, io, json, runpy, sys
+space = sys.argv[1]
+import t0lab
+loaded = ["t0lab.zoo" in sys.modules]
+
+
+def cli(*argv):
+    sys.argv = ["t0lab", *argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("t0lab", run_name="__main__")
+        except SystemExit as e:
+            return [e.code, out.getvalue()]
+
+
+check = cli("check", space)
+loaded.append("t0lab.zoo" in sys.modules)
+claims = t0lab.list_claims()
+from t0lab import verify_claim
+print(json.dumps({
+    "loaded": loaded, "check": check, "claims": claims, "zoo": cli("zoo", "johnstone", "not_well_filtered"),
+    "verify_claim": verify_claim is sys.modules["t0lab.zoo"].verify_claim,
+}))
+"""
+
+
+def test_the_zoo_loads_on_first_use(capsys, diamond_doc):
+    from t0lab import zoo
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, diamond_doc], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == [False, False]
+    assert doc["check"] == list(run(capsys, "check", diamond_doc))
+    assert doc["claims"] == [list(c) for c in zoo.list_claims()] and doc["verify_claim"]
+    assert doc["zoo"] == list(run(capsys, "zoo", "johnstone", "not_well_filtered"))
 
 
 # -- sweep -----------------------------------------------------------------

@@ -21,14 +21,7 @@ from t0lab import (
     universal_property_verify,
 )
 from t0lab.config import DEFAULT, Caps, RunConfig
-from t0lab.construct import (
-    _KINDS,
-    equalizer,
-    functor_laws,
-    product_preservation,
-    reflection_functor,
-    retract_verify,
-)
+from t0lab.construct import _KINDS, product_preservation, reflection_functor
 from t0lab.errors import (
     CapExceeded,
     EndpointMismatch,
@@ -40,8 +33,8 @@ from t0lab.spaces import SpaceMap, bits, mask_of_indices
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
-# classes of T0 spaces on 1..6 points up to homeomorphism
-POSET_COUNTS = [1, 2, 5, 16, 63, 318]
+# classes of T0 spaces on 1..7 points up to homeomorphism (OEIS A000112)
+POSET_COUNTS = [1, 2, 5, 16, 63, 318, 2045]
 
 
 # -- products --------------------------------------------------------------
@@ -134,26 +127,61 @@ def test_function_space_from_a_point_is_the_target(diamond):
 # -- equalizers and retracts ----------------------------------------------
 
 
+def equalizer(f: SpaceMap, g: SpaceMap) -> SpaceMap | None:
+    """The inclusion of the subspace where f and g agree, or None when
+    they agree nowhere."""
+    if f.source is not g.source or f.target is not g.target:
+        raise EndpointMismatch("equalizer needs two parallel maps")
+    mask = mask_of_indices([i for i in range(f.source.n) if f.table[i] == g.table[i]])
+    if mask == 0:
+        return None
+    return SpaceMap(f.source.subspace(mask), f.source, tuple(bits(mask)))
+
+
+def retract_verify(section: SpaceMap, retraction: SpaceMap) -> dict:
+    """Check r . s = id and that the ambient space's properties transfer
+    to the retract (evaluated, not assumed)."""
+    if section.target is not retraction.source or section.source is not retraction.target:
+        raise EndpointMismatch("section and retraction endpoints do not match")
+    A, X = section.source, section.target
+    ident = section.then(retraction).table == tuple(range(A.n))
+    transfers = {}
+    ok = ident
+    for prop, sysid in [
+        ("sober", None),
+        ("d_space", None),
+        ("well_filtered", None),
+        ("h_sober", "D"),
+        ("h_sober", "R"),
+        ("super_h_sober", "R"),
+    ]:
+        vx = checkers.check(X, prop, sysid)
+        va = checkers.check(A, prop, sysid)
+        name = prop if sysid is None else f"{prop}[{sysid}]"
+        transfers[name] = {"ambient": vx.holds, "retract": va.holds}
+        if vx.holds and not va.holds:
+            ok = False
+    return {"identity": ident, "transfers": transfers, "ok": ok}
+
+
 def test_equalizer_of_a_parallel_pair(diamond, sier):
-    f = SpaceMap.from_labels(
+    f = oracles.map_from_labels(
         diamond, sier, {"bot": "a", "l": "a", "r": "b", "top": "b"}
     )
-    g = SpaceMap.from_labels(
+    g = oracles.map_from_labels(
         diamond, sier, {"bot": "a", "l": "b", "r": "b", "top": "b"}
     )
     E = equalizer(f, g)
-    assert not E.is_empty
-    assert set(E.space.labels) == {"bot", "r", "top"}
-    assert E.inclusion.is_order_embedding()
+    assert set(E.source.labels) == {"bot", "r", "top"}
+    assert E.is_order_embedding()
     same = equalizer(f, f)
-    assert same.space.n == diamond.n
+    assert same.source.n == diamond.n
 
 
 def test_equalizer_can_be_empty(sier):
-    const_a = SpaceMap.from_labels(sier, sier, {"a": "a", "b": "a"})
-    const_b = SpaceMap.from_labels(sier, sier, {"a": "b", "b": "b"})
-    E = equalizer(const_a, const_b)
-    assert E.is_empty and E.space is None and E.inclusion is None
+    const_a = oracles.map_from_labels(sier, sier, {"a": "a", "b": "a"})
+    const_b = oracles.map_from_labels(sier, sier, {"a": "b", "b": "b"})
+    assert equalizer(const_a, const_b) is None
 
 
 def test_equalizer_endpoint_mismatch(sier, diamond):
@@ -165,8 +193,8 @@ def test_equalizer_endpoint_mismatch(sier, diamond):
 
 def test_retract_verify(diamond):
     A = diamond.subspace(diamond.mask_of(["bot", "top"]))
-    s = SpaceMap.from_labels(A, diamond, {"bot": "bot", "top": "top"})
-    r = SpaceMap.from_labels(
+    s = oracles.map_from_labels(A, diamond, {"bot": "bot", "top": "top"})
+    r = oracles.map_from_labels(
         diamond, A, {"bot": "bot", "l": "bot", "r": "bot", "top": "top"}
     )
     rep = retract_verify(s, r)
@@ -182,6 +210,16 @@ def test_retract_verify(diamond):
 def test_poset_counts_are_the_known_ones():
     for n, want in enumerate(POSET_COUNTS, start=1):
         assert len(enumerate_posets(n)) == want
+
+
+@pytest.mark.parametrize("prefix", ["p", "q_"])
+def test_enumerate_posets_is_the_natural_labelling_generator(prefix):
+    # rows, order and labels of every class up to 6 points, against every
+    # naturally labelled poset deduped by the same canonical key
+    for n in range(1, 7):
+        labels = tuple(f"{prefix}{i}" for i in range(n))
+        got = [(X.labels, X.up) for X in enumerate_posets(n, prefix)]
+        assert got == [(labels, rows) for rows in oracles.naturally_labelled_posets(n)], n
 
 
 def test_enumerated_classes_are_pairwise_distinct():
@@ -321,7 +359,7 @@ def test_universal_property_against_small_targets(diamond):
 
 def test_universal_property_single_map(sier, diamond):
     refl = reflect(sier, "D")
-    f = SpaceMap.from_labels(sier, diamond, {"a": "bot", "b": "top"})
+    f = oracles.map_from_labels(sier, diamond, {"a": "bot", "b": "top"})
     rep = universal_property_verify(refl, diamond, f)
     assert rep["ok"] and rep["maps_checked"] == 1
     with pytest.raises(EndpointMismatch):
@@ -394,10 +432,23 @@ def test_universal_property_reports_are_the_per_member_ones(all_posets, monkeypa
     assert reports(universal_property_verify) == got
 
 
+def functor_laws(refl_X, refl_Y, refl_Z, f: SpaceMap, g: SpaceMap) -> dict:
+    """Identity and composition laws for the reflection functor on a given
+    composable pair."""
+    lid = reflection_functor(refl_X, refl_X, SpaceMap.identity(refl_X.base))
+    lf = reflection_functor(refl_X, refl_Y, f)
+    lg = reflection_functor(refl_Y, refl_Z, g)
+    lgf = reflection_functor(refl_X, refl_Z, f.then(g))
+    return {
+        "identity": lid.table == tuple(range(refl_X.space.n)),
+        "composition": lf.then(lg).table == lgf.table,
+    }
+
+
 def test_reflection_functor_laws(sier, diamond, anti3):
     rX, rY, rZ = reflect(sier, "R"), reflect(diamond, "R"), reflect(anti3, "R")
-    f = SpaceMap.from_labels(sier, diamond, {"a": "bot", "b": "top"})
-    g = SpaceMap.from_labels(
+    f = oracles.map_from_labels(sier, diamond, {"a": "bot", "b": "top"})
+    g = oracles.map_from_labels(
         diamond, anti3, {"bot": "y", "l": "y", "r": "y", "top": "y"}
     )
     lifted = reflection_functor(rX, rY, f)
