@@ -6,7 +6,10 @@ sober, hence d-spaces, well-filtered, and H-sober and super-H-sober for
 every system in this package).  The value of a checker is therefore not
 the boolean but the *certificate*: each path genuinely evaluates a
 different characterization of the property on the instance, and
-``characterizations_agreed`` reports whether they all concur.
+``characterizations_agreed`` reports whether they all concur.  Each path
+is a ``Path`` record of name, value (None when skipped, with a reason)
+and quantifier mode; ``Path.rendered`` alone writes a mode into a name,
+for ``Verdict.characterizations`` and the JSON.
 
 Enumerative paths run raw below the configured caps, and ``Caps`` holds
 every limit they obey; no path draws within them.  Quantifiers over H(X)
@@ -48,7 +51,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import wraps
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, MissingSystem, UsageError
@@ -56,6 +59,7 @@ from .spaces import FiniteSpace, _PerMask, _set_label, _set_mask, bits
 from . import powers, systems
 
 __all__ = [
+    "Path",
     "Verdict",
     "CrossReport",
     "PROPERTY_IDS",
@@ -80,14 +84,46 @@ _H_REQUIRED = {
     "h_consonant",
 }
 
+# a quantifier's mode as a rendered path name states it
+_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled", "generators": "generators"}
+
+
+class Path(NamedTuple):
+    """One characterization as evaluated; ``value`` None means skipped,
+    for ``reason``.  ``mode`` is the quantifier's, in the words of
+    ``CrossReport.modes``; None for a path over no listing.  A named
+    tuple, since one ``check_all`` builds a hundred or more of them and
+    a frozen dataclass takes about three times as long to build."""
+    name: str
+    value: bool | None
+    mode: str | None = None
+    reason: str = ""
+
+    def rendered(self) -> tuple[str, str]:
+        """(name with a computed path's mode, "true"/"false"/"skipped: …")"""
+        if self.value is None:
+            return self.name, f"skipped: {self.reason}"
+        name = self.name if self.mode is None else f"{self.name} ({_MODE_NAMES[self.mode]})"
+        return name, "true" if self.value else "false"
+
+
 @dataclass(frozen=True)
 class Verdict:
     property: str
     system: str | None
     holds: bool
-    characterizations: tuple[tuple[str, str], ...]  # (name, "true"/"false"/"skipped: …")
+    paths: tuple[Path, ...]
     characterizations_agreed: bool
     evidence: dict
+
+    @property
+    def characterizations(self) -> tuple[tuple[str, str], ...]:
+        return tuple(p.rendered() for p in self.paths)
+
+    @property
+    def ok(self) -> bool:
+        """The property holds and every computed path agrees."""
+        return self.holds and self.characterizations_agreed
 
     def to_json(self) -> dict:
         return {
@@ -239,10 +275,6 @@ def _sampled_h_sets(P: FiniteSpace, H: systems.SubsetSystemId, rng: random.Rando
         if member[m]:
             out.append(m)
     return out
-
-
-# a quantifier's mode as its path name states it
-_MODE_NAMES = {"raw": "exhaustive", "sampled": "sampled", "generators": "generators"}
 
 
 def _h_sets(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig, count: int, tag: str):
@@ -430,23 +462,14 @@ def _psi_ok(X: FiniteSpace, config: RunConfig) -> bool:
 # -- verdict assembly -----------------------------------------------------
 
 
-def _mk_verdict(prop: str, system, paths: list[tuple[str, bool | None, str]], evidence: dict) -> Verdict:
-    chars = []
-    values = []
-    for name, value, note in paths:
-        if value is None:
-            chars.append((name, f"skipped: {note}"))
-        else:
-            chars.append((name, "true" if value else "false"))
-            values.append(value)
-    agreed = len(values) >= 2 and len(set(values)) == 1
-    holds = values[0] if values else False
+def _mk_verdict(prop: str, system, paths: list[Path], evidence: dict) -> Verdict:
+    values = [p.value for p in paths if p.value is not None]
     return Verdict(
         property=prop,
         system=str(system) if system is not None else None,
-        holds=holds,
-        characterizations=tuple(chars),
-        characterizations_agreed=agreed,
+        holds=values[0] if values else False,
+        paths=tuple(paths),
+        characterizations_agreed=len(values) >= 2 and len(set(values)) == 1,
         evidence=evidence,
     )
 
@@ -473,11 +496,7 @@ def _p_t0(X: FiniteSpace, H, config: RunConfig):
             if (X.up[j] >> i) & 1:
                 anti = False
     distinct = len({X.down[i] for i in range(X.n)}) == X.n
-    paths = [
-        ("antisymmetry", anti, ""),
-        ("distinct point closures", distinct, ""),
-    ]
-    return paths, {"points": X.n}
+    return [Path("antisymmetry", anti), Path("distinct point closures", distinct)], {"points": X.n}
 
 
 def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[bool, dict, int]:
@@ -500,34 +519,35 @@ def _generic_points(X: FiniteSpace, members: Callable[[int], bool]) -> tuple[boo
     return value, table, len(hc)
 
 
-def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], config: RunConfig, name: str):
+def _sober_like(X: FiniteSpace, generic: Callable[[], tuple[bool, dict, int]], config: RunConfig, name: str,
+                mode: str | None = None):
     """Shared engine for sober/h_sober: every member-closed set is a
     point closure with a unique generic point, exhaustively by
     ``generic()`` (``_generic_points``, called within
-    ``caps.family_listing`` only), under ``name`` computed or skipped."""
+    ``caps.family_listing`` only), the path ``name`` in ``mode``."""
     paths = []
     evidence = {}
     # 1: definitional family equality over enumerated closed sets
     if X.n <= config.caps.family_listing:
         value, table, count = generic()
-        paths.append((name, value, ""))
+        paths.append(Path(name, value, mode))
         evidence["generic_points"] = _truncate(table)
         evidence["closed_members"] = count
     else:
-        paths.append((name, None, "carrier above enumeration cap"))
+        paths.append(Path(name, None, reason="carrier above enumeration cap"))
     # 2: pair scan: no member-closure can have two maximal points
     scan = _pair_scan(X)
-    paths.append(("incomparable-pair split certificates", scan["ok"], ""))
+    paths.append(Path("incomparable-pair split certificates", scan["ok"]))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     # 3: closures of masks are point closures or split into proper parts
-    split, mode, count = _split_path(X, config)
+    split, count = _split_path(X, config)
     paths.append(split)
-    evidence["closures" if mode == "raw" else "sampled_closed_sets"] = count
+    evidence["closures" if split.mode == "raw" else "sampled_closed_sets"] = count
     return paths, evidence
 
 
-def _split_path(X: FiniteSpace, config: RunConfig) -> tuple[tuple[str, bool, str], str, int]:
-    """``_sober_like``'s third path, its mode and its number of masks:
+def _split_path(X: FiniteSpace, config: RunConfig) -> tuple[Path, int]:
+    """``_sober_like``'s third path and its number of masks:
     the closure of each mask of ``_masks`` is a point closure or splits
     into two proper closed parts.  Computed once per
     space and run config in X's memo (``"split"``), so ``sober`` and
@@ -537,7 +557,7 @@ def _split_path(X: FiniteSpace, config: RunConfig) -> tuple[tuple[str, bool, str
     def build():
         mode, masks = _masks(X, config, "split")
         value = all([_generic_or_split(X, C) for C in set(map(X.closure_mask, masks))])
-        return (f"closures: generic point or split ({_MODE_NAMES[mode]})", value, ""), mode, len(masks)
+        return Path("closures: generic point or split", value, mode), len(masks)
 
     return X.memo(("split", config), build)
 
@@ -570,22 +590,22 @@ def _p_d_space(X: FiniteSpace, H, config: RunConfig):
                 value = False
             elif len(sups) < 12:
                 sups[_set_label(X, m)] = X.labels[s]
-        paths = [("directed sets have sups with principal closures (exhaustive)", value, "")]
+        paths = [Path("directed sets have sups with principal closures", value, "raw")]
         evidence["directed_sets"] = len(directed)
         evidence["sups"] = sups
     else:
-        paths = [("directed sets have sups with principal closures", None, "carrier above enumeration cap")]
+        paths = [Path("directed sets have sups with principal closures", None, reason="carrier above enumeration cap")]
     scan = _pair_scan(X)
     mode, directed = _h_sets(X, systems.SubsetSystemId("D"), config, config.caps.sample_count, "dspace")
     value = scan["ok"] and all([top[m] is not None for m in directed])
-    paths.append((f"incomparable-pair scan with directed closures ({_MODE_NAMES[mode]})", value, ""))
+    paths.append(Path("incomparable-pair scan with directed closures", value, mode))
     evidence["incomparable_pairs"] = scan["incomparable_pairs"]
     if mode == "sampled":
         evidence["sampled_directed"] = len(directed)
     # chain criterion: d-space iff chain closures are principal
     mode, chains = _h_sets(X, systems.SubsetSystemId("C"), config, config.caps.sample_count, "dspace")
     value = all([top[m] is not None for m in chains])
-    paths.append((f"chain closures are principal ({_MODE_NAMES[mode]})", value, ""))
+    paths.append(Path("chain closures are principal", value, mode))
     return paths, evidence
 
 
@@ -605,18 +625,18 @@ def _p_well_filtered(X: FiniteSpace, H, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
-        paths.append(("filtered families (exhaustive)", value, ""))
+        paths.append(Path("filtered families", value, "raw"))
         evidence["filtered_families"] = len(fams)
     else:
-        paths.append(("filtered families", None, "compact families above enumeration cap"))
+        paths.append(Path("filtered families", None, reason="compact families above enumeration cap"))
     # 2: the Smyth power space is a d-space
     S = powers.smyth(X, config)
     v = check(S.space, "d_space", None, config)
-    paths.append(("Smyth power space is a d-space", v.holds and v.characterizations_agreed, ""))
+    paths.append(Path("Smyth power space is a d-space", v.ok))
     evidence["smyth_carrier"] = len(S.carrier)
     # 3: collapse through the strongly-determined system for directed sets
     v2 = check(X, "h_sober", systems.SubsetSystemId("D", "D"), config)
-    paths.append(("sobriety for strongly-determined directed sets", v2.holds and v2.characterizations_agreed, ""))
+    paths.append(Path("sobriety for strongly-determined directed sets", v2.ok))
     return paths, evidence
 
 
@@ -627,30 +647,30 @@ def _p_omega_wf(X: FiniteSpace, H, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all(_filtered(_meet(X, fam), fam, opens) for fam in fams)
-        paths.append(("descending chains (exhaustive)", value, ""))
+        paths.append(Path("descending chains", value, "raw"))
         evidence["chains"] = len(fams)
     else:
-        paths.append(("descending chains", None, "compact families above enumeration cap"))
+        paths.append(Path("descending chains", None, reason="compact families above enumeration cap"))
     # every family over a finite carrier is countable, so the two notions
     # coincide here; evaluated through the full checker
     v = check(X, "well_filtered", None, config)
-    paths.append(("well-filteredness by countable collapse", v.holds and v.characterizations_agreed, ""))
+    paths.append(Path("well-filteredness by countable collapse", v.ok))
     # chain-sobriety of the Smyth power space for the countable-chain tag
     v2 = check(powers.smyth(X, config).space, "h_sober", systems.SubsetSystemId("Cw"), config)
-    paths.append(("chain-sobriety of the Smyth power space", v2.holds and v2.characterizations_agreed, ""))
+    paths.append(Path("chain-sobriety of the Smyth power space", v2.ok))
     return paths, evidence
 
 
 def _p_h_sober(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     core = systems._core_of(H)
     generic = lambda: _generic_points(X, lambda d: systems._member(core, X, d))
-    paths, evidence = _sober_like(X, generic, config, "closed members are point closures (exhaustive)")
+    paths, evidence = _sober_like(X, generic, config, "closed members are point closures", "raw")
     # neighborhood filtration: up-bounds inside opens find members
     mode, members = _h_sets(X, H, config, config.caps.sample_count, "hsober")
     filtration = X.memo(("per mask", "neighborhood filtration"),
                         lambda: _PerMask(lambda m: _neighborhood_filtered(X, m)))
     value = all([filtration[m] for m in members])
-    paths.append((f"neighborhood filtration on members ({_MODE_NAMES[mode]})", value, ""))
+    paths.append(Path("neighborhood filtration on members", value, mode))
     evidence["members" if mode == "raw" else "sampled_members"] = len(members)
     return paths, evidence
 
@@ -670,7 +690,7 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     evidence = {}
     S = powers.smyth(X, config)
     v = check(S.space, "h_sober", H, config)
-    paths.append(("Smyth power space is H-sober", v.holds and v.characterizations_agreed, ""))
+    paths.append(Path("Smyth power space is H-sober", v.ok))
     evidence["smyth_carrier"] = len(S.carrier)
     # compact filtration: members inside opens once the intersection is;
     # each generator family holds its own meet, so only raw mode computes
@@ -678,11 +698,11 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     if mode == "raw":
         opens = X.upsets()
         value = all((inter := _meet(X, fam)) != 0 and inter in fam and _filtered(inter, fam, opens) for fam in fams)
-        paths.append(("compact filtration (exhaustive)", value, ""))
+        paths.append(Path("compact filtration", value, "raw"))
     else:
-        paths.append(("compact filtration", None, "compact families above enumeration cap"))
+        paths.append(Path("compact filtration", None, reason="compact families above enumeration cap"))
     evidence["families"] = len(fams)
-    paths.append(("meeting-families are principal ideals at the base", _psi_ok(X, config), ""))
+    paths.append(Path("meeting-families are principal ideals at the base", _psi_ok(X, config)))
     # equational form on generator/raw families with closed cuts: every
     # closed set within _CUT_EQUATION_PAIRS, else seeded ones per family
     closed = X.downsets()
@@ -694,29 +714,28 @@ def _p_super(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
         getrandbits = _rng(config, "supereq", str(H), X.n, X.up[0]).getrandbits
         draw = lambda: [closed[_randbelow(getrandbits, len(closed))] for _ in range(4)]
         value = all(_meet(X, fam) != 0 and _cut_identity(X, fam, draw(), sat) for fam in heads)
-    paths.append(("equational cut identity over closed sets", value, ""))
+    paths.append(Path("equational cut identity over closed sets", value))
     return paths, evidence
 
 
 def _p_h_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     mode, count, value = _all_members(X, H, config, "hcomplete", lambda m: systems._sup_of(X, m) is not None)
-    paths = [(f"every member has a least upper bound ({_MODE_NAMES[mode]})", value, "")]
+    paths = [Path("every member has a least upper bound", value, mode)]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     v = check(X, "h_sober", H, config)
-    paths.append(("sobriety for the system by the upper-topology biconditional",
-                  v.holds and v.characterizations_agreed, ""))
+    paths.append(Path("sobriety for the system by the upper-topology biconditional", v.ok))
     return paths, evidence
 
 
 def _p_h_bounded(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
     mode, count, value = _all_members(X, H, config, "hbounded", lambda m: X.ubs_mask(m) != 0)
-    paths = [(f"every member has an upper bound ({_MODE_NAMES[mode]})", value, "")]
+    paths = [Path("every member has an upper bound", value, mode)]
     evidence = {"members" if mode == "raw" else "sampled_members": count}
     # members carry a greatest element, which bounds them
     mode, members = _h_sets(X, H, config, config.caps.sample_count, "hbounded2")
     under = X.memo(("per mask", "under the top"), lambda: _PerMask(lambda m: _under_top(X, m)))
     value = all([under[m] for m in members])
-    paths.append((f"members sit under the top of their closure ({_MODE_NAMES[mode]})", value, ""))
+    paths.append(Path("members sit under the top of their closure", value, mode))
     return paths, evidence
 
 
@@ -727,27 +746,19 @@ def _under_top(X: FiniteSpace, m: int) -> bool:
 
 
 def _p_hip(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    paths = []
-    evidence = {}
     mode, fams = _families_for(X, H, config)
     value = all(_meet(X, fam) != 0 for fam in fams)
-    paths.append((f"families have nonempty intersection ({_MODE_NAMES[mode]})", value, ""))
-    evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_bounded", H, config)
-    paths.append(("Smyth power space is H-bounded", v.holds and v.characterizations_agreed, ""))
-    return paths, evidence
+    return [Path("families have nonempty intersection", value, mode),
+            Path("Smyth power space is H-bounded", v.ok)], {"families": len(fams)}
 
 
 def _p_smyth_complete(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
-    paths = []
-    evidence = {}
     mode, fams = _families_for(X, H, config)
     value = all((inter := _meet(X, fam)) != 0 and X.is_up(inter) for fam in fams)
-    paths.append((f"family intersections are compact saturated ({_MODE_NAMES[mode]})", value, ""))
-    evidence["families"] = len(fams)
     v = check(powers.smyth(X, config).space, "h_complete", H, config)
-    paths.append(("Smyth power space is H-complete", v.holds and v.characterizations_agreed, ""))
-    return paths, evidence
+    return [Path("family intersections are compact saturated", value, mode),
+            Path("Smyth power space is H-complete", v.ok)], {"families": len(fams)}
 
 
 def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig):
@@ -755,16 +766,14 @@ def _p_h_consonant(X: FiniteSpace, H: systems.SubsetSystemId, config: RunConfig)
     evidence = {}
     if X.n <= config.caps.family_listing and len(X.upsets()) <= 65:
         value, count, table = _realize_filters(X, H, config)
-        paths.append(("filters realized by one-member families", value, ""))
+        paths.append(Path("filters realized by one-member families", value))
         evidence["filters"] = count
         evidence["realizations"] = dict(table)
     else:
-        paths.append(("filters realized by one-member families", None, "open-set lattice above cap"))
+        paths.append(Path("filters realized by one-member families", None, reason="open-set lattice above cap"))
     v1 = check(X, "sober", None, config)
     v2 = check(X, "super_h_sober", H, config)
-    paths.append(
-        ("sobriety decomposition: sober = consonant + super-sober", v1.holds and v2.holds, "")
-    )
+    paths.append(Path("sobriety decomposition: sober = consonant + super-sober", v1.holds and v2.holds))
     return paths, evidence
 
 
@@ -805,12 +814,12 @@ def _p_lhc(X: FiniteSpace, H, config: RunConfig):
             for U in opens:
                 if (U >> x) & 1 and X.up[x] & ~U != 0:
                     value = False
-    paths.append(("least neighborhoods are principal filters", value, ""))
+    paths.append(Path("least neighborhoods are principal filters", value))
     # saturations of masks contain the principal filter of each of their
     # points, each distinct saturation checked once
     mode, masks = _masks(X, config, "lhc")
     value = all(X.up[x] & ~U == 0 for U in set(map(X.sat_mask, masks)) for x in bits(U))
-    paths.append((f"saturations contain principal filters ({_MODE_NAMES[mode]})", value, ""))
+    paths.append(Path("saturations contain principal filters", value, mode))
     return paths, evidence
 
 
@@ -923,7 +932,7 @@ def crosscheck_h_sober(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossR
             bounded_eq = False
 
     conds = [
-        ("h_sober", base.holds and base.characterizations_agreed),
+        ("h_sober", base.ok),
         ("bounded + cut equation [closed members x closed]", bounded_eq),
     ]
     agreed = len({v for _, v in conds}) == 1
@@ -952,7 +961,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
     sp = S.space
     mode, fams = _families_for(X, H, config)
     getrandbits = _rng(config, "super", str(H), X.n, X.up[0]).getrandbits
-    conds = [("super_h_sober", base.holds and base.characterizations_agreed)]
+    conds = [("super_h_sober", base.ok)]
 
     # equational form over principal closed families and sampled
     # Smyth-closed sets
@@ -969,7 +978,7 @@ def crosscheck_super(X: FiniteSpace, H, config: RunConfig = DEFAULT) -> CrossRep
 
     if systems._core_of(H) == "R":
         v = check(sp, "sober", None, config)
-        conds.append(("Smyth power space is sober", v.holds and v.characterizations_agreed))
+        conds.append(("Smyth power space is sober", v.ok))
 
     agreed = len({v for _, v in conds}) == 1
     return CrossReport(

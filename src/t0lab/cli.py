@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .config import Caps, DEFAULT, RunConfig
+from .config import Caps, RunConfig
 from .errors import CapExceeded, InternalError, SpaceParseError, T0LabError, UsageError
 from .spaces import FiniteSpace, parse_space, random_space, to_dot
 from . import checkers, construct, powers, systems
@@ -109,12 +109,12 @@ def _cmd_check(args) -> int:
     if args.property == "all":
         verdicts = checkers.check_all(X, config)
         payload["verdicts"] = [v.to_json() for v in verdicts]
-        if any(not (v.holds and v.characterizations_agreed) for v in verdicts):
+        if any(not v.ok for v in verdicts):
             rc = 1
     else:
         v = checkers.check(X, args.property, args.system, config)
         payload = v.to_json()
-        if not (v.holds and v.characterizations_agreed):
+        if not v.ok:
             rc = 1
     if args.cross:
         r1 = checkers.crosscheck_h_sober(X, args.system, config)
@@ -215,7 +215,7 @@ def _sweep_one(X, config, rng) -> list[str]:
     """Run the invariant battery on one space; returns violation notes."""
     bad = []
     for v in checkers.check_all(X, config):
-        if not (v.holds and v.characterizations_agreed):
+        if not v.ok:
             bad.append(f"{v.property}[{v.system}] holds={v.holds} agreed={v.characterizations_agreed}")
     for Hid in systems.BASE_IDS:
         r1 = checkers.crosscheck_h_sober(X, Hid, config)

@@ -168,6 +168,8 @@ def function_space(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) 
 
 # -- poset enumeration up to isomorphism ----------------------------------
 
+# the sorted canonical keys of the classes by n; the classes by (n, prefix)
+_POSET_KEYS: dict[int, list[tuple]] = {1: [(1,)]}
 _POSET_CACHE: dict[tuple[int, str], list[FiniteSpace]] = {}
 
 
@@ -222,26 +224,27 @@ def enumerate_posets(n: int, prefix: str = "p") -> list[FiniteSpace]:
     each class one point smaller, extended by a new greatest-index point
     above each of its down-sets (the empty one included), gives every
     class; the candidates are deduped by a canonical relabeling key and
-    returned in key order.
+    returned in key order.  The keys are built once per n, whatever the
+    prefix the points are labelled with.
     """
     if n < 1 or n > 7:
         raise CapExceeded("poset enumeration supports 1..7 points")
-    cached = _POSET_CACHE.get((n, prefix))
-    if cached is not None:
-        return list(cached)
-    labels = [f"{prefix}{i}" for i in range(n)]
-    top = 1 << (n - 1)
-    if n == 1:
-        keys = {(top,)}
-    else:
-        keys = {
-            _canon_key(n, [row | top if (d >> i) & 1 else row for i, row in enumerate(R.up)] + [top])
-            for R in enumerate_posets(n - 1, prefix)
-            for d in R.downsets()
-        }
-    out = [FiniteSpace(labels, list(key)) for key in sorted(keys)]
-    _POSET_CACHE[(n, prefix)] = out
+    out = _POSET_CACHE.get((n, prefix))
+    if out is None:
+        labels = [f"{prefix}{i}" for i in range(n)]
+        out = _POSET_CACHE[n, prefix] = [FiniteSpace(labels, list(key)) for key in _poset_keys(n)]
     return list(out)
+
+
+def _poset_keys(n: int) -> list[tuple]:
+    if n not in _POSET_KEYS:
+        top = 1 << (n - 1)
+        _POSET_KEYS[n] = sorted({
+            _canon_key(n, [row | top if (d >> i) & 1 else row for i, row in enumerate(R.up)] + [top])
+            for R in enumerate_posets(n - 1)
+            for d in R.downsets()
+        })
+    return _POSET_KEYS[n]
 
 
 def homeomorphic(X: FiniteSpace, Y: FiniteSpace) -> SpaceMap | None:

@@ -53,7 +53,6 @@ from .errors import (
     InternalError,
     NotAFilter,
     NotDirected,
-    SpaceMismatch,
     UsageError,
 )
 from .spaces import (

@@ -49,7 +49,6 @@ from .spaces import (
     ClosedSet,
     CompactSat,
     FiniteSpace,
-    PointSet,
     _PerMask,
     _as_mask,
     _directed_mask,

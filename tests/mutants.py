@@ -394,24 +394,13 @@ def detections(values: dict) -> dict:
     return out
 
 
-# the mode suffixes a path name carries; the kill table keys paths without
-# them, so that one path in two modes is one row
-_MODES = tuple(f" ({name})" for name in checkers._MODE_NAMES.values())
-
-
-def _path_key(name: str) -> str:
-    for suffix in _MODES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
 def path_values(docs: list[dict]) -> dict:
     """The value of every path of every verdict ``check_all`` returns, on
-    each space parsed afresh, by (space index, property, system, path name
-    without its mode suffix).  Each verdict is checked on its own, so that
-    one that raises reads "raise" under (space index, property, system,
-    None) and leaves the others standing."""
+    each space parsed afresh, by (space index, property, system,
+    ``Path.name``), so that one path in two modes is one row.  Each
+    verdict is checked on its own, so that one that raises reads "raise"
+    under (space index, property, system, None) and leaves the others
+    standing."""
     out = {}
     for i, doc in enumerate(docs):
         X = parse_space(doc)
@@ -423,8 +412,8 @@ def path_values(docs: list[dict]) -> dict:
                 except Exception:
                     out[i, prop, system, None] = "raise"
                     continue
-                for name, value in v.characterizations:
-                    out[i, prop, system, _path_key(name)] = value
+                for p in v.paths:
+                    out[i, prop, system, p.name] = p.rendered()[1]
     return out
 
 

@@ -131,7 +131,7 @@ def test_validate_evidence_rejects_tampering(sier):
         property=v.property,
         system=v.system,
         holds=v.holds,
-        characterizations=v.characterizations,
+        paths=v.paths,
         characterizations_agreed=v.characterizations_agreed,
         evidence={"generic_points": {"{b}": "b"}},
     )
@@ -140,7 +140,7 @@ def test_validate_evidence_rejects_tampering(sier):
         property=v.property,
         system=v.system,
         holds=v.holds,
-        characterizations=v.characterizations,
+        paths=v.paths,
         characterizations_agreed=v.characterizations_agreed,
         evidence={"generic_points": {"{a,b}": "a"}},
     )
@@ -258,14 +258,15 @@ def test_countable_records_are_their_cores_renamed():
     # system's records, computed cold on a space of its own, are those
     # check_all and the batteries give its core, with only the system
     # renamed
-    modes = {f"({name})" for name in checkers._MODE_NAMES.values()}
     for X in _golden_corpus():
         core = {}
         for v in check_all(X):
             core[v.property, v.system] = v.to_json()
-            # a path name's trailing parenthesis names its mode, and only that
-            for name, _ in v.characterizations:
-                assert not name.endswith(")") or name[name.rindex(" (") + 1:] in modes, name
+            # a path's mode and skip reason are fields, never name text
+            for p in v.paths:
+                assert not p.name.endswith(")"), p
+                assert p.mode in (None, "raw", "sampled", "generators"), p
+                assert (p.value is None) == bool(p.reason), p
         for H in ("S", "C", "D", "R"):
             for battery in (crosscheck_h_sober, crosscheck_super):
                 core[battery.__name__, H] = battery(X, H).to_json()
@@ -425,11 +426,11 @@ def test_checker_paths_draw_only_above_the_subset_cap(monkeypatch, diamond, corp
 
 def test_listing_paths_are_skipped_above_the_family_listing_cap(diamond):
     # closed- and open-set listings obey caps.family_listing; a skipped
-    # path keeps the name it has when computed
+    # path is rendered under its name alone, with no mode
     config = RunConfig(caps=Caps(family_listing=0))
     expected = {
         ("sober", None): ["irreducible closed sets have unique generic points"],
-        ("h_sober", "D"): ["closed members are point closures (exhaustive)"],
+        ("h_sober", "D"): ["closed members are point closures"],
         ("locally_hypercompact", None): [],
     }
     for (prop, H), names in expected.items():
@@ -439,9 +440,27 @@ def test_listing_paths_are_skipped_above_the_family_listing_cap(diamond):
         assert v.holds and v.characterizations_agreed
     assert check(diamond, "sober").characterizations[0] == (
         "irreducible closed sets have unique generic points", "true")
+    assert check(diamond, "h_sober", "D").characterizations[0] == (
+        "closed members are point closures (exhaustive)", "true")
     # the compacts are a listing of open sets too
     with pytest.raises(CapExceeded, match="needs carrier <= 0, got 4"):
         check(diamond, "well_filtered", config=config)
+    # so check_all raises under this cap: its verdicts are read one by one,
+    # and under the member and compact-family caps, where check_all runs
+    skipped = []
+    for prop in PROPERTY_IDS:
+        for H in (BASE_IDS if prop in H_PROPS else (None,)):
+            try:
+                skipped += [p for p in check(diamond, prop, H, config).paths if p.value is None]
+            except CapExceeded:
+                pass
+    for v in check_all(diamond, RunConfig(caps=Caps(subset_enum=0, compact_family_enum=0))):
+        skipped += [p for p in v.paths if p.value is None]
+    assert {p.name for p in skipped} == {
+        "irreducible closed sets have unique generic points", "closed members are point closures",
+        "directed sets have sups with principal closures", "filtered families", "descending chains",
+        "compact filtration"}
+    assert all(p.mode is None and p.rendered()[0] == p.name for p in skipped), skipped
 
 
 # -- crosschecks -----------------------------------------------------------
@@ -491,7 +510,7 @@ def test_batteries_read_their_verdicts_agreement(monkeypatch):
 
         def dissenting(X, H, config, impl=impl):
             paths, evidence = impl(X, H, config)
-            return paths + [("injected dissent", False, "")], evidence
+            return paths + [checkers.Path("injected dissent", False)], evidence
 
         with monkeypatch.context() as m:
             m.setitem(checkers._IMPLS, prop, dissenting)
