@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import lru_cache, wraps
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -107,6 +107,12 @@ class Path(NamedTuple):
         return name, "true" if self.value else "false"
 
 
+@lru_cache(maxsize=4096)
+def _rendered(paths: tuple[Path, ...]) -> tuple[tuple[str, str], ...]:
+    """A path tuple's rendered pairs, made once per distinct tuple (a core's seven systems share one)."""
+    return tuple(p.rendered() for p in paths)
+
+
 @dataclass(frozen=True)
 class Verdict:
     property: str
@@ -118,7 +124,7 @@ class Verdict:
 
     @property
     def characterizations(self) -> tuple[tuple[str, str], ...]:
-        return tuple(p.rendered() for p in self.paths)
+        return _rendered(self.paths)
 
     @property
     def ok(self) -> bool:

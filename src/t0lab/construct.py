@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, permutations
 from itertools import product as _product  # construct.product shadows it
+from operator import itemgetter
 
 from .config import DEFAULT, RunConfig
 from .errors import (
@@ -60,11 +61,11 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
     labels = _pair_labels(X, Y)
     up = []
     for i in range(X.n):
-        for j in range(Y.n):
+        above = [a * Y.n for a in bits(X.up[i])]
+        for row in Y.up:
             m = 0
-            for a in bits(X.up[i]):
-                for b in bits(Y.up[j]):
-                    m |= 1 << (a * Y.n + b)
+            for shift in above:
+                m |= row << shift
             up.append(m)
     try:
         P = FiniteSpace(labels, up)
@@ -87,44 +88,43 @@ def product(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> Prod
 # -- map enumeration and function spaces ----------------------------------
 
 
-def _map_tables(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[tuple[int, ...]]:
+def _map_tables(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> tuple[tuple[int, ...], ...]:
     """The tables of all continuous (= monotone) maps X -> Y, sorted;
     ``CapExceeded`` above ``caps.map_count``, checked on every call.
 
-    Backtracks along a linear extension of X.  At each position the
-    allowed values are the AND of ``Y.up`` at the values already placed
-    below the point, so every table is monotone by construction.
+    Fills one position of a linear extension of X at a time, over all
+    partial tables at once: a point's allowed values are the AND of
+    ``Y.up`` at the values already placed below it, so every table is
+    monotone by construction, and comes out sorted when the extension is
+    the point order (else the tables are reordered and sorted).  They read
+    no cap, so X's memo keeps them per target (``("map tables", Y)``).
     """
     if Y.n ** X.n > config.caps.map_count:
         raise CapExceeded(
             f"{Y.n}^{X.n} candidate maps exceed the cap {config.caps.map_count}"
         )
+    return X.memo(("map tables", Y), lambda: _monotone_tables(X, Y))
+
+
+def _monotone_tables(X: FiniteSpace, Y: FiniteSpace) -> tuple[tuple[int, ...], ...]:
     order = sorted(range(X.n), key=lambda i: (X.down[i].bit_count(), i))
-    below = []  # earlier positions strictly under the current point
+    partial = [()]
     for pos, i in enumerate(order):
-        below.append([q for q in range(pos) if (X.down[i] >> order[q]) & 1])
-    out = []
-    assign = [0] * X.n
-
-    def place(pos: int):
-        if pos == X.n:
-            table = [0] * X.n
-            for q, i in enumerate(order):
-                table[i] = assign[q]
-            out.append(tuple(table))
-            return
-        allowed = Y.full
-        for q in below[pos]:
-            allowed &= Y.up[assign[q]]
-        while allowed:
-            low = allowed & -allowed
-            assign[pos] = low.bit_length() - 1
-            place(pos + 1)
-            allowed ^= low
-
-    place(0)
-    out.sort()
-    return out
+        below = [q for q in range(pos) if (X.down[i] >> order[q]) & 1]
+        grown = []
+        for t in partial:
+            allowed = Y.full
+            for q in below:
+                allowed &= Y.up[t[q]]
+            while allowed:
+                low = allowed & -allowed
+                grown.append((*t, low.bit_length() - 1))
+                allowed ^= low
+        partial = grown
+    at = sorted(range(X.n), key=order.__getitem__)  # each point's position
+    if at != sorted(at):
+        partial = sorted(map(itemgetter(*at), partial))
+    return tuple(partial)
 
 
 def continuous_maps(X: FiniteSpace, Y: FiniteSpace, config: RunConfig = DEFAULT) -> list[SpaceMap]:
@@ -369,9 +369,11 @@ def _extend_along_unit(refl: Reflection, Y: FiniteSpace, table: tuple[int, ...])
     """The table of the unique continuous extension f* with f* . unit = f,
     for f given by its table into Y: a member goes to the generic point of
     the closure of its image (``powers._member_table``), read from a table
-    kept in Y's memo (``"extension tops"``), so computed once per target."""
-    tops = Y.memo("extension tops", lambda: _PerMask(lambda img: Y.top_of(Y.closure_mask(img))))
-    star = powers._member_table(refl.hoare, table, tops)
+    kept in Y's memo (``"extension tops"``), so computed once per target,
+    and read with the member points from one entry (``("extension", Y)``)."""
+    points, tops = refl.space.memo(("extension", Y), lambda: (powers._member_points(refl.hoare), Y.memo(
+        "extension tops", lambda: _PerMask(lambda img: Y.top_of(Y.closure_mask(img))))))
+    star = powers._member_table(points, table, tops)
     if star is None:
         raise InternalError("target is not sober enough to extend along the unit")
     return star

@@ -138,13 +138,18 @@ def _unit(X: FiniteSpace, space: FiniteSpace, table: tuple[int, ...], basic, ope
     return f
 
 
-def _member_table(P, table: tuple[int, ...], entry) -> tuple[int, ...] | None:
-    """Per member of ``P.carrier``, ``entry[img]`` at its image ``img``, the
-    OR of ``1 << table[x]`` over its points (listed once per space, as
-    ``"member points"``); None if some member's entry is None."""
+def _member_points(P) -> list[tuple[int, ...]]:
+    """Each member's points, listed once per power space (``"member points"``)."""
+    return P.space.memo("member points", lambda: [tuple(bits(a)) for a in P.carrier])
+
+
+def _member_table(points: list[tuple[int, ...]], table: tuple[int, ...], entry) -> tuple[int, ...] | None:
+    """Per member, given by its ``points``, ``entry[img]`` at its image
+    ``img``, the OR of ``1 << table[x]`` over its points; None if some
+    member's entry is None."""
     at = [1 << v for v in table]
     out = []
-    for pts in P.space.memo("member points", lambda: [tuple(bits(a)) for a in P.carrier]):
+    for pts in points:
         img = 0
         for x in pts:
             img |= at[x]
@@ -156,13 +161,15 @@ def _lift(f: SpaceMap, PX, PY, hull) -> SpaceMap:
     """The functorial action of f between power spaces over its endpoints:
     each member A of ``PX.carrier`` goes to ``hull(f(A))`` in ``PY``.
 
-    ``_member_table`` reads each hull's carrier index from a table in the
-    memo of ``PY.space`` keyed by ``hull``, so each image is hulled once per
-    target and hull.  A hull outside ``PY``'s carrier is an internal break:
-    the named carriers hold every hull.
+    One entry of ``PX.space``'s memo, ``("lift", PY.space, hull)``, holds
+    PX's member points and the carrier index in PY of each image's hull
+    (``PY.space``'s ``("lift", hull)`` table), so another hull reads its own
+    table.  A hull outside ``PY``'s carrier is an internal break: the named
+    carriers hold every hull.
     """
-    lifted = PY.space.memo(("lift", hull), lambda: _PerMask(lambda img: PY.index.get(hull(img))))
-    table = _member_table(PX, f.table, lifted)
+    points, lifted = PX.space.memo(("lift", PY.space, hull), lambda: (_member_points(PX), PY.space.memo(
+        ("lift", hull), lambda: _PerMask(lambda img: PY.index.get(hull(img))))))
+    table = _member_table(points, f.table, lifted)
     if table is None:
         raise InternalError("image hull is not in the target carrier")
     # image and hull keep inclusion, so the lift is monotone in either order
@@ -237,8 +244,11 @@ def xi_embed(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
 
 
 def smyth_map(f: SpaceMap, config: RunConfig = DEFAULT) -> SpaceMap:
-    """Functorial action on the Smyth power spaces: K -> sat(f(K))."""
-    return _lift(f, smyth(f.source, config), smyth(f.target, config), f.target.sat_mask)
+    """Functorial action on the Smyth power spaces: K -> sat(f(K)); both
+    power spaces and the hull are kept per (target, caps) in the source's memo."""
+    X, Y = f.source, f.target
+    SX, SY, hull = X.memo(("smyth_map", Y, config.caps), lambda: (smyth(X, config), smyth(Y, config), Y.sat_mask))
+    return _lift(f, SX, SY, hull)
 
 
 def smyth_union(X: FiniteSpace, config: RunConfig = DEFAULT) -> SpaceMap:
@@ -339,9 +349,11 @@ def hoare_map(f: SpaceMap, which="closed", config: RunConfig = DEFAULT) -> Space
     """
     if which not in ("closed", "irr_closed"):
         raise UsageError("hoare_map takes a named carrier: 'closed' or 'irr_closed'")
+    X, Y = f.source, f.target
     try:
-        HX, HY = hoare(f.source, which, config), hoare(f.target, which, config)
-        return _lift(f, HX, HY, f.target.closure_mask)
+        HX, HY, hull = X.memo(("hoare_map", which, Y, config.caps),
+                              lambda: (hoare(X, which, config), hoare(Y, which, config), Y.closure_mask))
+        return _lift(f, HX, HY, hull)
     except UsageError as e:
         raise InternalError(f"a named Hoare carrier was refused: {e}") from None
 

@@ -449,14 +449,17 @@ class FiniteSpace:
         neighborhood-filtration and under-the-top outcomes, and
         ``d_space``'s principal tops), their cut rows, the least upper
         bounds of ``systems`` and its family orders (``"family spaces"``, keyed by
-        a family's mask tuple), the map tables of ``powers`` and
-        ``construct``, and the escaped labels (``"escaped labels"``) that
-        every derived label reads.  On a power space's own space,
-        ``"member points"`` lists each member's points for
-        ``powers._member_table``, which lifts and extensions along a unit
-        read, and ``("lift", hull)`` gives the carrier index of
-        ``hull(image)`` per image mask.  On a target space, ``"extension
-        tops"`` gives the generic point of the closure of each image mask.
+        a family's mask tuple), and the escaped labels (``"escaped labels"``) that
+        every derived label reads.  A source space keeps, per target Y, its
+        sorted monotone tables (``("map tables", Y)``) and each lift's power
+        spaces and hull (``("smyth_map", Y, caps)``, ``("hoare_map", which,
+        Y, caps)``).  A power space's own space lists each member's points
+        (``"member points"``) and the carrier index of ``hull(image)`` per
+        image mask (``("lift", hull)``); a target space, the generic point of
+        the closure of each image mask (``"extension tops"``).  One entry per
+        pair holds a member-points list and one of those tables: ``("lift",
+        target space, hull)`` per lift out of a power space, and
+        ``("extension", Y)`` per reflected space and target.
         A Smyth space lists its H-members as families of compacts
         (``("families", core)``), and its cut table (``"cut_sat"``) serves
         the four cores' ``checkers.crosscheck_super``.  The walk tables
@@ -472,9 +475,10 @@ class FiniteSpace:
         ``("verdict", property, system, config)``.  Each key holds the run
         config, so a run under other caps never reuses them."""
         cache = self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        value = cache.get(key, cache)  # the cache itself marks a miss
+        if value is cache:
+            value = cache[key] = build()
+        return value
 
     # -- presentation ----------------------------------------------------
 
@@ -854,11 +858,17 @@ class SpaceMap:
         return len(set(self.table)) == len(self.table)
 
     def is_order_embedding(self) -> bool:
+        """f(i) <= f(j) iff i <= j: the preimage of the up-set at f(i) is ``up[i]``."""
         src, tgt, tab = self.source, self.target, self.table
-        for i in range(src.n):
-            for j in range(src.n):
-                if tgt.leq(tab[i], tab[j]) != src.leq(i, j):
-                    return False
+        pre = [0] * tgt.n
+        for i, v in enumerate(tab):
+            pre[v] |= 1 << i
+        for i, v in enumerate(tab):
+            m = 0
+            for t in bits(tgt.up[v]):
+                m |= pre[t]
+            if m != src.up[i]:
+                return False
         return True
 
     def to_json(self) -> dict:

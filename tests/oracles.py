@@ -382,6 +382,27 @@ def continuous_tables(X: FiniteSpace, Y: FiniteSpace) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def order_embedding(f: SpaceMap) -> bool:
+    """f(i) <= f(j) exactly when i <= j, by one ``leq`` pair per (i, j)."""
+    src, tgt, tab = f.source, f.target, f.table
+    return all(tgt.leq(tab[i], tab[j]) == src.leq(i, j) for i in range(src.n) for j in range(src.n))
+
+
+def product_rows(X: FiniteSpace, Y: FiniteSpace) -> tuple[int, ...]:
+    """The componentwise order on X x Y, the pair (i, j) at i * Y.n + j:
+    (i, j) <= (a, b) iff i <= a in X and j <= b in Y."""
+    rows = []
+    for i in range(X.n):
+        for j in range(Y.n):
+            m = 0
+            for a in range(X.n):
+                for b in range(Y.n):
+                    if X.leq(i, a) and Y.leq(j, b):
+                        m |= 1 << (a * Y.n + b)
+            rows.append(m)
+    return tuple(rows)
+
+
 def universal_property_records(refl, Y: FiniteSpace, f: SpaceMap | None = None, config=DEFAULT) -> dict:
     """The report of ``construct.universal_property_verify``, computed over
     ``SpaceMap`` records: the maps from ``continuous_maps``, each extension

@@ -53,6 +53,13 @@ def test_product_order_is_componentwise(sier, diamond):
     assert P.right.table[P.pair_index(1, 2)] == 2
 
 
+def test_product_rows_are_the_componentwise_order(all_posets):
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    for X in pool:
+        for Y in pool:
+            assert product(X, Y).space.up == oracles.product_rows(X, Y)
+
+
 def test_colliding_product_labels_are_escaped():
     # unescaped, "(a,b,c)" would join both a with "b,c" and "a,b" with c
     X = parse_space({"points": ["a", "a,b"], "covers": []})
@@ -106,6 +113,26 @@ def test_continuous_maps_cap(diamond):
     tight = RunConfig(caps=Caps(map_count=10))
     with pytest.raises(CapExceeded):
         continuous_maps(diamond, diamond, tight)
+
+
+def test_caps_hold_on_a_warm_map_cache(sier):
+    # every enumeration checks map_count on each call, cached tables or not
+    refl = reflect(sier)
+    maps = continuous_maps(sier, sier)
+    tables = [f.table for f in maps]
+    function_space(sier, sier)
+    assert universal_property_verify(refl, sier)["ok"]
+    tight = RunConfig(caps=Caps(map_count=2))
+    with pytest.raises(CapExceeded):
+        continuous_maps(sier, sier, tight)
+    with pytest.raises(CapExceeded):
+        function_space(sier, sier, tight)
+    with pytest.raises(CapExceeded):
+        universal_property_verify(refl, sier, config=tight)
+    maps.clear()
+    again = continuous_maps(sier, sier)
+    again.append(again[0])
+    assert [f.table for f in continuous_maps(sier, sier)] == tables
 
 
 def test_function_space_carrier_and_order(sier):

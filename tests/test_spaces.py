@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from t0lab.spaces import (
     ClosedSet,
     CompactSat,
     SpaceMap,
+    bits,
     chain_core,
     closure,
     is_directed,
@@ -512,6 +514,24 @@ def test_order_embedding_detection(diamond):
     assert inc.is_injective() and inc.is_order_embedding()
     squash = oracles.map_from_labels(sub, diamond, {"bot": "bot", "top": "bot"})
     assert not squash.is_injective()
+
+
+def test_order_embedding_is_the_pairwise_definition(all_posets):
+    # every table, monotone or not, between the classes of at most 3 points
+    pool = [X for n in (1, 2, 3) for X in all_posets[n]]
+    kinds = set()
+    for X in pool:
+        for Y in pool:
+            for t in itertools.product(range(Y.n), repeat=X.n):
+                f = SpaceMap._trusted(X, Y, t)
+                want = oracles.order_embedding(f)
+                assert f.is_order_embedding() == want, (X.up, Y.up, t)
+                monotone = all(Y.leq(t[i], t[j]) for i in range(X.n) for j in bits(X.up[i]))
+                kinds.add((monotone, f.is_injective(), want))
+    # (monotone, injective, embedding): the set holds non-monotone and
+    # non-injective tables, injective maps that do not embed, and embeddings
+    assert (False, True, False) in kinds and (True, False, False) in kinds
+    assert (True, True, False) in kinds and (True, True, True) in kinds
 
 
 # -- generators and rendering ----------------------------------------------
